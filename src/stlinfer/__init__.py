@@ -19,6 +19,7 @@ from .stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
+    batch_robustness,
     count_atoms,
     dnf,
     dnf_clauses,
@@ -36,6 +37,7 @@ from .network import (
     NetworkShape,
     SlotSpec,
     network_output,
+    network_outputs,
     soundness_bound_check,
     sparse_softmax_value,
     sparse_softmin_value,

@@ -383,6 +383,8 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
             raise ValueError(f"{path}:{lineno}: {e}") from None
         if label not in (-1, 1):
             raise ValueError(f"{path}:{lineno}: label must be +1 or -1, got {label}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}:{lineno}: signal values must be finite")
         samples.append((Signal(values.reshape(length, dim)), label))
     if not samples:
         raise ValueError(f"{path}: no data rows")

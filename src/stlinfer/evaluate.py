@@ -2,19 +2,21 @@
 
 The network predicts the positive class when its output is strictly
 positive; an output of exactly 0 counts as a negative prediction, the
-same convention exact robustness uses for satisfaction.
+same convention exact robustness uses for satisfaction.  Both the
+network and the formula are evaluated batched, CHUNK samples at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Tuple, Union
 
 import numpy as np
 
-from .network import ActivationParams, ModelParams, NetworkShape, SlotSpec, network_output
-from .stl import Formula, Signal, TemporalOp, robustness
+from .network import ActivationParams, ModelParams, NetworkShape, SlotSpec, network_outputs
+from .stl import Formula, Signal, TemporalOp, batch_robustness, signal_chunks
 from .trainer import TrainReport
 
 __all__ = [
@@ -34,11 +36,10 @@ def network_mcr(
     """Misclassification rate of the network's output sign."""
     n = 0
     wrong = 0
-    for sig, label in samples:
-        out = network_output(sig.values, params, shape, p)
-        if (out > 0.0) != (label == 1):
-            wrong += 1
-        n += 1
+    for X, y in signal_chunks(samples):
+        out = network_outputs(X, params, shape, p)
+        wrong += int(np.count_nonzero((out > 0.0) != (y == 1)))
+        n += len(y)
     if n == 0:
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
     return wrong / n
@@ -59,12 +60,11 @@ def sign_agreement(
     """
     n = 0
     agree = 0
-    for sig, _ in samples:
-        out = network_output(sig.values, params, shape, p)
-        rob = robustness(sig, formula, 0)
-        if (out > 0.0) == (rob > 0.0):
-            agree += 1
-        n += 1
+    for X, _ in signal_chunks(samples):
+        out = network_outputs(X, params, shape, p)
+        rob = batch_robustness(X, formula)
+        agree += int(np.count_nonzero((out > 0.0) == (rob > 0.0)))
+        n += len(out)
     if n == 0:
         raise ValueError("cannot compute sign agreement on an empty dataset")
     return agree / n
@@ -96,7 +96,11 @@ def emit_report(report: TrainReport, outdir: Union[str, Path]) -> dict:
 
 
 def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, ActivationParams]:
-    """Read back the parameters, shape and activation from a report.json."""
+    """Read back the parameters, shape and activation from a report.json.
+
+    JSON as Python reads it admits NaN and Infinity; a non-finite
+    parameter or activation value is refused with its field named.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         shape = NetworkShape(
@@ -120,4 +124,10 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: not a valid model report: {e}") from None
+    for name in ("b", "t1", "t2", "M"):
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"{path}: params.{name}: values must be finite")
+    for name in ("beta", "h", "eps", "slope"):
+        if not math.isfinite(getattr(p, name)):
+            raise ValueError(f"{path}: activation.{name}: value must be finite")
     return params, shape, p

@@ -20,19 +20,26 @@ and exponents shifted by a constant, which is algebraically identical but
 immune to exp underflow when every selected value is deeply negative.
 Entries with w_i = 0 contribute exactly zero to both sums, so perturbing
 them never changes the output.
+
+The network is computed two ways.  Training builds it on an autodiff tape
+(`forward`), one signal at a time, because it needs gradients.  Every
+value-only use (`network_outputs`, `network_output` and the `*_value`
+helpers, hence evaluation and sign agreement) runs batched numpy arrays
+over signals taken CHUNK at a time.  The batched path performs the tape's
+arithmetic in the tape's order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
-from .stl import TemporalOp
+from .autodiff import NonFiniteError, Tape, Var
+from .stl import CHUNK, TemporalOp
 
 __all__ = [
     "ActivationParams",
@@ -58,6 +65,7 @@ __all__ = [
     "disjunction_layer",
     "forward",
     "lift_params",
+    "network_outputs",
     "network_output",
 ]
 
@@ -247,14 +255,32 @@ def sparse_softmin(r: Var, w: Var, p: ActivationParams) -> Var:
     return ad.scale(sparse_softmax(ad.scale(r, -1.0), w, p), -1.0)
 
 
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> np.ndarray:
+    """Value of sparse_softmax along the last axis, with the tape ops'
+    arithmetic in the tape's order.  `w` broadcasts against `r` and must
+    select at least one entry in each of its rows."""
+    support = w > 0.0
+    if not support.any(axis=-1).all():
+        raise EmptySelectionError("selection weights are all zero (empty time window)")
+    rp = r * w
+    z = rp * p.h / (np.abs(rp.max(axis=-1, keepdims=True)) + p.eps) * p.beta
+    zs = z - np.where(support, z, -np.inf).max(axis=-1, keepdims=True)
+    u = w * np.exp(zs - _relu(zs))
+    return (r * u).sum(axis=-1) / u.sum(axis=-1)
+
+
 def sparse_softmax_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
-    tape = Tape()
-    return sparse_softmax(tape.const(r), tape.const(w), p).value
+    r = np.asarray(r, dtype=np.float64)
+    return float(_softmax_rows(r, np.asarray(w, dtype=np.float64), p))
 
 
 def sparse_softmin_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
-    tape = Tape()
-    return sparse_softmin(tape.const(r), tape.const(w), p).value
+    r = np.asarray(r, dtype=np.float64)
+    return -float(_softmax_rows(-r, np.asarray(w, dtype=np.float64), p))
 
 
 def time_indicator(tape: Tape, t1: Var, t2: Var, slope: float, length: int) -> Var:
@@ -279,9 +305,20 @@ def time_indicator(tape: Tape, t1: Var, t2: Var, slope: float, length: int) -> V
     return ad.minimum(rise, fall)
 
 
+def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int) -> np.ndarray:
+    """time_indicator's values for every slot at once: shape (k, length)."""
+    if slope <= 0:
+        raise ValueError("slope must be positive")
+    grid = np.arange(length, dtype=np.float64)
+    t1 = np.asarray(t1, dtype=np.float64)[:, None]
+    t2 = np.asarray(t2, dtype=np.float64)[:, None]
+    rise = (_relu(grid - (t1 - slope)) - _relu(grid - t1)) * (1.0 / slope)
+    fall = (_relu((t2 + slope) - grid) - _relu(t2 - grid)) * (1.0 / slope)
+    return rise - _relu(rise - fall)
+
+
 def time_indicator_values(t1: float, t2: float, slope: float, length: int) -> np.ndarray:
-    tape = Tape()
-    return time_indicator(tape, tape.const(float(t1)), tape.const(float(t2)), slope, length).value
+    return _window_rows([float(t1)], [float(t2)], slope, length)[0]
 
 
 def predicate_layer(tape: Tape, values: np.ndarray, shape: NetworkShape, b: Sequence[Var]) -> List[Var]:
@@ -402,14 +439,58 @@ def forward(
     return disjunction_layer(hs, p)
 
 
+def network_outputs(
+    X: np.ndarray,
+    params: ModelParams,
+    shape: NetworkShape,
+    p: ActivationParams,
+) -> np.ndarray:
+    """Network output for every signal of X (n, length, dim), value only.
+
+    Runs forward()'s arithmetic in forward()'s order on arrays, so each
+    output equals the tape's bit for bit.  Windows and gates depend only
+    on the parameters and are built once; the signals go CHUNK at a time
+    through predicate rows (n, k, length), sparse softmin/softmax along
+    time, the gated conjunction over (n, k) and the disjunction over the
+    live rows.  Raises the tape's EmptySelectionError/EmptyFormulaError,
+    and NonFiniteError where the tape would have met a non-finite value.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not all(np.isfinite(a).all() for a in (params.b, params.t1, params.t2, params.M)):
+        raise NonFiniteError("non-finite model parameter")
+    windows = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    if not (windows > 0.0).any(axis=1).all():
+        raise EmptySelectionError("selection weights are all zero (empty time window)")
+    gates = (params.M >= 0.5).astype(np.float64)
+    live = gates[(gates > 0.0).any(axis=1)]
+    if not live.size:
+        raise EmptyFormulaError("every conjunction row is gated off")
+    axes = [slot.axis for slot in shape.slots]
+    signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
+    # softmin(r) = -softmax(-r): always-slots flip sign on the way in and out
+    flip = np.array(
+        [-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots]
+    )
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for lo in range(0, X.shape[0], CHUNK):
+        # contiguous (n, k, length), so each reduction sums a row in the
+        # same order as the tape's 1-D sums
+        values = np.ascontiguousarray(X[lo : lo + CHUNK][:, :, axes].transpose(0, 2, 1))
+        rows = signs * values - params.b[:, None]
+        g = flip * _softmax_rows(flip[:, None] * rows, windows, p)
+        h = -_softmax_rows(-g[:, None, :], live, p)
+        out[lo : lo + CHUNK] = h[:, 0] if len(live) == 1 else _softmax_rows(h, np.ones(len(live)), p)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("non-finite network output")
+    return out
+
+
 def network_output(
     values: np.ndarray,
     params: ModelParams,
     shape: NetworkShape,
     p: ActivationParams,
-    gate_rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """Value-only forward pass on a throwaway tape."""
-    tape = Tape()
-    pv = lift_params(tape, params)
-    return forward(tape, values, pv, shape, p, gate_rng).value
+    """Value-only forward pass on one signal of shape (length, dim)."""
+    X = np.asarray(values, dtype=np.float64)[None]
+    return float(network_outputs(X, params, shape, p)[0])

@@ -15,6 +15,10 @@ conjunction takes the minimum, disjunction the maximum, and the temporal
 operators take the extremum of the child robustness over the shifted
 window.  A signal satisfies a formula iff its robustness at time 0 is
 strictly positive; robustness exactly 0 counts as a violation.
+
+`robustness` is the recursive reference on one signal.  `batch_robustness`
+and `mcr` evaluate stacked signals, CHUNK at a time, and give the same
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,8 +41,12 @@ __all__ = [
     "Formula",
     "IntervalError",
     "ParseError",
+    "CHUNK",
     "robustness",
     "satisfies",
+    "signal_chunks",
+    "atom_matrix",
+    "batch_robustness",
     "mcr",
     "format_formula",
     "parse_formula",
@@ -46,6 +54,11 @@ __all__ = [
     "dnf_clauses",
     "count_atoms",
 ]
+
+
+# Batched evaluation takes samples this many at a time, so that its
+# (n, k, length) temporaries stay small whatever the dataset size.
+CHUNK = 128
 
 
 class IntervalError(ValueError):
@@ -194,10 +207,7 @@ def robustness(signal: Signal, formula: Formula, t: int = 0) -> float:
     if isinstance(formula, TemporalAtom):
         lo, hi = t + formula.t1, t + formula.t2
         if lo < 0 or hi > l - 1:
-            raise IntervalError(
-                f"window of {format_formula(formula)} evaluated at t={t} "
-                f"reaches outside signal of length {l}"
-            )
+            raise IntervalError(_window_outside(formula, t, l))
         child = formula.child
         if isinstance(child, Predicate):
             # common case, worth vectorizing
@@ -209,9 +219,91 @@ def robustness(signal: Signal, formula: Formula, t: int = 0) -> float:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+def _window_outside(atom: TemporalAtom, t: int, length: int) -> str:
+    return (
+        f"window of {format_formula(atom)} evaluated at t={t} "
+        f"reaches outside signal of length {length}"
+    )
+
+
 def satisfies(signal: Signal, formula: Formula) -> bool:
     """Strict satisfaction: robustness at time 0 must be positive."""
     return robustness(signal, formula, 0) > 0.0
+
+
+def signal_chunks(
+    samples: Iterable[Tuple[Signal, int]]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Stack consecutive samples into pairs (X, y): X of shape
+    (n, length, dim) with n <= CHUNK, y the n labels.  A change of signal
+    shape starts a new chunk, so signals of mixed length are fine."""
+    values: list = []
+    labels: list = []
+    for signal, label in samples:
+        if values and (len(values) == CHUNK or signal.values.shape != values[0].shape):
+            yield np.stack(values), np.array(labels)
+            values, labels = [], []
+        values.append(signal.values)
+        labels.append(label)
+    if values:
+        yield np.stack(values), np.array(labels)
+
+
+def atom_matrix(X: np.ndarray, atoms: Sequence[TemporalAtom]) -> np.ndarray:
+    """Exact robustness at time 0 of windowed predicate atoms on a batch.
+
+    X has shape (n, length, dim); column j of the (n, len(atoms)) result
+    holds atom j, whose child must be a Predicate.  The arithmetic is
+    robustness()'s own, so every entry equals it bit for bit.  All windows
+    are checked before any is evaluated.
+    """
+    length = X.shape[1]
+    for atom in atoms:
+        if atom.t2 > length - 1:
+            raise IntervalError(_window_outside(atom, 0, length))
+    A = np.empty((X.shape[0], len(atoms)), dtype=np.float64)
+    for j, atom in enumerate(atoms):
+        pred = atom.child
+        row = pred.sign * X[:, atom.t1 : atom.t2 + 1, pred.axis] - pred.offset
+        A[:, j] = row.min(axis=1) if atom.op is TemporalOp.ALWAYS else row.max(axis=1)
+    return A
+
+
+def _predicate_clauses(f: Formula) -> Optional[Tuple[Tuple[TemporalAtom, ...], ...]]:
+    """The clauses of a DNF over windowed predicate atoms, else None."""
+    try:
+        clauses = dnf_clauses(f)
+    except ValueError:
+        return None
+    if all(isinstance(atom.child, Predicate) for clause in clauses for atom in clause):
+        return clauses
+    return None
+
+
+def batch_robustness(X: np.ndarray, formula: Formula) -> np.ndarray:
+    """Exact robustness at time 0 of `formula` on every signal of X
+    (n, length, dim); equals robustness() bit for bit.
+
+    A DNF over windowed predicate atoms, which is what training extracts
+    and the text grammar prints, runs on the atom matrix: a clause is the
+    min over its atoms, the formula the max over its clauses.  Both fold
+    in robustness()'s order with its tie rule (the first extremum wins),
+    so even the sign of a zero matches.  Any other tree falls back to
+    robustness() on each signal.
+    """
+    clauses = _predicate_clauses(formula)
+    if clauses is None:
+        return np.array([robustness(Signal(x), formula) for x in X], dtype=np.float64)
+    A = atom_matrix(X, [atom for clause in clauses for atom in clause])
+    out = None
+    col = 0
+    for clause in clauses:
+        conj = A[:, col]
+        for j in range(col + 1, col + len(clause)):
+            conj = np.where(A[:, j] < conj, A[:, j], conj)
+        col += len(clause)
+        out = conj if out is None else np.where(conj > out, conj, out)
+    return out
 
 
 def mcr(samples: Iterable[Tuple[Signal, int]], formula: Formula) -> float:
@@ -222,13 +314,13 @@ def mcr(samples: Iterable[Tuple[Signal, int]], formula: Formula) -> float:
     """
     n = 0
     wrong = 0
-    for signal, label in samples:
-        if label not in (-1, 1):
-            raise ValueError(f"labels must be +1 or -1, got {label}")
-        sat = satisfies(signal, formula)
-        if sat != (label == 1):
-            wrong += 1
-        n += 1
+    for X, y in signal_chunks(samples):
+        bad = y[(y != 1) & (y != -1)]
+        if bad.size:
+            raise ValueError(f"labels must be +1 or -1, got {bad[0]}")
+        sat = batch_robustness(X, formula) > 0.0
+        wrong += int(np.count_nonzero(sat != (y == 1)))
+        n += len(y)
     if n == 0:
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
     return wrong / n
@@ -325,12 +417,6 @@ def _wrap_in_and(f: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # Parsing
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<temporal>[GF])\[|(?P<pred>x(?P<axis>\d+))|(?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<punct>[\[\](),&|!<>]))"
-)
-
 
 class _Parser:
     """Recursive-descent parser for the formula grammar.

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -39,7 +39,15 @@ from .network import (
     soundness_bound_check,
     soundness_bound_text,
 )
-from .stl import Formula, Predicate, Signal, TemporalAtom, dnf, format_formula, satisfies
+from .stl import (
+    Formula,
+    Predicate,
+    TemporalAtom,
+    atom_matrix,
+    dnf,
+    format_formula,
+    signal_chunks,
+)
 
 __all__ = [
     "TrainConfig",
@@ -282,16 +290,7 @@ def formula_from_gates(params: ModelParams, shape: NetworkShape, gates: np.ndarr
     gates = np.asarray(gates)
     if gates.shape != params.M.shape:
         raise ValueError(f"gate matrix shape {gates.shape} does not match {params.M.shape}")
-    atoms = []
-    for j, slot in enumerate(shape.slots):
-        atoms.append(
-            TemporalAtom(
-                slot.op,
-                int(math.floor(params.t1[j])),
-                int(math.ceil(params.t2[j])),
-                Predicate(slot.axis, slot.sign, float(params.b[j])),
-            )
-        )
+    atoms = _slot_atoms(params, shape)
     clauses = []
     seen = set()
     for i in range(gates.shape[0]):
@@ -307,17 +306,22 @@ def formula_from_gates(params: ModelParams, shape: NetworkShape, gates: np.ndarr
     return dnf(clauses)
 
 
+def _slot_atoms(params: ModelParams, shape: NetworkShape) -> List[TemporalAtom]:
+    """One temporal atom per slot, windows rounded outward."""
+    return [
+        TemporalAtom(
+            slot.op,
+            int(math.floor(params.t1[j])),
+            int(math.ceil(params.t2[j])),
+            Predicate(slot.axis, slot.sign, float(params.b[j])),
+        )
+        for j, slot in enumerate(shape.slots)
+    ]
+
+
 def extract_formula(params: ModelParams, shape: NetworkShape) -> Formula:
     """Threshold gates at 0.5 and read the formula the network encodes."""
     return formula_from_gates(params, shape, (params.M >= 0.5).astype(np.float64))
-
-
-def _wrong_count(samples: Sequence[Tuple[Signal, int]], formula: Formula) -> int:
-    wrong = 0
-    for sig, label in samples:
-        if satisfies(sig, formula) != (label == 1):
-            wrong += 1
-    return wrong
 
 
 def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> np.ndarray:
@@ -331,14 +335,34 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     unsatisfiable leftover clauses the one-gate-at-a-time walk cannot
     reach.  A removal that would close every gate is skipped, since an
     empty matrix encodes no formula.  Returns the pruned binary matrix.
+
+    The exact robustness of each slot atom is computed once.  A formula
+    holds iff some clause has all its atoms positive, so every trial is a
+    boolean reduction over the matrix of failing atoms: one row per
+    sample, one column per slot the extracted formula uses.
     """
-    samples = list(data)
-    if not samples:
-        raise ValueError("cannot simplify against an empty dataset")
     gates = (params.M >= 0.5).astype(np.float64)
-    if not gates.any():
+    # Pruning only closes gates, so only the extracted formula's atoms are
+    # ever read; a closed slot's window need not even fit the signals.
+    used = np.flatnonzero(gates.any(axis=0))
+    atoms = _slot_atoms(params, shape)
+    fails, positive = [], []
+    for X, y in signal_chunks(data):
+        fails.append(atom_matrix(X, [atoms[j] for j in used]) <= 0.0)
+        positive.append(y == 1)
+    if not fails:
+        raise ValueError("cannot simplify against an empty dataset")
+    if not used.size:
         raise EmptyFormulaError("every gate is closed; nothing to simplify")
-    baseline = _wrong_count(samples, formula_from_gates(params, shape, gates))
+    fails = np.concatenate(fails)
+    positive = np.concatenate(positive)
+
+    def wrong_count(trial: np.ndarray) -> int:
+        g = trial[:, used] > 0.0
+        clause_holds = ~(fails[:, None, :] & g).any(axis=2) & g.any(axis=1)
+        return int(np.count_nonzero(clause_holds.any(axis=1) != positive))
+
+    baseline = wrong_count(gates)
 
     def try_zero(mask: np.ndarray) -> None:
         nonlocal gates
@@ -346,7 +370,7 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
         trial[mask] = 0.0
         if not trial.any() or np.array_equal(trial, gates):
             return
-        if _wrong_count(samples, formula_from_gates(params, shape, trial)) == baseline:
+        if wrong_count(trial) == baseline:
             gates = trial
 
     for i in range(gates.shape[0]):
@@ -447,9 +471,9 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
                 tape.backward(batch_loss)
                 loss_sum += batch_loss.value * len(terms)
                 grads = {
-                    "b": np.array([_scalar_grad(tape, v) for v in pv.b]),
-                    "t1": np.array([_scalar_grad(tape, v) for v in pv.t1]),
-                    "t2": np.array([_scalar_grad(tape, v) for v in pv.t2]),
+                    "b": np.array([float(tape.grad(v)) for v in pv.b]),
+                    "t1": np.array([float(tape.grad(v)) for v in pv.t1]),
+                    "t2": np.array([float(tape.grad(v)) for v in pv.t2]),
                     "M": np.stack([np.asarray(tape.grad(v)) for v in pv.m_rows]),
                 }
                 arrays = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
@@ -475,8 +499,3 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         formula_text=format_formula(extracted),
         simplified_text=format_formula(simplified),
     )
-
-
-def _scalar_grad(tape: Tape, v: Var) -> float:
-    g = tape.grad(v)
-    return float(g)

@@ -194,3 +194,11 @@ def test_csv_load_errors_carry_line_numbers(tmp_path):
     path.write_text("label,1,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_load_names_the_line_of_a_non_finite_value(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,1,2\n1,1.0,2.0\n-1,{bad},2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":3: signal values must be finite"):
+        load_csv(path)

@@ -1,6 +1,9 @@
 """Evaluation helpers: network misclassification, network-vs-formula sign
 agreement on snapped models, and report emission/reload."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,10 @@ from stlinfer.network import (
     ActivationParams,
     ModelParams,
     NetworkShape,
+    network_output,
     soundness_bound_check,
 )
-from stlinfer.stl import Signal, mcr
+from stlinfer.stl import Signal, mcr, robustness
 from stlinfer.trainer import TrainConfig, extract_formula, train
 
 
@@ -50,6 +54,23 @@ def test_snapped_sign_agreement_is_total():
         params, shape, length, data = random_snapped_model(rng)
         formula = extract_formula(params, shape)
         assert sign_agreement(params, shape, p, formula, data) == 1.0
+
+
+def test_mixed_lengths_match_per_sample_evaluation():
+    rng = np.random.default_rng(10)
+    p = ActivationParams(beta=25.0, slope=1.0)
+    params, shape, length, _ = random_snapped_model(rng)
+    formula = extract_formula(params, shape)
+    dim = shape.slots[-1].axis + 1
+    samples = [
+        (Signal(rng.uniform(-4, 4, (int(rng.integers(length, length + 4)), dim))), int(rng.choice([-1, 1])))
+        for _ in range(30)
+    ]
+    outs = [network_output(s.values, params, shape, p) for s, _ in samples]
+    wrong = sum((o > 0.0) != (y == 1) for o, (_, y) in zip(outs, samples))
+    agree = sum((o > 0.0) == (robustness(s, formula) > 0.0) for o, (s, _) in zip(outs, samples))
+    assert network_mcr(params, shape, p, samples) == wrong / len(samples)
+    assert sign_agreement(params, shape, p, formula, samples) == agree / len(samples)
 
 
 def test_eval_rejects_empty_datasets():
@@ -113,4 +134,23 @@ def test_load_model_rejects_invalid_payload(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("{}", encoding="utf-8")
     with pytest.raises(ValueError, match="not a valid model report"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "group, name, value",
+    [("params", "t1", float("nan")), ("params", "M", float("inf")), ("activation", "beta", float("nan"))],
+)
+def test_load_model_rejects_non_finite_values(tmp_path, trained, group, name, value):
+    _, report = trained
+    path = emit_report(report, tmp_path / "run")["report"]
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if group == "activation":
+        payload[group][name] = value
+    elif name == "M":
+        payload[group][name][0][0] = value
+    else:
+        payload[group][name][0] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {group}.{name}: ")):
         load_model(path)

@@ -3,7 +3,8 @@
 The sparse softmax is checked three ways: frozen degenerate examples,
 equality with the naive oracle transcription from util.py, and the sign
 and bounds properties the extraction step relies on.  Layer tests
-compare against exact robustness from the stl module.
+compare against exact robustness from the stl module.  The batched
+value path is compared bit for bit against the tape it mirrors.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from stlinfer.autodiff import Tape
+from stlinfer.autodiff import NonFiniteError, Tape
 from stlinfer.network import (
     ActivationParams,
     EmptyFormulaError,
@@ -26,17 +27,20 @@ from stlinfer.network import (
     forward,
     lift_params,
     network_output,
+    network_outputs,
     predicate_layer,
     slot_windows,
     soundness_bound_check,
     soundness_bound_text,
     sparse_softmax,
     sparse_softmax_value,
+    sparse_softmin,
     sparse_softmin_value,
     temporal_layer,
+    time_indicator,
     time_indicator_values,
 )
-from stlinfer.stl import Predicate, Signal, TemporalAtom, TemporalOp, robustness
+from stlinfer.stl import CHUNK, Predicate, Signal, TemporalAtom, TemporalOp, robustness
 from util import selected_softmax_oracle, selected_softmin_oracle
 
 P = ActivationParams()  # beta 25, h 1
@@ -393,3 +397,93 @@ def test_forward_accepts_prebuilt_windows_and_gates():
     gates = binarize_gates(pv.m_rows)
     prebuilt = forward(tape, values, pv, shape, P, windows=windows, gates=gates).value
     assert prebuilt == network_output(values, params, shape, P)
+
+
+# ---------------------------------------------------------------------------
+# batched value path against the tape, bit for bit
+
+
+def _tape_outputs(X, params, shape, p):
+    out = []
+    for values in X:
+        tape = Tape()
+        out.append(forward(tape, values, lift_params(tape, params), shape, p).value)
+    return np.array(out)
+
+
+# thresholding happens at exactly 0.5, so probe both of its neighbours
+GATE_LEVELS = [0.1, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.9]
+
+
+def _random_case(rng, n):
+    dim = int(rng.integers(1, 3))
+    length = int(rng.integers(2, 71))
+    shape = NetworkShape.cycled(dim, m=int(rng.integers(1, 4)))
+    t1 = rng.uniform(0.0, length - 1, shape.k)
+    t2 = np.array([rng.uniform(a, length - 1) for a in t1])
+    if rng.random() < 0.5:
+        t1, t2 = np.floor(t1), np.ceil(t2)
+    M = rng.choice(GATE_LEVELS, size=(shape.m, shape.k))
+    M[0, int(rng.integers(shape.k))] = 0.5
+    params = ModelParams(rng.uniform(-3.0, 3.0, shape.k), t1, t2, M)
+    p = ActivationParams(
+        beta=float(rng.uniform(1.0, 40.0)),
+        h=float(rng.uniform(0.5, 2.0)),
+        slope=float(rng.choice([0.5, 1.0, 1.7, 3.0])),
+    )
+    return rng.uniform(-4.0, 4.0, (n, length, dim)), params, shape, p
+
+
+def test_batched_forward_equals_tape_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(80):
+        X, params, shape, p = _random_case(rng, int(rng.integers(1, 6)))
+        got = network_outputs(X, params, shape, p)
+        assert got.tobytes() == _tape_outputs(X, params, shape, p).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1])
+def test_batched_forward_chunk_edges(n):
+    X, params, shape, p = _random_case(np.random.default_rng(22 + n), n)
+    got = network_outputs(X, params, shape, p)
+    assert got.shape == (n,)
+    assert got.tobytes() == _tape_outputs(X, params, shape, p).tobytes()
+    assert network_output(X[-1], params, shape, p) == got[-1]
+
+
+def test_batched_forward_raises_the_tapes_errors():
+    shape = NetworkShape.cycled(1, m=2)
+    X = np.zeros((3, 6, 1))
+    good = dict(b=np.zeros(4), t1=np.zeros(4), t2=np.full(4, 5.0), M=np.full((2, 4), 0.9))
+    cases = [
+        # slot 2's window lies past the end of the signal
+        (dict(t1=np.array([0.0, 0.0, 7.5, 0.0]), t2=np.array([5.0, 5.0, 9.0, 5.0])), EmptySelectionError),
+        (dict(M=np.full((2, 4), np.nextafter(0.5, 0.0))), EmptyFormulaError),
+        (dict(b=np.array([0.0, np.nan, 0.0, 0.0])), NonFiniteError),
+    ]
+    for change, error in cases:
+        params = ModelParams(**{**good, **change})
+        with pytest.raises(error) as from_tape:
+            _tape_outputs(X, params, shape, P)
+        with pytest.raises(error) as batched:
+            network_outputs(X, params, shape, P)
+        if error is not NonFiniteError:  # the tape names its node instead
+            assert str(batched.value) == str(from_tape.value)
+
+
+def test_value_helpers_equal_the_tape_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        l = int(rng.integers(1, 40))
+        r = rng.uniform(-5.0, 5.0, l)
+        w = np.where(rng.random(l) < 0.5, 0.0, rng.choice([1.0, 0.3], l))
+        w[int(rng.integers(l))] = 1.0
+        p = ActivationParams(beta=float(rng.uniform(1.0, 40.0)), h=float(rng.uniform(0.5, 2.0)))
+        tape = Tape()
+        assert sparse_softmax_value(r, w, p) == sparse_softmax(tape.const(r), tape.const(w), p).value
+        assert sparse_softmin_value(r, w, p) == sparse_softmin(tape.const(r), tape.const(w), p).value
+        t1 = float(rng.uniform(0.0, l))
+        t2 = float(rng.uniform(t1, l))
+        slope = float(rng.choice([0.5, 1.0, 2.5]))
+        want = time_indicator(tape, tape.const(t1), tape.const(t2), slope, l).value
+        assert time_indicator_values(t1, t2, slope, l).tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlinfer.stl import (
+    CHUNK,
     And,
     IntervalError,
     Not,
@@ -17,6 +18,7 @@ from stlinfer.stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
+    batch_robustness,
     count_atoms,
     dnf,
     dnf_clauses,
@@ -25,6 +27,7 @@ from stlinfer.stl import (
     parse_formula,
     robustness,
     satisfies,
+    signal_chunks,
 )
 from util import random_dnf, random_propositional, random_signal
 
@@ -329,3 +332,69 @@ def test_point_interval_equals_instant_robustness(value, t):
     at_t = robustness(s, p, t)
     assert robustness(s, TemporalAtom(F, t, t, p)) == at_t
     assert robustness(s, TemporalAtom(G, t, t, p)) == at_t
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the recursive oracle
+
+
+def _coarse(f):
+    """Offsets rounded to -1, -0, 0 or 1."""
+    if isinstance(f, Predicate):
+        return Predicate(f.axis, f.sign, float(np.round(f.offset / 5.0)))
+    if isinstance(f, TemporalAtom):
+        return TemporalAtom(f.op, f.t1, f.t2, _coarse(f.child))
+    return type(f)(tuple(_coarse(i) for i in f.items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    depth=st.sampled_from([0, 1]),
+    coarse=st.booleans(),
+    short=st.booleans(),
+)
+def test_batch_robustness_equals_recursive_bitwise(seed, depth, coarse, short):
+    # depth 0 builds DNFs of predicate atoms (the atom-matrix path), depth
+    # 1 mostly boolean children (the fallback).  Coarse draws round every
+    # value and offset to -1, -0, 0 or 1, so extrema tie and robustness
+    # is often a zero of either sign.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 3))
+    length = int(rng.integers(1, 15))
+    f = random_dnf(rng, dim, length, depth)
+    X = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 6)), length, dim))
+    if coarse:
+        f, X = _coarse(f), np.round(X / 3.0)
+    if short:
+        X = X[:, : int(rng.integers(1, length + 1))]
+    try:
+        want = np.array([robustness(Signal(x), f) for x in X])
+    except IntervalError as e:
+        with pytest.raises(IntervalError) as got:
+            batch_robustness(X, f)
+        assert str(got.value) == str(e)
+        return
+    assert batch_robustness(X, f).tobytes() == want.tobytes()
+
+
+def test_signal_chunks_split_on_size_and_shape():
+    sigs = [const_signal(i, 3) for i in range(CHUNK + 2)]
+    sigs += [const_signal(9.0, 5), const_signal(8.0, 5), const_signal(1.0, 3)]
+    samples = [(s, 1 if i % 2 else -1) for i, s in enumerate(sigs)]
+    chunks = list(signal_chunks(samples))
+    assert [X.shape for X, _ in chunks] == [(CHUNK, 3, 1), (2, 3, 1), (2, 5, 1), (1, 3, 1)]
+    labels = np.concatenate([y for _, y in chunks])
+    assert labels.tolist() == [label for _, label in samples]
+    assert np.array_equal(np.concatenate([X[:, 0, 0] for X, _ in chunks[:2]]), np.arange(CHUNK + 2))
+
+
+def test_mcr_on_mixed_lengths_matches_per_sample_satisfaction():
+    rng = np.random.default_rng(31)
+    f = random_dnf(rng, 2, 6, depth=0)
+    samples = [
+        (random_signal(rng, int(rng.integers(6, 12)), 2), int(rng.choice([-1, 1])))
+        for _ in range(40)
+    ]
+    want = sum(satisfies(s, f) != (y == 1) for s, y in samples) / len(samples)
+    assert mcr(samples, f) == want

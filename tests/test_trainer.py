@@ -24,6 +24,7 @@ from stlinfer.trainer import (
     simplify,
     train,
 )
+from util import simplify_oracle
 
 
 def const_set(values_and_labels, length=3):
@@ -237,6 +238,31 @@ def test_simplify_never_increases_training_mcr():
         after = mcr(data, formula_from_gates(params, shape, simplify(params, shape, data)))
         assert after <= before
         checked += 1
+
+
+def test_simplify_matches_the_per_sample_oracle(tiny_driving_pair):
+    rng = np.random.default_rng(3)
+    checked = 0
+    while checked < 40:
+        dim = int(rng.integers(1, 3))
+        length = int(rng.integers(3, 12))
+        shape = NetworkShape.cycled(dim, m=int(rng.integers(1, 4)))
+        M = rng.uniform(0, 1, (shape.m, shape.k))
+        if not (M >= 0.5).any():
+            continue
+        t1 = rng.uniform(0, length - 1, shape.k)
+        t2 = np.array([rng.uniform(a, length - 1) for a in t1])
+        b = rng.uniform(-3, 3, shape.k)
+        values = rng.uniform(-4, 4, (20, length, dim))
+        if checked % 2:  # integral values and offsets: robustness exactly 0 occurs
+            b, values = np.round(b), np.round(values)
+        params = ModelParams(b, t1, t2, M)
+        data = LabeledDataset([(Signal(v), int(rng.choice([-1, 1]))) for v in values])
+        assert simplify(params, shape, data).tolist() == simplify_oracle(params, shape, data).tolist()
+        checked += 1
+    report = train(tiny_driving_pair, small_cfg(epochs=2))
+    got = simplify(report.params, report.shape, tiny_driving_pair)
+    assert got.tolist() == simplify_oracle(report.params, report.shape, tiny_driving_pair).tolist()
 
 
 def test_simplify_rejects_empty_inputs():

@@ -3,16 +3,18 @@
 `selected_softmax_oracle` is a deliberately naive transcription of the
 selected-softmax definition, with none of the numerical safeguards the
 library version carries.  Tests compare the two so the stable rewrite
-stays algebraically honest.  The random builders produce formulas whose
-connectives alternate, so printing and reparsing reproduces the tree
-node for node.
+stays algebraically honest.  `simplify_oracle` is the per-sample pruning
+loop the batched `simplify` replaced, kept as its reference.  The random
+builders produce formulas whose connectives alternate, so printing and
+reparsing reproduces the tree node for node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf
+from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
+from stlinfer.trainer import formula_from_gates
 
 
 def selected_softmax_oracle(r, w, beta: float, h: float, eps: float = 1e-8) -> float:
@@ -66,15 +68,47 @@ def random_window(rng: np.random.Generator, length: int) -> tuple[int, int]:
     return t1, t2
 
 
-def random_atom(rng: np.random.Generator, dim: int, length: int) -> TemporalAtom:
+def random_atom(rng: np.random.Generator, dim: int, length: int, depth: int = 1) -> TemporalAtom:
+    """depth 0 gives a predicate child, depth 1 maybe a boolean one."""
     t1, t2 = random_window(rng, length)
     op = TemporalOp.ALWAYS if rng.random() < 0.5 else TemporalOp.EVENTUALLY
-    return TemporalAtom(op, t1, t2, random_propositional(rng, dim, depth=1, outer=And))
+    return TemporalAtom(op, t1, t2, random_propositional(rng, dim, depth=depth, outer=And))
 
 
-def random_dnf(rng: np.random.Generator, dim: int, length: int):
+def random_dnf(rng: np.random.Generator, dim: int, length: int, depth: int = 1):
     clauses = [
-        [random_atom(rng, dim, length) for _ in range(int(rng.integers(1, 4)))]
+        [random_atom(rng, dim, length, depth) for _ in range(int(rng.integers(1, 4)))]
         for _ in range(int(rng.integers(1, 4)))
     ]
     return dnf(clauses)
+
+
+def simplify_oracle(params, shape, data) -> np.ndarray:
+    """Greedy pruning as one satisfies() call per sample and trial."""
+    samples = list(data)
+
+    def wrong_count(gates):
+        formula = formula_from_gates(params, shape, gates)
+        return sum(satisfies(sig, formula) != (label == 1) for sig, label in samples)
+
+    gates = (params.M >= 0.5).astype(np.float64)
+    baseline = wrong_count(gates)
+
+    def try_zero(mask):
+        nonlocal gates
+        trial = gates.copy()
+        trial[mask] = 0.0
+        if trial.any() and not np.array_equal(trial, gates) and wrong_count(trial) == baseline:
+            gates = trial
+
+    for i in range(gates.shape[0]):
+        for j in range(gates.shape[1]):
+            if gates[i, j] != 0.0:
+                single = np.zeros_like(gates, dtype=bool)
+                single[i, j] = True
+                try_zero(single)
+    for i in range(gates.shape[0]):
+        row = np.zeros_like(gates, dtype=bool)
+        row[i, :] = True
+        try_zero(row)
+    return gates
