@@ -115,19 +115,17 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
             np.array(payload["params"]["t2"], dtype=np.float64),
             np.array(payload["params"]["M"], dtype=np.float64),
         )
-        act = payload["activation"]
-        p = ActivationParams(
-            beta=float(act["beta"]),
-            h=float(act["h"]),
-            eps=float(act["eps"]),
-            slope=float(act["slope"]),
-        )
+        act = {name: float(payload["activation"][name]) for name in ("beta", "h", "eps", "slope")}
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: not a valid model report: {e}") from None
     for name in ("b", "t1", "t2", "M"):
         if not np.isfinite(getattr(params, name)).all():
             raise ValueError(f"{path}: params.{name}: values must be finite")
-    for name in ("beta", "h", "eps", "slope"):
-        if not math.isfinite(getattr(p, name)):
+    for name, value in act.items():
+        if not math.isfinite(value):
             raise ValueError(f"{path}: activation.{name}: value must be finite")
+    try:
+        p = ActivationParams(**act)
+    except ValueError as e:
+        raise ValueError(f"{path}: not a valid model report: {e}") from None
     return params, shape, p

@@ -21,24 +21,25 @@ immune to exp underflow when every selected value is deeply negative.
 Entries with w_i = 0 contribute exactly zero to both sums, so perturbing
 them never changes the output.
 
-The network is computed two ways.  Training builds it on an autodiff tape
-(`forward`), one signal at a time, because it needs gradients.  Every
-value-only use (`network_outputs`, `network_output` and the `*_value`
-helpers, hence evaluation and sign agreement) runs batched numpy arrays
-over signals taken CHUNK at a time.  The batched path performs the tape's
-arithmetic in the tape's order, so the two agree bit for bit.
+The network is computed one way: `network_pass` runs it on numpy arrays
+over a batch of signals X (n, length, dim) and keeps the intermediates
+that `NetworkPass.vjp` turns into gradients of the four parameter groups
+in closed form.  Training calls the pair once per batch; every value-only
+use (`network_outputs`, `network_output` and the `*_value` helpers, hence
+evaluation and sign agreement) runs the same forward over signals taken
+CHUNK at a time.  Sums over time reduce along a contiguous last axis and
+sums over samples fold one sample at a time, so a given batch always
+yields the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import NonFiniteError, Tape, Var
 from .stl import CHUNK, TemporalOp
 
 __all__ = [
@@ -46,25 +47,16 @@ __all__ = [
     "SlotSpec",
     "NetworkShape",
     "ModelParams",
-    "ParamVars",
+    "NetworkPass",
     "EmptySelectionError",
     "EmptyFormulaError",
+    "NonFiniteError",
     "soundness_bound_check",
     "soundness_bound_text",
-    "sparse_softmax",
-    "sparse_softmin",
     "sparse_softmax_value",
     "sparse_softmin_value",
-    "time_indicator",
     "time_indicator_values",
-    "predicate_layer",
-    "slot_windows",
-    "binarize_gates",
-    "temporal_layer",
-    "conjunction_layer",
-    "disjunction_layer",
-    "forward",
-    "lift_params",
+    "network_pass",
     "network_outputs",
     "network_output",
 ]
@@ -76,6 +68,10 @@ class EmptySelectionError(ValueError):
 
 class EmptyFormulaError(ValueError):
     """Every conjunction row is gated off, leaving nothing to disjoin."""
+
+
+class NonFiniteError(FloatingPointError):
+    """A parameter or network output is NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +89,9 @@ class ActivationParams:
     slope: float = 1.0
 
     def __post_init__(self):
+        for name in ("beta", "h", "eps", "slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.beta <= 0 or self.h <= 0 or self.eps <= 0 or self.slope <= 0:
             raise ValueError("beta, h, eps and slope must all be positive")
 
@@ -183,260 +182,251 @@ class ModelParams:
         )
 
 
-@dataclass
-class ParamVars:
-    """Tape leaves for one forward build."""
-
-    b: List[Var]
-    t1: List[Var]
-    t2: List[Var]
-    m_rows: List[Var]
-
-
-def soundness_bound_check(p: ActivationParams, length: int) -> bool:
-    """True when sign agreement of the sparse softmax is guaranteed for
-    selection vectors of the given length: h*e^(beta*h) > (l-1)/(e*beta)."""
+def _soundness_sides(p: ActivationParams, length: int) -> tuple[float, float]:
+    """Both sides of h*e^(beta*h) > (l-1)/(e*beta); the left is inf when
+    it overflows."""
     if length < 1:
         raise ValueError("length must be at least 1")
     rhs = (length - 1) * math.exp(-1.0) / p.beta
     try:
         lhs = p.h * math.exp(p.beta * p.h)
     except OverflowError:
-        return True
+        lhs = math.inf
+    return lhs, rhs
+
+
+def soundness_bound_check(p: ActivationParams, length: int) -> bool:
+    """True when sign agreement of the sparse softmax is guaranteed for
+    selection vectors of the given length: h*e^(beta*h) > (l-1)/(e*beta)."""
+    lhs, rhs = _soundness_sides(p, length)
     return lhs > rhs
 
 
 def soundness_bound_text(p: ActivationParams, length: int) -> str:
-    rhs = (length - 1) * math.exp(-1.0) / p.beta
-    try:
-        lhs = p.h * math.exp(p.beta * p.h)
-        lhs_text = f"{lhs:.6g}"
-    except OverflowError:
-        lhs_text = "inf"
-    rel = ">" if soundness_bound_check(p, length) else "<="
+    lhs, rhs = _soundness_sides(p, length)
+    rel = ">" if lhs > rhs else "<="
     return (
-        f"h*exp(beta*h) = {lhs_text} {rel} (l-1)/(e*beta) = {rhs:.6g} "
+        f"h*exp(beta*h) = {lhs:.6g} {rel} (l-1)/(e*beta) = {rhs:.6g} "
         f"(beta={p.beta:g}, h={p.h:g}, l={length})"
     )
-
-
-def sparse_softmax(r: Var, w: Var, p: ActivationParams) -> Var:
-    """Smooth, sign-sound stand-in for max over the entries selected by w.
-
-    Output always lies between the min and max of the selected entries.
-    Raises EmptySelectionError when no weight is positive.
-    """
-    rp = ad.mul(r, w)
-    am = ad.abs_max(rp)
-    den = ad.add(am, p.eps)
-    rpp = ad.div(ad.scale(rp, p.h), den)
-    z = ad.scale(rpp, p.beta)
-    wv = w.value
-    support = wv > 0.0
-    if not support.any():
-        raise EmptySelectionError("selection weights are all zero (empty time window)")
-    # constant shift: softmax ratios are shift-invariant, so the true
-    # gradient through the shift is identically zero
-    shift = float(np.max(np.asarray(z.value)[support]))
-    zs = ad.sub(z, shift)
-    # clamp at 0 so zero-weight lanes cannot overflow exp; their terms are
-    # multiplied by w_i = 0 and never reach the output value
-    zc = ad.sub(zs, ad.relu(zs))
-    u = ad.mul(w, ad.exp(zc))
-    num = ad.vsum(ad.mul(r, u))
-    den2 = ad.vsum(u)
-    if den2.value <= 0.0:
-        raise EmptySelectionError("selection weights vanished under the softmax")
-    return ad.div(num, den2)
-
-
-def sparse_softmin(r: Var, w: Var, p: ActivationParams) -> Var:
-    """Sign-sound stand-in for min over selected entries: -softmax(-r)."""
-    return ad.scale(sparse_softmax(ad.scale(r, -1.0), w, p), -1.0)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> np.ndarray:
-    """Value of sparse_softmax along the last axis, with the tape ops'
-    arithmetic in the tape's order.  `w` broadcasts against `r` and must
-    select at least one entry in each of its rows."""
+def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams):
+    """Sparse softmax along the last axis; `w` broadcasts against `r` and
+    must select at least one entry in each of its rows.
+
+    Returns the values and the intermediates `_softmax_vjp` reads.  The
+    shift by the largest selected exponent is a constant (softmax ratios
+    do not depend on it), and clamping at 0 keeps zero-weight lanes from
+    overflowing exp; their terms are multiplied by w_i = 0.
+    """
     support = w > 0.0
     if not support.any(axis=-1).all():
         raise EmptySelectionError("selection weights are all zero (empty time window)")
     rp = r * w
-    z = rp * p.h / (np.abs(rp.max(axis=-1, keepdims=True)) + p.eps) * p.beta
-    zs = z - np.where(support, z, -np.inf).max(axis=-1, keepdims=True)
+    den = np.abs(rp.max(axis=-1, keepdims=True)) + p.eps
+    zs = rp * p.h / den * p.beta
+    zs = zs - np.where(support, zs, -np.inf).max(axis=-1, keepdims=True)
+    # fewer live (n, k, length) arrays keep the value path as fast as a
+    # forward that saves nothing; the backward recomputes exp(zc)
     u = w * np.exp(zs - _relu(zs))
-    return (r * u).sum(axis=-1) / u.sum(axis=-1)
+    num = (r * u).sum(axis=-1)
+    den2 = u.sum(axis=-1)
+    return num / den2, (r, w, rp, den, zs, u, num, den2)
+
+
+def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams):
+    """Backward of `_softmax_rows` for output gradients g.
+
+    Returns the gradient wrt r and the two terms of the gradient wrt w,
+    through u = w * exp(zc) and through r' = r * w, which a sum over
+    samples takes in that order.  The gradient of |max r'| goes to the
+    first maximal entry, times the sign of the max; relu passes gradient
+    only where its input is > 0.
+    """
+    r, w, rp, den, zs, u, num, den2 = saved
+    ez = np.exp(zs - _relu(zs))
+    g_num = (g / den2)[..., None]
+    g_u = (-g * num / (den2 * den2))[..., None] + g_num * r
+    g_zc = g_u * w * ez
+    g_z = g_zc + -g_zc * (zs > 0.0)
+    g_rpp = g_z * p.beta
+    g_den = (-g_rpp * (rp * p.h) / (den * den)).sum(axis=-1, keepdims=True)
+    first = rp.argmax(axis=-1)[..., None]
+    top = np.take_along_axis(rp, first, axis=-1)
+    sign = np.where(top > 0.0, 1.0, np.where(top < 0.0, -1.0, 0.0))
+    g_max = np.zeros_like(rp)
+    np.put_along_axis(g_max, first, g_den * sign, axis=-1)
+    g_rp = g_rpp / den * p.h + g_max
+    return g_num * u + g_rp * w, g_u * ez, g_rp * r
 
 
 def sparse_softmax_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
+    """Smooth, sign-sound stand-in for max over the entries selected by w.
+
+    Output always lies between the min and max of the selected entries.
+    Raises EmptySelectionError when no weight is positive.
+    """
     r = np.asarray(r, dtype=np.float64)
-    return float(_softmax_rows(r, np.asarray(w, dtype=np.float64), p))
+    return float(_softmax_rows(r, np.asarray(w, dtype=np.float64), p)[0])
 
 
 def sparse_softmin_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
+    """Sign-sound stand-in for min over selected entries: -softmax(-r)."""
     r = np.asarray(r, dtype=np.float64)
-    return -float(_softmax_rows(-r, np.asarray(w, dtype=np.float64), p))
+    return -float(_softmax_rows(-r, np.asarray(w, dtype=np.float64), p)[0])
 
 
-def time_indicator(tape: Tape, t1: Var, t2: Var, slope: float, length: int) -> Var:
-    """Soft indicator of the window [t1, t2] on the grid 0..length-1.
-
-    Trapezoid built from relu ramps: rises from 0 at t1-slope to 1 at t1,
-    stays 1 through t2, and falls back to 0 at t2+slope.  For integer
-    t1 <= t2 and slope <= 1 it is exactly the binary window indicator.
-    Differentiable in t1 and t2.
-    """
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    grid = tape.const(np.arange(length, dtype=np.float64))
-    rise = ad.scale(
-        ad.sub(ad.relu(ad.sub(grid, ad.sub(t1, slope))), ad.relu(ad.sub(grid, t1))),
-        1.0 / slope,
-    )
-    fall = ad.scale(
-        ad.sub(ad.relu(ad.sub(ad.add(t2, slope), grid)), ad.relu(ad.sub(t2, grid))),
-        1.0 / slope,
-    )
-    return ad.minimum(rise, fall)
-
-
-def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int) -> np.ndarray:
-    """time_indicator's values for every slot at once: shape (k, length)."""
+def _window_parts(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
+    """The ramps of every slot's soft window, each of shape (k, length)."""
     if slope <= 0:
         raise ValueError("slope must be positive")
     grid = np.arange(length, dtype=np.float64)
     t1 = np.asarray(t1, dtype=np.float64)[:, None]
     t2 = np.asarray(t2, dtype=np.float64)[:, None]
-    rise = (_relu(grid - (t1 - slope)) - _relu(grid - t1)) * (1.0 / slope)
-    fall = (_relu((t2 + slope) - grid) - _relu(t2 - grid)) * (1.0 / slope)
+    return grid - (t1 - slope), grid - t1, (t2 + slope) - grid, t2 - grid
+
+
+def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int) -> np.ndarray:
+    """Soft indicator of [t1, t2] on the grid 0..length-1 for every slot.
+
+    Trapezoid built from relu ramps: rises from 0 at t1-slope to 1 at t1,
+    stays 1 through t2, and falls back to 0 at t2+slope.  For integer
+    t1 <= t2 and slope <= 1 it is exactly the binary window indicator.
+    """
+    up, up_end, down, down_end = _window_parts(t1, t2, slope, length)
+    rise = (_relu(up) - _relu(up_end)) * (1.0 / slope)
+    fall = (_relu(down) - _relu(down_end)) * (1.0 / slope)
     return rise - _relu(rise - fall)
 
 
+def _window_vjp(g: np.ndarray, t1: np.ndarray, t2: np.ndarray, slope: float):
+    """Gradients of sum(g * windows) wrt t1 and t2, each of shape (k,)."""
+    up, up_end, down, down_end = _window_parts(t1, t2, slope, g.shape[1])
+    c = 1.0 / slope
+    rise = (_relu(up) - _relu(up_end)) * c
+    fall = (_relu(down) - _relu(down_end)) * c
+    g_cut = -g * (rise - fall > 0.0)  # min(rise, fall) = rise - relu(rise - fall)
+    g_rise = (g + g_cut) * c
+    g_fall = -g_cut * c
+    g_t1 = (g_rise * (up_end > 0.0)).sum(axis=-1) + (-(g_rise * (up > 0.0))).sum(axis=-1)
+    g_t2 = (-g_fall * (down_end > 0.0)).sum(axis=-1) + (g_fall * (down > 0.0)).sum(axis=-1)
+    return g_t1, g_t2
+
+
 def time_indicator_values(t1: float, t2: float, slope: float, length: int) -> np.ndarray:
+    """The soft window [t1, t2] on the grid 0..length-1 (see _window_rows)."""
     return _window_rows([float(t1)], [float(t2)], slope, length)[0]
 
 
-def predicate_layer(tape: Tape, values: np.ndarray, shape: NetworkShape, b: Sequence[Var]) -> List[Var]:
-    """Per-slot robustness rows: sign * s[:, axis] - b_j, each length l."""
-    rows = []
-    for j, slot in enumerate(shape.slots):
-        signed = slot.sign * values[:, slot.axis]
-        rows.append(ad.sub(tape.const(signed), b[j]))
-    return rows
+def _fold(*terms: np.ndarray) -> np.ndarray:
+    """Sum per-sample terms (samples on axis 0) one at a time, the last
+    sample first and a sample's terms in the order given: the order in
+    which a reverse pass over the batch accumulates them."""
+    parts = [t[s] for s in range(len(terms[0]) - 1, -1, -1) for t in terms]
+    acc = parts[0].copy()
+    for part in parts[1:]:
+        acc = acc + part
+    return acc
 
 
-def slot_windows(
-    tape: Tape,
-    t1: Sequence[Var],
-    t2: Sequence[Var],
-    p: ActivationParams,
-    length: int,
-) -> List[Var]:
-    """Window indicator per slot.  Depends only on parameters, so a batch
-    loop should build these once and share them across samples."""
-    return [time_indicator(tape, a, b, p.slope, length) for a, b in zip(t1, t2)]
+def non_finite_entry(groups: dict) -> Optional[str]:
+    """The first non-finite entry of named arrays, as 'name[index]'."""
+    for name, values in groups.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            return f"{name}[{', '.join(str(i) for i in np.argwhere(~finite)[0])}]"
+    return None
 
 
-def binarize_gates(
-    m_rows: Sequence[Var],
-    gate_rng: Optional[np.random.Generator] = None,
-) -> List[Var]:
-    """Straight-through binarized gate row per conjunction row."""
-    return [ad.ste_binarize(row, gate_rng) for row in m_rows]
+@dataclass
+class NetworkPass:
+    """One forward over a batch, with what `vjp` needs.  `out` holds the
+    network output of each signal; positive means the signal is predicted
+    to satisfy the learned formula."""
 
+    out: np.ndarray
+    params: ModelParams
+    p: ActivationParams
+    flip: np.ndarray
+    live: np.ndarray
+    temporal: tuple
+    conjunction: tuple
+    disjunction: Optional[tuple]
 
-def temporal_layer(
-    rows: Sequence[Var],
-    windows: Sequence[Var],
-    shape: NetworkShape,
-    p: ActivationParams,
-) -> List[Var]:
-    """Pool each predicate row over its learned window: min pooling for
-    always-slots, max pooling for eventually-slots."""
-    out = []
-    for j, slot in enumerate(shape.slots):
-        if slot.op is TemporalOp.ALWAYS:
-            out.append(sparse_softmin(rows[j], windows[j], p))
+    def vjp(self, dout: np.ndarray) -> dict:
+        """Gradients of sum_s dout[s] * out[s] wrt b, t1, t2 and M.
+
+        Gates are straight-through: a gate row gets the gradient of its
+        binary gates, and a dead row gets zero.
+        """
+        p = self.p
+        dout = np.asarray(dout, dtype=np.float64)
+        if self.disjunction is None:
+            g_h = dout[:, None]
         else:
-            out.append(sparse_softmax(rows[j], windows[j], p))
-    return out
+            g_h = _softmax_vjp(dout, self.disjunction, p)[0]
+        # each row pools -g with a softmax: h = -softmax(-g)
+        g_neg, gate_u, gate_rp = _softmax_vjp(-g_h, self.conjunction, p)
+        g = -g_neg[:, -1]
+        for i in range(len(self.live) - 2, -1, -1):
+            g = g + -g_neg[:, i]
+        g_in, window_u, window_rp = _softmax_vjp(g * self.flip, self.temporal, p)
+        g_rows = g_in * self.flip[:, None]
+        g_t1, g_t2 = _window_vjp(_fold(window_u, window_rp), self.params.t1, self.params.t2, p.slope)
+        g_M = np.zeros_like(self.params.M)
+        g_M[self.live] = _fold(gate_u, gate_rp)
+        return {"b": _fold((-g_rows).sum(axis=-1)), "t1": g_t1, "t2": g_t2, "M": g_M}
 
 
-def conjunction_layer(
-    g: Sequence[Var],
-    gates: Sequence[Var],
-    p: ActivationParams,
-) -> tuple[List[Var], np.ndarray]:
-    """Gated min pooling of the slot outputs, one value per live row.
-
-    Gates are the straight-through binarized entries of each row of M.  A
-    row whose gates all binarize to zero is dead: it is skipped entirely
-    and marked 0 in the returned live mask.
-    """
-    gvec = ad.stack(list(g))
-    hs: List[Var] = []
-    live = np.zeros(len(gates), dtype=bool)
-    for i, grow in enumerate(gates):
-        if not np.any(grow.value > 0.0):
-            continue
-        live[i] = True
-        hs.append(sparse_softmin(gvec, grow, p))
-    return hs, live
-
-
-def disjunction_layer(hs: Sequence[Var], p: ActivationParams) -> Var:
-    """Max pooling over the live conjunction rows."""
-    if not hs:
-        raise EmptyFormulaError("every conjunction row is gated off")
-    if len(hs) == 1:
-        return hs[0]
-    tape = hs[0].tape
-    hvec = ad.stack(list(hs))
-    ones = tape.const(np.ones(len(hs), dtype=np.float64))
-    return sparse_softmax(hvec, ones, p)
-
-
-def lift_params(tape: Tape, params: ModelParams) -> ParamVars:
-    return ParamVars(
-        b=[tape.leaf(float(v)) for v in params.b],
-        t1=[tape.leaf(float(v)) for v in params.t1],
-        t2=[tape.leaf(float(v)) for v in params.t2],
-        m_rows=[tape.leaf(params.M[i].copy()) for i in range(params.M.shape[0])],
-    )
-
-
-def forward(
-    tape: Tape,
-    values: np.ndarray,
-    pv: ParamVars,
+def network_pass(
+    X: np.ndarray,
+    params: ModelParams,
     shape: NetworkShape,
     p: ActivationParams,
-    gate_rng: Optional[np.random.Generator] = None,
-    windows: Optional[Sequence[Var]] = None,
-    gates: Optional[Sequence[Var]] = None,
-) -> Var:
-    """Full network pass on one signal; returns the scalar output var.
+    gates: Optional[np.ndarray] = None,
+) -> NetworkPass:
+    """Network forward over every signal of X (n, length, dim).
 
-    Positive output means the signal is predicted to satisfy the learned
-    formula.  `values` has shape (length, dim), time-major.  `windows`
-    and `gates` accept the parameter-only pieces prebuilt by a batch
-    loop; left as None they are built here.
+    Predicate rows sign * x[:, axis] - b (n, k, length) are pooled over
+    each slot's soft window: sparse softmin for always-slots, softmax for
+    eventually-slots.  Each live row of the binary gate matrix (by default
+    M thresholded at 0.5) pools the slot outputs with a softmin, and a
+    softmax over the live rows gives the output.  Raises NonFiniteError
+    naming a non-finite parameter, EmptySelectionError for an empty
+    window and EmptyFormulaError when every gate row is closed.
     """
-    values = np.asarray(values, dtype=np.float64)
-    length = values.shape[0]
-    if windows is None:
-        windows = slot_windows(tape, pv.t1, pv.t2, p, length)
+    X = np.asarray(X, dtype=np.float64)
+    bad = non_finite_entry({"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M})
+    if bad is not None:
+        raise NonFiniteError(f"non-finite parameter {bad}")
     if gates is None:
-        gates = binarize_gates(pv.m_rows, gate_rng)
-    rows = predicate_layer(tape, values, shape, pv.b)
-    g = temporal_layer(rows, windows, shape, p)
-    hs, _ = conjunction_layer(g, gates, p)
-    return disjunction_layer(hs, p)
+        gates = (params.M >= 0.5).astype(np.float64)
+    windows = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    axes = [slot.axis for slot in shape.slots]
+    signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
+    # softmin(r) = -softmax(-r): always-slots flip sign on the way in and out
+    flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots])
+    # contiguous (n, k, length): a sum over time then adds up one
+    # contiguous row, the same way a 1-D sum does
+    values = np.ascontiguousarray(X[:, :, axes].transpose(0, 2, 1))
+    rows = signs * values - params.b[:, None]
+    g, temporal = _softmax_rows(flip[:, None] * rows, windows, p)
+    g = flip * g
+    live = np.flatnonzero((gates > 0.0).any(axis=1))
+    if not live.size:
+        raise EmptyFormulaError("every conjunction row is gated off")
+    h, conjunction = _softmax_rows(-g[:, None, :], gates[live], p)
+    h = -h
+    if len(live) == 1:
+        out, disjunction = h[:, 0], None
+    else:
+        out, disjunction = _softmax_rows(h, np.ones(len(live)), p)
+    return NetworkPass(out, params, p, flip, live, temporal, conjunction, disjunction)
 
 
 def network_outputs(
@@ -447,39 +437,17 @@ def network_outputs(
 ) -> np.ndarray:
     """Network output for every signal of X (n, length, dim), value only.
 
-    Runs forward()'s arithmetic in forward()'s order on arrays, so each
-    output equals the tape's bit for bit.  Windows and gates depend only
-    on the parameters and are built once; the signals go CHUNK at a time
-    through predicate rows (n, k, length), sparse softmin/softmax along
-    time, the gated conjunction over (n, k) and the disjunction over the
-    live rows.  Raises the tape's EmptySelectionError/EmptyFormulaError,
-    and NonFiniteError where the tape would have met a non-finite value.
+    Runs `network_pass` on CHUNK signals at a time and drops its
+    intermediates after each chunk.  Raises what `network_pass` raises,
+    and NonFiniteError on a non-finite output.
     """
     X = np.asarray(X, dtype=np.float64)
-    if not all(np.isfinite(a).all() for a in (params.b, params.t1, params.t2, params.M)):
-        raise NonFiniteError("non-finite model parameter")
-    windows = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
-    if not (windows > 0.0).any(axis=1).all():
-        raise EmptySelectionError("selection weights are all zero (empty time window)")
-    gates = (params.M >= 0.5).astype(np.float64)
-    live = gates[(gates > 0.0).any(axis=1)]
-    if not live.size:
-        raise EmptyFormulaError("every conjunction row is gated off")
-    axes = [slot.axis for slot in shape.slots]
-    signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
-    # softmin(r) = -softmax(-r): always-slots flip sign on the way in and out
-    flip = np.array(
-        [-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots]
+    out = np.concatenate(
+        [
+            network_pass(X[lo : lo + CHUNK], params, shape, p).out
+            for lo in range(0, max(X.shape[0], 1), CHUNK)
+        ]
     )
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for lo in range(0, X.shape[0], CHUNK):
-        # contiguous (n, k, length), so each reduction sums a row in the
-        # same order as the tape's 1-D sums
-        values = np.ascontiguousarray(X[lo : lo + CHUNK][:, :, axes].transpose(0, 2, 1))
-        rows = signs * values - params.b[:, None]
-        g = flip * _softmax_rows(flip[:, None] * rows, windows, p)
-        h = -_softmax_rows(-g[:, None, :], live, p)
-        out[lo : lo + CHUNK] = h[:, 0] if len(live) == 1 else _softmax_rows(h, np.ones(len(live)), p)
     if not np.isfinite(out).all():
         raise NonFiniteError("non-finite network output")
     return out

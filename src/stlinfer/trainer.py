@@ -2,9 +2,11 @@
 
 The trainer fits the formula network by minimizing the exponential margin
 loss exp(-label * output) with an adaptive-moment optimizer built here
-(first/second moment estimates with bias correction).  After every step
-the parameters are projected back into their feasible box: gates into
-[0, 1], window ends into [0, l-1] with t1 <= t2.
+(first/second moment estimates with bias correction).  Each batch is one
+batched network pass over its signals (n, l, dim), the mean loss, and one
+closed-form backward of that pass.  After every step the parameters are
+projected back into their feasible box: gates into [0, 1], window ends
+into [0, l-1] with t1 <= t2.
 
 Extraction thresholds the gate matrix at 0.5, drops rows with no open
 gate, floors t1 and ceils t2, and reads one conjunction clause per
@@ -24,18 +26,15 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import NonFiniteError, Tape, Var
 from .datasets import LabeledDataset
 from .network import (
     ActivationParams,
     EmptyFormulaError,
     ModelParams,
     NetworkShape,
-    binarize_gates,
-    forward,
-    lift_params,
-    slot_windows,
+    NonFiniteError,
+    network_pass,
+    non_finite_entry,
     soundness_bound_check,
     soundness_bound_text,
 )
@@ -65,7 +64,9 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite value; carries the epoch index."""
+    """Training produced a non-finite value; names the epoch, the batch
+    and the quantity: a parameter or gradient entry, a network output or
+    a loss."""
 
 
 class UnsoundConfigError(ValueError):
@@ -140,7 +141,10 @@ def _parse_config_value(key: str, val: str, path, lineno: int):
         if kind == "int":
             return int(val)
         if kind == "float":
-            return float(val)
+            x = float(val)
+            if not math.isfinite(x):
+                raise ValueError(f"not a finite number: '{val}'")
+            return x
         return val
     except ValueError as e:
         raise ValueError(f"{path}:{lineno}: bad value for '{key}': {e}") from None
@@ -186,15 +190,11 @@ class TrainReport:
         }
 
 
-def loss(y: int, r):
-    """Exponential margin loss exp(-y * r).
-
-    `r` may be a float (returns a float) or a tape var (returns a var).
-    """
+def loss(y: int, r: float) -> float:
+    """Exponential margin loss exp(-y * r); OverflowError past the
+    largest float."""
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y}")
-    if isinstance(r, Var):
-        return ad.exp(ad.scale(r, -float(y)))
     return math.exp(-float(y) * float(r))
 
 
@@ -386,14 +386,45 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     return gates
 
 
+def _batch_gradients(X, y, batch, params, shape, p, gates):
+    """One batch: the network pass, the mean loss and its gradients.
+
+    Returns (gradients per parameter group, mean loss, misclassified
+    count).  Raises NonFiniteError naming the first non-finite parameter,
+    network output, loss or gradient entry.
+    """
+    fwd = network_pass(X[batch], params, shape, p, gates)
+    terms = np.empty(len(batch))
+    wrong = 0
+    for s, (r, label) in enumerate(zip(fwd.out.tolist(), y[batch].tolist())):
+        if not math.isfinite(r):
+            raise NonFiniteError(f"non-finite network output of sample {batch[s]}")
+        try:
+            terms[s] = loss(label, r)
+        except OverflowError:
+            raise NonFiniteError(f"non-finite loss of sample {batch[s]}") from None
+        wrong += (r > 0.0) != (label == 1)
+    scale = 1.0 / len(batch)
+    mean = float(np.sum(terms)) * scale
+    if not math.isfinite(mean):
+        raise NonFiniteError("non-finite batch loss")
+    # d mean / d out_s = scale * exp(-y_s out_s) * -y_s
+    grads = fwd.vjp(scale * terms * -y[batch].astype(np.float64))
+    bad = non_finite_entry(grads)
+    if bad is not None:
+        raise NonFiniteError(f"non-finite gradient of {bad}")
+    return grads, mean, wrong
+
+
 def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport:
     """Fit the network to a labeled dataset and return the full report.
 
     Deterministic for a fixed (data, config): batch order, initialization
     and any gate sampling all derive from cfg.seed.  Raises
     UnsoundConfigError when the activation parameters cannot guarantee
-    sign agreement (pass allow_unsound to proceed anyway), and
-    DivergenceError when a non-finite value shows up mid-training.
+    sign agreement, or slope_end exceeds 1 (pass allow_unsound to proceed
+    anyway), and DivergenceError naming the epoch, batch and quantity
+    when a non-finite value shows up mid-training.
     """
     samples = list(data)
     if not samples:
@@ -416,6 +447,13 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
             raise UnsoundConfigError(
                 f"activation parameters fail the sign-soundness bound: {text}"
             )
+    if cfg.slope_end > 1.0 and not cfg.allow_unsound:
+        # a wider shoulder gives weight to steps just outside the snapped
+        # window [floor t1, ceil t2], which the extracted formula ignores
+        raise UnsoundConfigError(
+            f"slope_end = {cfg.slope_end:g} exceeds 1: the trained network's windows "
+            "would reach past the extracted formula's, so their signs may disagree"
+        )
     rng = np.random.default_rng([cfg.seed, 7])
     gate_rng = np.random.default_rng([cfg.seed, 13]) if cfg.gate_sampling else None
     params = init_params(data, shape, length, rng)
@@ -427,6 +465,8 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     )
 
     n = len(samples)
+    X = np.stack([sig.values for sig, _ in samples])
+    y = np.array([label for _, label in samples])
     losses: List[float] = []
     train_mcr: List[float] = []
     epoch_seconds: List[float] = []
@@ -450,37 +490,25 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         order = rng.permutation(n)
         loss_sum = 0.0
         wrong = 0
-        try:
-            for lo in range(0, n, cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
-                tape = Tape()
-                pv = lift_params(tape, params)
-                windows = slot_windows(tape, pv.t1, pv.t2, p, length)
-                gates = binarize_gates(pv.m_rows, gate_rng)
-                terms = []
-                for idx in batch:
-                    sig, label = samples[int(idx)]
-                    out = forward(
-                        tape, sig.values, pv, shape, p,
-                        windows=windows, gates=gates,
-                    )
-                    terms.append(loss(label, out))
-                    if (out.value > 0.0) != (label == 1):
-                        wrong += 1
-                batch_loss = ad.scale(ad.vsum(ad.stack(terms)), 1.0 / len(terms))
-                tape.backward(batch_loss)
-                loss_sum += batch_loss.value * len(terms)
-                grads = {
-                    "b": np.array([float(tape.grad(v)) for v in pv.b]),
-                    "t1": np.array([float(tape.grad(v)) for v in pv.t1]),
-                    "t2": np.array([float(tape.grad(v)) for v in pv.t2]),
-                    "M": np.stack([np.asarray(tape.grad(v)) for v in pv.m_rows]),
-                }
-                arrays = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
-                opt.step(arrays, grads)
-                project_params(params, length)
-        except NonFiniteError as e:
-            raise DivergenceError(f"training diverged at epoch {epoch}: {e}") from e
+        for index, lo in enumerate(range(0, n, cfg.batch_size)):
+            batch = order[lo : lo + cfg.batch_size]
+            if gate_rng is None:
+                gates = (params.M >= 0.5).astype(np.float64)
+            else:
+                gates = (gate_rng.random(params.M.shape) < params.M).astype(np.float64)
+            try:
+                grads, batch_loss, batch_wrong = _batch_gradients(
+                    X, y, batch, params, shape, p, gates
+                )
+            except NonFiniteError as e:
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}, batch {index}: {e}"
+                ) from e
+            loss_sum += batch_loss * len(batch)
+            wrong += batch_wrong
+            arrays = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
+            opt.step(arrays, grads)
+            project_params(params, length)
         losses.append(loss_sum / n)
         train_mcr.append(wrong / n)
         epoch_seconds.append(time.perf_counter() - started)

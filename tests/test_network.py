@@ -1,10 +1,12 @@
-"""Network layer tests.
+"""Network tests.
 
 The sparse softmax is checked three ways: frozen degenerate examples,
 equality with the naive oracle transcription from util.py, and the sign
-and bounds properties the extraction step relies on.  Layer tests
-compare against exact robustness from the stl module.  The batched
-value path is compared bit for bit against the tape it mirrors.
+and bounds properties the extraction step relies on.  Layer behaviour is
+checked through the batched forward against exact robustness from the
+stl module, and the forward as a whole against a naive per-signal
+network built from the oracles.  The closed-form backward is checked
+against central differences.
 """
 
 import math
@@ -12,36 +14,30 @@ import math
 import numpy as np
 import pytest
 
-from stlinfer.autodiff import NonFiniteError, Tape
 from stlinfer.network import (
     ActivationParams,
     EmptyFormulaError,
     EmptySelectionError,
     ModelParams,
     NetworkShape,
-    ParamVars,
+    NonFiniteError,
     SlotSpec,
-    binarize_gates,
-    conjunction_layer,
-    disjunction_layer,
-    forward,
-    lift_params,
     network_output,
     network_outputs,
-    predicate_layer,
-    slot_windows,
+    network_pass,
     soundness_bound_check,
     soundness_bound_text,
-    sparse_softmax,
     sparse_softmax_value,
-    sparse_softmin,
     sparse_softmin_value,
-    temporal_layer,
-    time_indicator,
     time_indicator_values,
 )
 from stlinfer.stl import CHUNK, Predicate, Signal, TemporalAtom, TemporalOp, robustness
-from util import selected_softmax_oracle, selected_softmin_oracle
+from util import (
+    naive_network_output,
+    selected_softmax_oracle,
+    selected_softmin_oracle,
+    trapezoid_window,
+)
 
 P = ActivationParams()  # beta 25, h 1
 
@@ -218,41 +214,52 @@ def test_indicator_rejects_bad_slope():
 
 
 # ---------------------------------------------------------------------------
-# layers against exact robustness
+# layers against exact robustness, through the batched forward
+
+
+def _slot_network(values, slots, b, t1, t2, M, p=P):
+    """Outputs of a network with the given slots on signals (n, length, dim)."""
+    shape = NetworkShape(tuple(SlotSpec(*s) for s in slots), m=len(M))
+    k = len(slots)
+    params = ModelParams(
+        np.asarray(b, dtype=np.float64),
+        np.full(k, float(t1)) if np.ndim(t1) == 0 else np.asarray(t1, dtype=np.float64),
+        np.full(k, float(t2)) if np.ndim(t2) == 0 else np.asarray(t2, dtype=np.float64),
+        np.asarray(M, dtype=np.float64),
+    )
+    return network_outputs(np.asarray(values, dtype=np.float64), params, shape, p)
+
+
+def _const_slots(*outputs, M):
+    """A network whose slot j outputs exactly outputs[j]: one always-slot
+    per axis of a one-step signal holding those values."""
+    slots = [(j, 1, TemporalOp.ALWAYS) for j in range(len(outputs))]
+    return float(_slot_network([[outputs]], slots, np.zeros(len(outputs)), 0, 0, M)[0])
 
 
 def test_predicate_layer_rows():
-    tape = Tape()
-    values = np.full((6, 1), 3.0)
-    shape = NetworkShape(
-        (SlotSpec(0, 1, TemporalOp.ALWAYS), SlotSpec(0, -1, TemporalOp.ALWAYS)), m=1
-    )
-    b = [tape.leaf(1.0), tape.leaf(-1.0)]
-    rows = predicate_layer(tape, values, shape, b)
-    assert np.array_equal(rows[0].value, np.full(6, 2.0))
-    assert np.array_equal(rows[1].value, np.full(6, -2.0))
+    # a point window pools a single entry, so the output is the row value
+    values = np.full((1, 6, 1), 3.0)
+    always = TemporalOp.ALWAYS
+    assert _slot_network(values, [(0, 1, always)], [1.0], 2, 2, [[1.0]])[0] == 2.0
+    assert _slot_network(values, [(0, -1, always)], [-1.0], 2, 2, [[1.0]])[0] == -2.0
 
 
 def test_predicate_layer_matches_exact_robustness():
     rng = np.random.default_rng(5)
     values = rng.uniform(-5, 5, (10, 2))
     sig = Signal(values)
-    shape = NetworkShape.cycled(2)
-    tape = Tape()
-    b = [tape.leaf(float(rng.uniform(-3, 3))) for _ in range(shape.k)]
-    rows = predicate_layer(tape, values, shape, b)
-    for j, slot in enumerate(shape.slots):
-        pred = Predicate(slot.axis, slot.sign, b[j].value)
-        want = [robustness(sig, pred, t) for t in range(10)]
-        assert np.allclose(rows[j].value, want, rtol=0, atol=1e-15)
+    for slot in NetworkShape.cycled(2).slots:
+        b = float(rng.uniform(-3, 3))
+        pred = Predicate(slot.axis, slot.sign, b)
+        for t in range(10):
+            got = _slot_network(values[None], [(slot.axis, slot.sign, slot.op)], [b], t, t, [[1.0]])
+            assert abs(got[0] - robustness(sig, pred, t)) <= 1e-15
 
 
 def _temporal_value(r_row, t1, t2, op, p):
-    tape = Tape()
-    shape = NetworkShape((SlotSpec(0, 1, op),), m=1)
-    rows = [tape.const(np.asarray(r_row, dtype=np.float64))]
-    windows = slot_windows(tape, [tape.const(float(t1))], [tape.const(float(t2))], p, len(r_row))
-    return temporal_layer(rows, windows, shape, p)[0].value
+    values = np.asarray(r_row, dtype=np.float64).reshape(1, -1, 1)
+    return _slot_network(values, [(0, 1, op)], [0.0], t1, t2, [[1.0]], p)[0]
 
 
 def test_temporal_layer_eventually_full_window():
@@ -280,39 +287,25 @@ def test_temporal_layer_sign_matches_exact_semantics():
 
 
 def test_conjunction_layer_single_gate_is_exact():
-    tape = Tape()
-    g = [tape.const(3.0), tape.const(-1.0)]
-    gates = [tape.const(np.array([0.0, 1.0]))]
-    hs, live = conjunction_layer(g, gates, P)
-    assert live.tolist() == [True]
-    assert hs[0].value == -1.0
+    assert _const_slots(3.0, -1.0, M=[[0.0, 1.0]]) == -1.0
 
 
 def test_conjunction_layer_is_min_like():
-    tape = Tape()
-    g = [tape.const(3.0), tape.const(-1.0)]
-    gates = [tape.const(np.array([1.0, 1.0]))]
-    hs, _ = conjunction_layer(g, gates, P)
-    assert hs[0].value < 0.0
+    assert _const_slots(3.0, -1.0, M=[[1.0, 1.0]]) < 0.0
 
 
 def test_dead_rows_are_skipped():
-    tape = Tape()
-    g = [tape.const(3.0), tape.const(-1.0)]
-    gates = [tape.const(np.zeros(2)), tape.const(np.array([1.0, 0.0]))]
-    hs, live = conjunction_layer(g, gates, P)
-    assert live.tolist() == [False, True]
-    assert len(hs) == 1 and hs[0].value == 3.0
+    assert _const_slots(3.0, -1.0, M=[[0.0, 0.0], [1.0, 0.0]]) == 3.0
+    shape = NetworkShape.cycled(1, m=2)
+    params = ModelParams(np.zeros(4), np.zeros(4), np.full(4, 3.0), [[0.2, 0.1, 0.0, 0.4], [0.9, 0.0, 0.0, 0.0]])
+    assert network_pass(np.zeros((1, 4, 1)), params, shape, P).live.tolist() == [1]
 
 
 def test_disjunction_layer():
-    tape = Tape()
-    one = disjunction_layer([tape.const(-7.0)], P)
-    assert one.value == -7.0
-    two = disjunction_layer([tape.const(-1.0), tape.const(2.0)], P)
-    assert two.value > 0.0
+    assert _const_slots(-7.0, 0.0, M=[[1.0, 0.0]]) == -7.0
+    assert _const_slots(-1.0, 2.0, M=[[1.0, 0.0], [0.0, 1.0]]) > 0.0
     with pytest.raises(EmptyFormulaError, match="gated off"):
-        disjunction_layer([], P)
+        _const_slots(-1.0, 2.0, M=[[0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +356,13 @@ def test_activation_params_validation():
         ActivationParams(slope=-1.0)
 
 
+@pytest.mark.parametrize("field", ["beta", "h", "eps", "slope"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_activation_params_refuse_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ActivationParams(**{field: value})
+
+
 def test_forward_invariant_to_slot_permutation():
     rng = np.random.default_rng(7)
     length, dim = 12, 2
@@ -381,9 +381,9 @@ def test_forward_invariant_to_slot_permutation():
     assert abs(network_output(values, params_p, shape_p, P) - base) <= 1e-12
 
 
-def test_forward_accepts_prebuilt_windows_and_gates():
+def test_network_pass_accepts_explicit_gates():
     rng = np.random.default_rng(8)
-    values = rng.uniform(-3, 3, (8, 1))
+    X = rng.uniform(-3, 3, (5, 8, 1))
     shape = NetworkShape.cycled(1)
     params = ModelParams(
         b=rng.uniform(-1, 1, 4),
@@ -391,24 +391,30 @@ def test_forward_accepts_prebuilt_windows_and_gates():
         t2=np.full(4, 7.0),
         M=np.full((2, 4), 0.8),
     )
-    tape = Tape()
-    pv = lift_params(tape, params)
-    windows = slot_windows(tape, pv.t1, pv.t2, P, 8)
-    gates = binarize_gates(pv.m_rows)
-    prebuilt = forward(tape, values, pv, shape, P, windows=windows, gates=gates).value
-    assert prebuilt == network_output(values, params, shape, P)
+    default = network_outputs(X, params, shape, P)
+    assert network_pass(X, params, shape, P, gates=np.ones((2, 4))).out.tobytes() == default.tobytes()
+    # the gates given replace M's thresholding
+    closed = ModelParams(params.b, params.t1, params.t2, np.full((2, 4), 0.1))
+    with pytest.raises(EmptyFormulaError):
+        network_outputs(X, closed, shape, P)
+    assert network_pass(X, closed, shape, P, gates=np.ones((2, 4))).out.tobytes() == default.tobytes()
+
+
+def test_wide_slope_breaks_sign_agreement():
+    # the snapped network for F[4,8](x0 > 0): a shoulder wider than one
+    # step gives weight to x[3], which the formula never reads
+    shape = NetworkShape((SlotSpec(0, 1, TemporalOp.EVENTUALLY),), m=1)
+    params = ModelParams([0.0], [4.0], [8.0], [[1.0]])
+    x = np.full((12, 1), -1.0)
+    x[3] = 5.0
+    formula = TemporalAtom(TemporalOp.EVENTUALLY, 4, 8, Predicate(0, 1, 0.0))
+    assert robustness(Signal(x), formula) == -1.0
+    assert network_output(x, params, shape, ActivationParams(slope=1.0)) == -1.0
+    assert network_output(x, params, shape, ActivationParams(slope=2.5)) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
-# batched value path against the tape, bit for bit
-
-
-def _tape_outputs(X, params, shape, p):
-    out = []
-    for values in X:
-        tape = Tape()
-        out.append(forward(tape, values, lift_params(tape, params), shape, p).value)
-    return np.array(out)
+# batched forward against the naive per-signal network
 
 
 # thresholding happens at exactly 0.5, so probe both of its neighbours
@@ -434,12 +440,27 @@ def _random_case(rng, n):
     return rng.uniform(-4.0, 4.0, (n, length, dim)), params, shape, p
 
 
-def test_batched_forward_equals_tape_bitwise():
+def _compare_with_naive(X, params, shape, p, got) -> int:
+    """Assert closeness on every signal the naive oracles can evaluate;
+    returns how many that was."""
+    compared = 0
+    for values, v in zip(X, got):
+        want = naive_network_output(values, params, shape, p)
+        if not math.isfinite(want):
+            continue  # naive transcription underflowed; not a valid reference
+        assert math.isclose(v, want, rel_tol=1e-9, abs_tol=1e-12)
+        compared += 1
+    return compared
+
+
+def test_batched_forward_matches_naive_forward():
     rng = np.random.default_rng(21)
+    compared = total = 0
     for _ in range(80):
         X, params, shape, p = _random_case(rng, int(rng.integers(1, 6)))
-        got = network_outputs(X, params, shape, p)
-        assert got.tobytes() == _tape_outputs(X, params, shape, p).tobytes()
+        compared += _compare_with_naive(X, params, shape, p, network_outputs(X, params, shape, p))
+        total += len(X)
+    assert compared > total // 2
 
 
 @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1])
@@ -447,43 +468,83 @@ def test_batched_forward_chunk_edges(n):
     X, params, shape, p = _random_case(np.random.default_rng(22 + n), n)
     got = network_outputs(X, params, shape, p)
     assert got.shape == (n,)
-    assert got.tobytes() == _tape_outputs(X, params, shape, p).tobytes()
-    assert network_output(X[-1], params, shape, p) == got[-1]
+    # a signal's output does not depend on the chunk it is evaluated in
+    one_by_one = np.array([network_output(values, params, shape, p) for values in X])
+    assert got.tobytes() == one_by_one.tobytes()
+    _compare_with_naive(X, params, shape, p, got)
 
 
-def test_batched_forward_raises_the_tapes_errors():
+def test_batched_forward_raises_named_errors():
     shape = NetworkShape.cycled(1, m=2)
     X = np.zeros((3, 6, 1))
     good = dict(b=np.zeros(4), t1=np.zeros(4), t2=np.full(4, 5.0), M=np.full((2, 4), 0.9))
     cases = [
         # slot 2's window lies past the end of the signal
-        (dict(t1=np.array([0.0, 0.0, 7.5, 0.0]), t2=np.array([5.0, 5.0, 9.0, 5.0])), EmptySelectionError),
-        (dict(M=np.full((2, 4), np.nextafter(0.5, 0.0))), EmptyFormulaError),
-        (dict(b=np.array([0.0, np.nan, 0.0, 0.0])), NonFiniteError),
+        (dict(t1=np.array([0.0, 0.0, 7.5, 0.0]), t2=np.array([5.0, 5.0, 9.0, 5.0])),
+         EmptySelectionError, "empty time window"),
+        (dict(M=np.full((2, 4), np.nextafter(0.5, 0.0))), EmptyFormulaError, "gated off"),
+        (dict(b=np.array([0.0, np.nan, 0.0, 0.0])), NonFiniteError, r"parameter b\[1\]$"),
+        (dict(M=np.array([[0.9] * 4, [0.9, 0.9, np.inf, 0.9]])), NonFiniteError, r"parameter M\[1, 2\]$"),
     ]
-    for change, error in cases:
+    for change, error, message in cases:
         params = ModelParams(**{**good, **change})
-        with pytest.raises(error) as from_tape:
-            _tape_outputs(X, params, shape, P)
-        with pytest.raises(error) as batched:
+        with pytest.raises(error, match=message):
             network_outputs(X, params, shape, P)
-        if error is not NonFiniteError:  # the tape names its node instead
-            assert str(batched.value) == str(from_tape.value)
 
 
-def test_value_helpers_equal_the_tape_bitwise():
+def test_time_indicator_matches_explicit_trapezoid():
     rng = np.random.default_rng(23)
     for _ in range(300):
         l = int(rng.integers(1, 40))
-        r = rng.uniform(-5.0, 5.0, l)
-        w = np.where(rng.random(l) < 0.5, 0.0, rng.choice([1.0, 0.3], l))
-        w[int(rng.integers(l))] = 1.0
-        p = ActivationParams(beta=float(rng.uniform(1.0, 40.0)), h=float(rng.uniform(0.5, 2.0)))
-        tape = Tape()
-        assert sparse_softmax_value(r, w, p) == sparse_softmax(tape.const(r), tape.const(w), p).value
-        assert sparse_softmin_value(r, w, p) == sparse_softmin(tape.const(r), tape.const(w), p).value
         t1 = float(rng.uniform(0.0, l))
         t2 = float(rng.uniform(t1, l))
         slope = float(rng.choice([0.5, 1.0, 2.5]))
-        want = time_indicator(tape, tape.const(t1), tape.const(t2), slope, l).value
-        assert time_indicator_values(t1, t2, slope, l).tobytes() == want.tobytes()
+        want = trapezoid_window(t1, t2, slope, l)
+        assert np.allclose(time_indicator_values(t1, t2, slope, l), want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form backward
+
+
+def test_gate_gradient_matches_central_differences():
+    # fed as continuous weights, open gates are smooth inputs of the network
+    rng = np.random.default_rng(24)
+    step = 1e-6
+    worst = 0.0
+    checked = 0
+    for _ in range(30):
+        X, params, shape, p = _random_case(rng, int(rng.integers(1, 5)))
+        gates = np.where(rng.random(params.M.shape) < 0.6, rng.uniform(0.3, 1.0, params.M.shape), 0.0)
+        gates[0, 0] = 0.7
+        dout = rng.normal(size=len(X))
+        grad = network_pass(X, params, shape, p, gates).vjp(dout)["M"]
+        for i, j in np.argwhere(gates > 0.0):
+            hi, lo = gates.copy(), gates.copy()
+            hi[i, j] += step
+            lo[i, j] -= step
+            up = dout @ network_pass(X, params, shape, p, hi).out
+            down = dout @ network_pass(X, params, shape, p, lo).out
+            fd = (up - down) / (2.0 * step)
+            worst = max(worst, abs(fd - grad[i, j]) / max(1.0, abs(fd), abs(grad[i, j])))
+            checked += 1
+    assert checked > 100
+    assert worst <= 1e-4
+
+
+def test_gate_gradient_is_straight_through():
+    rng = np.random.default_rng(25)
+    X = rng.uniform(-3.0, 3.0, (6, 10, 1))
+    shape = NetworkShape.cycled(1, m=3)
+    gates = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    b, t1, t2 = rng.uniform(-1.0, 1.0, 4), np.zeros(4), np.full(4, 9.0)
+    dout = rng.normal(size=6)
+    # M's values past the threshold do not matter, only the gates they give
+    grads = [
+        network_pass(X, ModelParams(b, t1, t2, np.where(gates > 0, level, 0.1)), shape, P).vjp(dout)["M"]
+        for level in (0.6, 0.95)
+    ]
+    assert grads[0].tobytes() == grads[1].tobytes()
+    # a dead row takes no part in the output and gets no gradient
+    assert grads[0][1].tolist() == [0.0] * 4
+    assert np.abs(grads[0][0]).max() > 0.0 and np.abs(grads[0][2]).max() > 0.0

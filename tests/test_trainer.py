@@ -4,18 +4,25 @@ hand-built parameter matrices, plus the training-loop contracts
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stlinfer.autodiff import Tape
 from stlinfer.datasets import LabeledDataset
-from stlinfer.network import EmptyFormulaError, ModelParams, NetworkShape
+from stlinfer.network import (
+    ActivationParams,
+    EmptyFormulaError,
+    ModelParams,
+    NetworkShape,
+    network_output,
+)
 from stlinfer.stl import Signal, count_atoms, dnf_clauses, format_formula, mcr, parse_formula
 from stlinfer.trainer import (
     DivergenceError,
     TrainConfig,
     UnsoundConfigError,
+    _batch_gradients,
     extract_formula,
     formula_from_gates,
     init_params,
@@ -44,17 +51,47 @@ def test_loss_examples():
     assert loss(-1, 2.0) == math.exp(2.0)
 
 
-def test_loss_on_tape_var():
-    tape = Tape()
-    out = loss(1, tape.leaf(2.0))
-    assert out.value == math.exp(-2.0)
-
-
 def test_loss_rejects_bad_labels():
     with pytest.raises(ValueError, match="label"):
         loss(0, 1.0)
     with pytest.raises(ValueError, match="label"):
         loss(2, 1.0)
+
+
+def test_batch_loss_gradient_matches_central_differences():
+    # the mean loss over a batch with both labels: dout and the fold of
+    # per-sample gradients into each parameter group
+    rng = np.random.default_rng(9)
+    step = 1e-6
+    worst = 0.0
+    for _ in range(20):
+        dim = int(rng.integers(1, 3))
+        length = int(rng.integers(6, 15))
+        shape = NetworkShape.cycled(dim, m=int(rng.integers(1, 3)))
+        a = rng.integers(0, length - 2, shape.k)
+        t1 = a + rng.uniform(0.25, 0.75, shape.k)
+        t2 = np.array([rng.integers(int(x) + 1, length - 1) for x in a]) + rng.uniform(0.25, 0.75, shape.k)
+        M = np.where(rng.random((shape.m, shape.k)) < 0.5, 0.1, 0.9)
+        M[0, 0] = 0.9
+        params = ModelParams(rng.uniform(-1.0, 1.0, shape.k), t1, t2, M)
+        X = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 12)), length, dim))
+        y = np.array([1, -1] + [int(v) for v in rng.choice([-1, 1], len(X) - 2)])
+        p = ActivationParams(beta=float(rng.uniform(2.0, 10.0)), slope=float(rng.choice([1.0, 2.0])))
+        gates = (M >= 0.5).astype(np.float64)
+        batch = rng.permutation(len(X))
+        grads, mean, _ = _batch_gradients(X, y, batch, params, shape, p, gates)
+        assert mean == pytest.approx(np.mean([loss(int(y[i]), network_output(X[i], params, shape, p)) for i in batch]))
+        for group in ("b", "t1", "t2"):
+            for j in range(shape.k):
+                moved = []
+                for delta in (step, -step):
+                    q = params.copy()
+                    getattr(q, group)[j] += delta
+                    moved.append(_batch_gradients(X, y, batch, q, shape, p, gates)[1])
+                fd = (moved[0] - moved[1]) / (2.0 * step)
+                an = grads[group][j]
+                worst = max(worst, abs(fd - an) / max(1.0, abs(fd), abs(an)))
+    assert worst <= 1e-4
 
 
 def test_loss_decreases_with_margin():
@@ -340,6 +377,15 @@ def test_unsound_config_can_be_overridden(tiny_driving_pair):
     assert len(report.losses) == 1
 
 
+def test_slope_end_above_one_is_refused(tiny_driving_pair):
+    # past slope 1 the snapped network's windows reach beyond the formula's
+    # (test_network.py::test_wide_slope_breaks_sign_agreement)
+    with pytest.raises(UnsoundConfigError, match="slope_end = 2.5 exceeds 1"):
+        train(tiny_driving_pair, small_cfg(slope_end=2.5))
+    report = train(tiny_driving_pair, small_cfg(epochs=1, slope_end=2.5, allow_unsound=True))
+    assert len(report.losses) == 1
+
+
 def test_plain_gradient_descent_runs(tiny_driving_pair):
     report = train(tiny_driving_pair, small_cfg(epochs=2, optimizer="gd"))
     assert len(report.losses) == 2
@@ -351,8 +397,12 @@ def test_divergence_aborts_with_epoch(tiny_driving_pair):
     data = LabeledDataset(samples[:5] + samples[-5:])
     cfg = small_cfg(epochs=3, batch_size=64, lr=1e120, lr_gates=1e120,
                     optimizer="gd", grad_clip=0.0)
-    with pytest.raises(DivergenceError, match="diverged at epoch"):
+    with pytest.raises(DivergenceError, match="diverged at epoch 1, batch 0: non-finite loss of sample"):
         train(data, cfg)
+    # with two batches a step, the second batch of epoch 0 already meets
+    # the oversized offsets
+    with pytest.raises(DivergenceError, match="diverged at epoch 0, batch 1: non-finite loss of sample"):
+        train(data, replace(cfg, batch_size=5))
 
 
 def test_beta_hold_of_one_is_valid(tiny_driving_pair):
@@ -398,4 +448,13 @@ def test_config_file_errors(tmp_path):
         TrainConfig.from_file(path)
     path.write_text("gate_sampling = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not a boolean"):
+        TrainConfig.from_file(path)
+
+
+@pytest.mark.parametrize("key", ["beta", "lr", "slope_end"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_file_refuses_non_finite_values(tmp_path, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"epochs = 3\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad.cfg:2: bad value for '{key}': not a finite number"):
         TrainConfig.from_file(path)

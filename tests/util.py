@@ -3,16 +3,19 @@
 `selected_softmax_oracle` is a deliberately naive transcription of the
 selected-softmax definition, with none of the numerical safeguards the
 library version carries.  Tests compare the two so the stable rewrite
-stays algebraically honest.  `simplify_oracle` is the per-sample pruning
-loop the batched `simplify` replaced, kept as its reference.  The random
-builders produce formulas whose connectives alternate, so printing and
-reparsing reproduces the tree node for node.
+stays algebraically honest.  `naive_network_output` builds the whole
+network for one signal from those oracles and an explicit trapezoid
+window, as the reference for the batched forward.  `simplify_oracle` is
+the per-sample pruning loop the batched `simplify` replaced, kept as its
+reference.  The random builders produce formulas whose connectives
+alternate, so printing and reparsing reproduces the tree node for node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from stlinfer.network import ActivationParams, ModelParams, NetworkShape
 from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
 from stlinfer.trainer import formula_from_gates
 
@@ -32,6 +35,33 @@ def selected_softmax_oracle(r, w, beta: float, h: float, eps: float = 1e-8) -> f
 
 def selected_softmin_oracle(r, w, beta: float, h: float, eps: float = 1e-8) -> float:
     return -selected_softmax_oracle(-np.asarray(r, dtype=np.float64), w, beta, h, eps)
+
+
+def trapezoid_window(t1: float, t2: float, slope: float, length: int) -> np.ndarray:
+    """Soft window: 0 before t1-slope, linear up to 1 at t1, 1 through t2,
+    linear down to 0 at t2+slope."""
+    t = np.arange(length, dtype=np.float64)
+    rise = np.clip((t - (t1 - slope)) / slope, 0.0, 1.0)
+    fall = np.clip((t2 + slope - t) / slope, 0.0, 1.0)
+    return np.minimum(rise, fall)
+
+
+def naive_network_output(
+    values: np.ndarray, params: ModelParams, shape: NetworkShape, p: ActivationParams
+) -> float:
+    """The network on one signal (length, dim), layer by layer: predicate
+    rows, pooling over trapezoid windows, a softmin per conjunction row
+    with a gate >= 0.5, and a softmax over those rows.  nan where an
+    oracle underflows."""
+    g = []
+    for j, slot in enumerate(shape.slots):
+        row = slot.sign * values[:, slot.axis] - params.b[j]
+        w = trapezoid_window(params.t1[j], params.t2[j], p.slope, len(values))
+        pool = selected_softmin_oracle if slot.op is TemporalOp.ALWAYS else selected_softmax_oracle
+        g.append(pool(row, w, p.beta, p.h, p.eps))
+    gates = (params.M >= 0.5).astype(np.float64)
+    h = [selected_softmin_oracle(g, row, p.beta, p.h, p.eps) for row in gates if row.any()]
+    return selected_softmax_oracle(h, np.ones(len(h)), p.beta, p.h, p.eps)
 
 
 def random_signal(rng: np.random.Generator, length: int, dim: int, scale: float = 5.0) -> Signal:
