@@ -16,6 +16,9 @@ Two scenario families ship with the package:
   to open sea.  The classes are separable by construction with wide
   margins.
 
+A dataset is dense: an (N, L, D) float64 array of signals, which the
+generators fill directly, and an (N,) vector of labels in {-1, +1}.
+
 CSV files carry a header line `label,<dim>,<len>` followed by one row per
 sample: the integer label, then len*dim values in time-major order.  The
 round trip through save_csv/load_csv is lossless for float64 values.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -62,43 +65,57 @@ class DrivingBehavior(enum.Enum):
         raise ValueError(f"unknown driving behavior '{name}' (known: {known})")
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
-    """Samples with labels in {-1, +1} plus generation metadata.
-
-    All signals share one length and one dimension; properties check it.
+    """Signals X (N, L, D) float64, time-major, with labels y (N,) int64
+    in {-1, +1}, plus generation metadata.  Iterating yields (Signal,
+    label) pairs built lazily from the rows of X.
     """
 
-    samples: List[Tuple[Signal, int]]
+    X: np.ndarray
+    y: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for i, (sig, label) in enumerate(self.samples):
-            if label not in (-1, 1):
-                raise ValueError(f"sample {i}: label must be +1 or -1, got {label}")
+        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
+        y = np.asarray(self.y)
+        if self.X.ndim != 3 or y.shape != self.X.shape[:1]:
+            raise ValueError(f"expected X (N, L, D) and y (N,), got {self.X.shape} and {y.shape}")
+        bad = np.flatnonzero((y != 1) & (y != -1))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]}: label must be +1 or -1, got {y[bad[0]]}")
+        if not np.isfinite(self.X).all():
+            raise ValueError("signal values must be finite")
+        self.y = y.astype(np.int64)
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[Tuple[Signal, int]], metadata=None) -> "LabeledDataset":
+        """Stack (Signal, label) pairs of one length and one dimension."""
+        samples = list(samples)
+        for name, axis in (("length", 0), ("dimension", 1)):
+            sizes = sorted({sig.values.shape[axis] for sig, _ in samples})
+            if len(sizes) > 1:
+                raise ValueError(f"signals disagree on {name}: {sizes}")
+        X = np.stack([sig.values for sig, _ in samples]) if samples else np.empty((0, 0, 0))
+        return cls(X, [label for _, label in samples], metadata or {})
 
     def __iter__(self) -> Iterator[Tuple[Signal, int]]:
-        return iter(self.samples)
+        for x, label in zip(self.X, self.y.tolist()):
+            yield Signal(x), label
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.X.shape[0]
 
     @property
     def length(self) -> int:
-        ls = {sig.length for sig, _ in self.samples}
-        if len(ls) != 1:
-            raise ValueError(f"signals disagree on length: {sorted(ls)}")
-        return ls.pop()
+        return self.X.shape[1]
 
     @property
     def dim(self) -> int:
-        ds = {sig.dim for sig, _ in self.samples}
-        if len(ds) != 1:
-            raise ValueError(f"signals disagree on dimension: {sorted(ds)}")
-        return ds.pop()
+        return self.X.shape[2]
 
     def labels(self) -> np.ndarray:
-        return np.array([label for _, label in self.samples], dtype=np.int64)
+        return self.y.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +229,13 @@ def gen_driving(
         raise ValueError("count must be positive")
     if length < 2:
         raise ValueError("length must be at least 2")
-    rng = np.random.default_rng([seed, _behavior_tag(behavior)])
-    samples = [(Signal(_drive_one(behavior, length, rng, cfg)), label) for _ in range(count)]
-    meta = {
-        "scenario": "driving",
-        "behaviors": [behavior.value],
-        "count": count,
-        "length": length,
-        "seed": seed,
-        "config": asdict(cfg),
-    }
-    return LabeledDataset(samples, meta)
-
-
-def _behavior_tag(behavior: DrivingBehavior) -> int:
-    return list(DrivingBehavior).index(behavior)
+    rng = np.random.default_rng([seed, list(DrivingBehavior).index(behavior)])
+    X = np.empty((count, length, 2))
+    for i in range(count):
+        X[i] = _drive_one(behavior, length, rng, cfg)
+    meta = dict(scenario="driving", behaviors=[behavior.value], count=count, length=length,
+                seed=seed, config=asdict(cfg))
+    return LabeledDataset(X, np.full(count, label), meta)
 
 
 def gen_driving_pair(
@@ -241,15 +250,8 @@ def gen_driving_pair(
     """Two-behavior classification set: `positive` labeled +1, `negative` -1."""
     pos = gen_driving(positive, count_per_class, length, seed, label=1, cfg=cfg)
     neg = gen_driving(negative, count_per_class, length, seed, label=-1, cfg=cfg)
-    meta = {
-        "scenario": "driving",
-        "behaviors": [positive.value, negative.value],
-        "count": 2 * count_per_class,
-        "length": length,
-        "seed": seed,
-        "config": asdict(cfg),
-    }
-    return LabeledDataset(pos.samples + neg.samples, meta)
+    meta = dict(pos.metadata, behaviors=[positive.value, negative.value], count=2 * count_per_class)
+    return LabeledDataset(np.concatenate([pos.X, neg.X]), np.concatenate([pos.y, neg.y]), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +324,13 @@ def gen_naval(count: int, seed: int = 0, *, cfg: NavalConfig = NavalConfig()) ->
     if count < 2 or count % 2 != 0:
         raise ValueError("count must be an even number of samples >= 2")
     rng = np.random.default_rng([seed, 97])
-    samples: List[Tuple[Signal, int]] = []
-    for _ in range(count // 2):
-        samples.append((Signal(_naval_one("normal", rng, cfg)), 1))
-    for i in range(count // 2):
-        kind = "island" if i % 2 == 0 else "abort"
-        samples.append((Signal(_naval_one(kind, rng, cfg)), -1))
-    meta = {
-        "scenario": "naval",
-        "count": count,
-        "length": cfg.length,
-        "seed": seed,
-        "config": asdict(cfg),
-    }
-    return LabeledDataset(samples, meta)
+    half = count // 2
+    kinds = ["normal"] * half + ["island" if i % 2 == 0 else "abort" for i in range(half)]
+    X = np.empty((count, cfg.length, 2))
+    for i, kind in enumerate(kinds):
+        X[i] = _naval_one(kind, rng, cfg)
+    meta = dict(scenario="naval", count=count, length=cfg.length, seed=seed, config=asdict(cfg))
+    return LabeledDataset(X, np.repeat([1, -1], half), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -344,48 +339,73 @@ def gen_naval(count: int, seed: int = 0, *, cfg: NavalConfig = NavalConfig()) ->
 
 def save_csv(dataset: LabeledDataset, path: Union[str, Path]) -> None:
     """Write `label,<dim>,<len>` header plus one time-major row per sample."""
-    if not dataset.samples:
+    if not len(dataset):
         raise ValueError("refusing to save an empty dataset")
-    dim, length = dataset.dim, dataset.length
+    n, length, dim = dataset.X.shape
     lines = [f"label,{dim},{length}"]
-    for sig, label in dataset.samples:
-        flat = sig.values.reshape(-1)  # time-major: all axes of t=0 first
-        lines.append(str(label) + "," + ",".join(repr(float(v)) for v in flat))
+    # time-major: all axes of t=0 first; repr keeps every float64 bit
+    for row, label in zip(dataset.X.reshape(n, -1), dataset.y.tolist()):
+        lines.append(str(label) + "," + ",".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_csv(path: Union[str, Path]) -> LabeledDataset:
-    """Read a dataset saved by save_csv; errors carry 1-based line numbers."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
+    """Read a dataset saved by save_csv; errors carry 1-based line numbers
+    (blank lines are skipped but counted).
+
+    One np.loadtxt call parses the body; LabeledDataset checks its labels
+    and values.  If that fails, a per-line pass with int() and float()
+    names the bad line, or reads what float() reads and np.loadtxt does
+    not (such as `1_0`).  Both give the same bits for every value.
+    """
+    numbered = enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1)
+    lines = [(n, ln) for n, ln in numbered if ln.strip() != ""]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    head = lines[0].split(",")
+    head_no, head_line = lines[0]
+    head = head_line.split(",")
     if len(head) != 3 or head[0].strip() != "label":
-        raise ValueError(f"{path}:1: expected header 'label,<dim>,<len>', got '{lines[0]}'")
+        raise ValueError(
+            f"{path}:{head_no}: expected header 'label,<dim>,<len>', got '{head_line}'"
+        )
     try:
         dim, length = int(head[1]), int(head[2])
     except ValueError:
-        raise ValueError(f"{path}:1: header dim and len must be integers, got '{lines[0]}'") from None
+        raise ValueError(
+            f"{path}:{head_no}: header dim and len must be integers, got '{head_line}'"
+        ) from None
     if dim < 1 or length < 1:
-        raise ValueError(f"{path}:1: dim and len must be positive")
-    samples: List[Tuple[Signal, int]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+        raise ValueError(f"{path}:{head_no}: dim and len must be positive")
+    rows = lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    meta = {"scenario": "csv", "source": str(path)}
+    body = [ln for _, ln in rows]
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] == 1 + dim * length:
+            labels = [int(ln.partition(",")[0]) for ln in body]
+            return LabeledDataset(table[:, 1:].reshape(-1, length, dim), labels, meta)
+    except (ValueError, OverflowError):
+        pass
+    labels, values = _parse_rows(path, rows, 1 + dim * length)
+    return LabeledDataset(np.array(values).reshape(-1, length, dim), labels, meta)
+
+
+def _parse_rows(path, rows, width: int):
+    """(labels, values) of numbered lines, or a ValueError at the first bad one."""
+    labels, values = [], []
+    for lineno, line in rows:
         fields = line.split(",")
-        if len(fields) != 1 + dim * length:
-            raise ValueError(
-                f"{path}:{lineno}: expected {1 + dim * length} fields, got {len(fields)}"
-            )
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
         try:
-            label = int(fields[0])
-            values = np.array([float(f) for f in fields[1:]], dtype=np.float64)
+            labels.append(int(fields[0]))
+            values.append([float(f) for f in fields[1:]])
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
-        if label not in (-1, 1):
-            raise ValueError(f"{path}:{lineno}: label must be +1 or -1, got {label}")
-        if not np.isfinite(values).all():
+        if labels[-1] not in (-1, 1):
+            raise ValueError(f"{path}:{lineno}: label must be +1 or -1, got {labels[-1]}")
+        if not np.isfinite(values[-1]).all():
             raise ValueError(f"{path}:{lineno}: signal values must be finite")
-        samples.append((Signal(values.reshape(length, dim)), label))
-    if not samples:
-        raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(samples, {"scenario": "csv", "source": str(path)})
+    return labels, values

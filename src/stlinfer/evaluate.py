@@ -2,8 +2,8 @@
 
 The network predicts the positive class when its output is strictly
 positive; an output of exactly 0 counts as a negative prediction, the
-same convention exact robustness uses for satisfaction.  Both the
-network and the formula are evaluated batched, CHUNK samples at a time.
+same convention exact robustness uses for satisfaction.  Signals of
+any other iterable than a LabeledDataset may differ in length.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from typing import Iterable, Tuple, Union
 
 import numpy as np
 
+from .datasets import LabeledDataset
 from .network import ActivationParams, ModelParams, NetworkShape, SlotSpec, network_outputs
-from .stl import Formula, Signal, TemporalOp, batch_robustness, signal_chunks
+from .stl import Formula, Signal, TemporalOp, batch_robustness, satisfies
 from .trainer import TrainReport
 
 __all__ = [
@@ -27,6 +28,23 @@ __all__ = [
 ]
 
 
+def _predictions(params, shape, p, samples, formula=None):
+    """Labels, the network's verdicts (output > 0) and, given a formula,
+    its verdicts (robustness > 0): batched over the X of a LabeledDataset,
+    one signal at a time for any other iterable of (Signal, label)."""
+    if isinstance(samples, LabeledDataset):
+        if not len(samples):
+            return samples.y, None, None
+        net = network_outputs(samples.X, params, shape, p) > 0.0
+        sat = None if formula is None else batch_robustness(samples.X, formula) > 0.0
+        return samples.y, net, sat
+    pairs = list(samples)
+    y = np.array([label for _, label in pairs])
+    net = np.array([network_outputs(s.values[None], params, shape, p)[0] > 0.0 for s, _ in pairs])
+    sat = None if formula is None else np.array([satisfies(s, formula) for s, _ in pairs])
+    return y, net, sat
+
+
 def network_mcr(
     params: ModelParams,
     shape: NetworkShape,
@@ -34,15 +52,10 @@ def network_mcr(
     samples: Iterable[Tuple[Signal, int]],
 ) -> float:
     """Misclassification rate of the network's output sign."""
-    n = 0
-    wrong = 0
-    for X, y in signal_chunks(samples):
-        out = network_outputs(X, params, shape, p)
-        wrong += int(np.count_nonzero((out > 0.0) != (y == 1)))
-        n += len(y)
-    if n == 0:
+    y, net, _ = _predictions(params, shape, p, samples)
+    if not len(y):
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
-    return wrong / n
+    return int(np.count_nonzero(net != (y == 1))) / len(y)
 
 
 def sign_agreement(
@@ -58,16 +71,10 @@ def sign_agreement(
     With snapped parameters (integral windows, binary gates, slope <= 1)
     and activation parameters passing the soundness bound this is 1.0.
     """
-    n = 0
-    agree = 0
-    for X, _ in signal_chunks(samples):
-        out = network_outputs(X, params, shape, p)
-        rob = batch_robustness(X, formula)
-        agree += int(np.count_nonzero((out > 0.0) == (rob > 0.0)))
-        n += len(out)
-    if n == 0:
+    y, net, sat = _predictions(params, shape, p, samples, formula)
+    if not len(y):
         raise ValueError("cannot compute sign agreement on an empty dataset")
-    return agree / n
+    return int(np.count_nonzero(net == sat)) / len(y)
 
 
 def emit_report(report: TrainReport, outdir: Union[str, Path]) -> dict:

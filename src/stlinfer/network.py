@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .stl import CHUNK, TemporalOp
+from .stl import TemporalOp
 
 __all__ = [
     "ActivationParams",
@@ -59,7 +59,12 @@ __all__ = [
     "network_pass",
     "network_outputs",
     "network_output",
+    "CHUNK",
 ]
+
+# network_outputs takes samples this many at a time, so that its
+# (n, k, length) temporaries stay small whatever the dataset size.
+CHUNK = 128
 
 
 class EmptySelectionError(ValueError):

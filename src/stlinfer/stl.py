@@ -17,8 +17,8 @@ window.  A signal satisfies a formula iff its robustness at time 0 is
 strictly positive; robustness exactly 0 counts as a violation.
 
 `robustness` is the recursive reference on one signal.  `batch_robustness`
-and `mcr` evaluate stacked signals, CHUNK at a time, and give the same
-values bit for bit.
+evaluates stacked signals (n, length, dim) and gives the same values bit
+for bit; `mcr` uses it on the X of a LabeledDataset.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,10 +41,8 @@ __all__ = [
     "Formula",
     "IntervalError",
     "ParseError",
-    "CHUNK",
     "robustness",
     "satisfies",
-    "signal_chunks",
     "atom_matrix",
     "batch_robustness",
     "mcr",
@@ -54,11 +52,6 @@ __all__ = [
     "dnf_clauses",
     "count_atoms",
 ]
-
-
-# Batched evaluation takes samples this many at a time, so that its
-# (n, k, length) temporaries stay small whatever the dataset size.
-CHUNK = 128
 
 
 class IntervalError(ValueError):
@@ -88,14 +81,6 @@ class Signal:
         if not np.all(np.isfinite(v)):
             raise ValueError("signal values must be finite")
         self.values = v
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -231,24 +216,6 @@ def satisfies(signal: Signal, formula: Formula) -> bool:
     return robustness(signal, formula, 0) > 0.0
 
 
-def signal_chunks(
-    samples: Iterable[Tuple[Signal, int]]
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stack consecutive samples into pairs (X, y): X of shape
-    (n, length, dim) with n <= CHUNK, y the n labels.  A change of signal
-    shape starts a new chunk, so signals of mixed length are fine."""
-    values: list = []
-    labels: list = []
-    for signal, label in samples:
-        if values and (len(values) == CHUNK or signal.values.shape != values[0].shape):
-            yield np.stack(values), np.array(labels)
-            values, labels = [], []
-        values.append(signal.values)
-        labels.append(label)
-    if values:
-        yield np.stack(values), np.array(labels)
-
-
 def atom_matrix(X: np.ndarray, atoms: Sequence[TemporalAtom]) -> np.ndarray:
     """Exact robustness at time 0 of windowed predicate atoms on a batch.
 
@@ -310,20 +277,25 @@ def mcr(samples: Iterable[Tuple[Signal, int]], formula: Formula) -> float:
     """Misclassification rate of a formula used as a binary classifier.
 
     A sample (s, y) with y in {-1, +1} is misclassified when y = +1 and s
-    does not satisfy the formula, or y = -1 and s does.
+    does not satisfy the formula, or y = -1 and s does.  Any iterable of
+    (Signal, label) other than a LabeledDataset goes through satisfies(),
+    one signal at a time, so its signals may differ in length.
     """
-    n = 0
-    wrong = 0
-    for X, y in signal_chunks(samples):
+    from .datasets import LabeledDataset  # datasets imports this module
+
+    if isinstance(samples, LabeledDataset):
+        y = samples.y
+        sat = batch_robustness(samples.X, formula) > 0.0 if len(y) else None
+    else:
+        pairs = list(samples)
+        y = np.array([label for _, label in pairs], dtype=np.int64)
         bad = y[(y != 1) & (y != -1)]
         if bad.size:
             raise ValueError(f"labels must be +1 or -1, got {bad[0]}")
-        sat = batch_robustness(X, formula) > 0.0
-        wrong += int(np.count_nonzero(sat != (y == 1)))
-        n += len(y)
-    if n == 0:
+        sat = np.array([satisfies(sig, formula) for sig, _ in pairs])
+    if not len(y):
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
-    return wrong / n
+    return int(np.count_nonzero(sat != (y == 1))) / len(y)
 
 
 # ---------------------------------------------------------------------------

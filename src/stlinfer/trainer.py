@@ -45,7 +45,6 @@ from .stl import (
     atom_matrix,
     dnf,
     format_formula,
-    signal_chunks,
 )
 
 __all__ = [
@@ -260,7 +259,7 @@ def init_params(
     signed axis values; windows start full; gates start near 0.5."""
     b = np.empty(shape.k)
     for j, slot in enumerate(shape.slots):
-        pooled = np.concatenate([slot.sign * sig.values[:, slot.axis] for sig, _ in data])
+        pooled = slot.sign * data.X[:, :, slot.axis].ravel()
         lo, hi = np.percentile(pooled, [10.0, 90.0])
         b[j] = rng.uniform(lo, hi)
     t1 = np.zeros(shape.k)
@@ -295,9 +294,7 @@ def formula_from_gates(params: ModelParams, shape: NetworkShape, gates: np.ndarr
     seen = set()
     for i in range(gates.shape[0]):
         row = tuple(int(g > 0) for g in gates[i])
-        if not any(row):
-            continue
-        if row in seen:
+        if not any(row) or row in seen:
             continue
         seen.add(row)
         clauses.append([atoms[j] for j in range(shape.k) if row[j]])
@@ -341,21 +338,17 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     boolean reduction over the matrix of failing atoms: one row per
     sample, one column per slot the extracted formula uses.
     """
+    if not len(data):
+        raise ValueError("cannot simplify against an empty dataset")
     gates = (params.M >= 0.5).astype(np.float64)
     # Pruning only closes gates, so only the extracted formula's atoms are
     # ever read; a closed slot's window need not even fit the signals.
     used = np.flatnonzero(gates.any(axis=0))
-    atoms = _slot_atoms(params, shape)
-    fails, positive = [], []
-    for X, y in signal_chunks(data):
-        fails.append(atom_matrix(X, [atoms[j] for j in used]) <= 0.0)
-        positive.append(y == 1)
-    if not fails:
-        raise ValueError("cannot simplify against an empty dataset")
     if not used.size:
         raise EmptyFormulaError("every gate is closed; nothing to simplify")
-    fails = np.concatenate(fails)
-    positive = np.concatenate(positive)
+    atoms = _slot_atoms(params, shape)
+    fails = atom_matrix(data.X, [atoms[j] for j in used]) <= 0.0
+    positive = data.y == 1
 
     def wrong_count(trial: np.ndarray) -> int:
         g = trial[:, used] > 0.0
@@ -426,12 +419,11 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     anyway), and DivergenceError naming the epoch, batch and quantity
     when a non-finite value shows up mid-training.
     """
-    samples = list(data)
-    if not samples:
+    if not len(data):
         raise ValueError("cannot train on an empty dataset")
-    labels = {label for _, label in samples}
-    if labels != {-1, 1}:
-        raise ValueError(f"training data must contain both classes, got labels {sorted(labels)}")
+    labels = np.unique(data.y).tolist()
+    if labels != [-1, 1]:
+        raise ValueError(f"training data must contain both classes, got labels {labels}")
     length, dim = data.length, data.dim
     if cfg.epochs < 1 or cfg.batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
@@ -464,9 +456,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         clip=cfg.grad_clip,
     )
 
-    n = len(samples)
-    X = np.stack([sig.values for sig, _ in samples])
-    y = np.array([label for _, label in samples])
+    n, X, y = len(data), data.X, data.y
     losses: List[float] = []
     train_mcr: List[float] = []
     epoch_seconds: List[float] = []

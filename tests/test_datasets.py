@@ -5,6 +5,7 @@ sits, and that the CSV round trip is lossless."""
 import numpy as np
 import pytest
 
+from stlinfer import datasets
 from stlinfer.datasets import (
     DrivingBehavior,
     DrivingConfig,
@@ -67,7 +68,7 @@ def test_gen_driving_shapes_and_determinism():
     for (a, _), (b, _) in zip(data, again):
         assert np.array_equal(a.values, b.values)
     other = gen_driving(DrivingBehavior.GO_FORWARD, 1, 40, seed=1)
-    assert not np.array_equal(other.samples[0][0].values, data.samples[0][0].values)
+    assert not np.array_equal(other.X[0], data.X[0])
 
 
 def test_gen_driving_pair_layout():
@@ -131,13 +132,11 @@ def test_naval_determinism_and_validation():
 def test_labeled_dataset_validation():
     sig = Signal(np.zeros((4, 1)))
     with pytest.raises(ValueError, match="label"):
-        LabeledDataset([(sig, 0)])
-    mixed = LabeledDataset([(sig, 1), (Signal(np.zeros((5, 1))), -1)])
+        LabeledDataset.from_samples([(sig, 0)])
     with pytest.raises(ValueError, match="disagree on length"):
-        mixed.length
-    widened = LabeledDataset([(sig, 1), (Signal(np.zeros((4, 2))), -1)])
+        LabeledDataset.from_samples([(sig, 1), (Signal(np.zeros((5, 1))), -1)])
     with pytest.raises(ValueError, match="disagree on dimension"):
-        widened.dim
+        LabeledDataset.from_samples([(sig, 1), (Signal(np.zeros((4, 2))), -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def test_csv_round_trip_is_lossless(tmp_path, tiny_naval):
 
 def test_csv_save_refuses_empty(tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        save_csv(LabeledDataset([]), tmp_path / "x.csv")
+        save_csv(LabeledDataset.from_samples([]), tmp_path / "x.csv")
 
 
 def test_csv_load_errors_carry_line_numbers(tmp_path):
@@ -202,3 +201,160 @@ def test_csv_load_names_the_line_of_a_non_finite_value(tmp_path, bad):
     path.write_text(f"label,1,2\n1,1.0,2.0\n-1,{bad},2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":3: signal values must be finite"):
         load_csv(path)
+
+
+def test_csv_load_counts_blank_lines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("label,1,2\n1,0.5,0.5\n\n1,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":4: expected 3 fields, got 2"):
+        load_csv(path)
+    path.write_text("\nlabel,1,2\n\n\n-1,0.5,oops\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":5: could not convert string to float: 'oops'"):
+        load_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the one-call parse against the per-line parse
+
+
+def per_line_parse(text: str):
+    """Reference reader: Python int() and float() on every field."""
+    rows = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()][1:]
+    labels = [int(ln.split(",")[0]) for ln in rows]
+    values = [[float(f) for f in ln.split(",")[1:]] for ln in rows]
+    return np.array(values), np.array(labels)
+
+
+def assert_loads_like_per_line(path, text: str, length: int, dim: int):
+    data = load_csv(path)
+    values, labels = per_line_parse(text)
+    assert data.X.shape == (len(labels), length, dim)
+    assert data.X.reshape(len(labels), -1).tobytes() == values.tobytes()
+    assert data.y.tolist() == labels.tolist()
+
+
+def test_csv_bit_patterns_round_trip(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=(40, 6, 2), dtype=np.uint64, endpoint=False)
+    X = bits.view(np.float64).copy()
+    X[~np.isfinite(X)] = 1.0
+    fi = np.finfo(np.float64)
+    special = [fi.max, -fi.max, fi.tiny, -fi.tiny, fi.smallest_subnormal, -fi.smallest_subnormal,
+               2.5e-310, -0.0, 0.0, 1.0 / 3.0]
+    X[0].flat[: len(special)] = special
+    data = LabeledDataset(X, np.where(rng.random(40) < 0.5, 1, -1))
+    path = tmp_path / "bits.csv"
+    save_csv(data, path)
+    monkeypatch.setattr(datasets, "_parse_rows", None)  # the one-call parse reads it all
+    back = load_csv(path)
+    assert back.X.tobytes() == data.X.tobytes()
+    assert back.y.tolist() == data.y.tolist()
+    assert_loads_like_per_line(path, path.read_text(encoding="utf-8"), 6, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "label,1,2\n 1 , 0.5 ,-2.25e-3\n-1,\t1e300, 7 \n",  # spaces around fields
+        "label,1,2\n+1,0.5,0.25\n-1,1,2\n",  # a '+1' label
+        "label,1,2\r\n1,0.5,0.25\r\n-1,1,2\r\n",  # CRLF line endings
+        "label,2,1\n-1,0.5,0.25\n",  # a single data row
+        "label,1,2\n1,0.5,0.25\n-1,1,2\n\n\n  \n",  # trailing blank lines
+    ],
+)
+def test_csv_one_call_parse_reads_like_the_per_line_parse(tmp_path, monkeypatch, text):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    dim, length = (int(v) for v in text.split("\n", 1)[0].strip().split(",")[1:])
+    # these inputs must not need the per-line pass
+    monkeypatch.setattr(datasets, "_parse_rows", None)
+    assert_loads_like_per_line(path, text, length, dim)
+
+
+def test_csv_per_line_pass_reads_what_float_reads(tmp_path):
+    # float() accepts '1_0', np.loadtxt does not: the per-line pass reads it
+    text = "label,1,2\n1,1_0,0.5\n-1,1,2\n"
+    path = tmp_path / "x.csv"
+    path.write_text(text, encoding="utf-8")
+    assert_loads_like_per_line(path, text, 2, 1)
+    assert load_csv(path).X[0, 0, 0] == 10.0
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.0,0.5,0.5", ":3: invalid literal for int() with base 10: '1.0'"),
+        ("-1,nan,0.5", ":3: signal values must be finite"),
+        ("-1,0.5,-inf", ":3: signal values must be finite"),
+        ("-1,0.5", ":3: expected 3 fields, got 2"),
+        ("-1,0.5,0.5,", ":3: expected 3 fields, got 4"),
+    ],
+)
+def test_csv_errors_keep_their_text(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,1,2\n1,0.5,0.5\n{row}\n1,0.5,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+# ---------------------------------------------------------------------------
+# dense layout
+
+
+@pytest.mark.parametrize("scenario", ["naval", "driving"])
+def test_csv_round_trip_keeps_the_dense_arrays(tmp_path, scenario):
+    if scenario == "naval":
+        data = gen_naval(40, seed=3)
+    else:
+        data = gen_driving_pair(DrivingBehavior.GO_FORWARD, DrivingBehavior.STOP_AND_GO, 20, seed=3)
+    path = tmp_path / "x.csv"
+    save_csv(data, path)
+    back = load_csv(path)
+    assert back.X.dtype == np.float64 and back.X.shape == data.X.shape
+    assert back.X.tobytes() == data.X.tobytes()
+    assert back.y.dtype == np.int64 and back.y.tolist() == data.y.tolist()
+
+
+def test_iteration_yields_signals_and_int_labels(tiny_naval):
+    pairs = list(tiny_naval)
+    assert len(pairs) == len(tiny_naval) == tiny_naval.X.shape[0]
+    for i, (sig, label) in enumerate(pairs):
+        assert isinstance(sig, Signal) and type(label) is int
+        assert sig.values.tobytes() == tiny_naval.X[i].tobytes()
+        assert label == tiny_naval.y[i]
+    again = LabeledDataset.from_samples(pairs)
+    assert again.X.tobytes() == tiny_naval.X.tobytes()
+    assert again.labels().tolist() == tiny_naval.labels().tolist()
+
+
+def test_dense_dataset_checks_its_arrays():
+    with pytest.raises(ValueError, match=r"expected X \(N, L, D\) and y \(N,\)"):
+        LabeledDataset(np.zeros((3, 4)), np.ones(3))
+    with pytest.raises(ValueError, match=r"expected X \(N, L, D\) and y \(N,\)"):
+        LabeledDataset(np.zeros((3, 4, 1)), np.ones(2))
+    with pytest.raises(ValueError, match="sample 1: label must be"):
+        LabeledDataset(np.zeros((3, 4, 1)), np.array([1, 2, -1]))
+    X = np.zeros((3, 4, 1))
+    X[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        LabeledDataset(X, np.ones(3))
+
+
+def test_empty_dataset_errors_keep_their_messages(tmp_path):
+    from stlinfer.network import NetworkShape, ModelParams
+    from stlinfer.trainer import TrainConfig, simplify, train
+
+    empty = LabeledDataset.from_samples([])
+    assert len(empty) == 0
+    with pytest.raises(ValueError) as err:
+        save_csv(empty, tmp_path / "x.csv")
+    assert str(err.value) == "refusing to save an empty dataset"
+    with pytest.raises(ValueError) as err:
+        train(empty, TrainConfig(epochs=1))
+    assert str(err.value) == "cannot train on an empty dataset"
+    shape = NetworkShape.cycled(1, m=1)
+    params = ModelParams(np.zeros(4), np.zeros(4), np.ones(4), np.ones((1, 4)))
+    with pytest.raises(ValueError) as err:
+        simplify(params, shape, empty)
+    assert str(err.value) == "cannot simplify against an empty dataset"

@@ -34,7 +34,7 @@ def random_snapped_model(rng):
         (Signal(rng.uniform(-4, 4, (length, dim))), int(rng.choice([-1, 1])))
         for _ in range(15)
     ]
-    return params, shape, length, LabeledDataset(samples)
+    return params, shape, length, LabeledDataset.from_samples(samples)
 
 
 def test_snapped_network_matches_formula_mcr():

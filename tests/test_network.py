@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from stlinfer.network import (
+    CHUNK,
     ActivationParams,
     EmptyFormulaError,
     EmptySelectionError,
@@ -31,7 +32,7 @@ from stlinfer.network import (
     sparse_softmin_value,
     time_indicator_values,
 )
-from stlinfer.stl import CHUNK, Predicate, Signal, TemporalAtom, TemporalOp, robustness
+from stlinfer.stl import Predicate, Signal, TemporalAtom, TemporalOp, robustness
 from util import (
     naive_network_output,
     selected_softmax_oracle,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlinfer.stl import (
-    CHUNK,
     And,
     IntervalError,
     Not,
@@ -27,7 +26,6 @@ from stlinfer.stl import (
     parse_formula,
     robustness,
     satisfies,
-    signal_chunks,
 )
 from util import random_dnf, random_propositional, random_signal
 
@@ -376,17 +374,6 @@ def test_batch_robustness_equals_recursive_bitwise(seed, depth, coarse, short):
         assert str(got.value) == str(e)
         return
     assert batch_robustness(X, f).tobytes() == want.tobytes()
-
-
-def test_signal_chunks_split_on_size_and_shape():
-    sigs = [const_signal(i, 3) for i in range(CHUNK + 2)]
-    sigs += [const_signal(9.0, 5), const_signal(8.0, 5), const_signal(1.0, 3)]
-    samples = [(s, 1 if i % 2 else -1) for i, s in enumerate(sigs)]
-    chunks = list(signal_chunks(samples))
-    assert [X.shape for X, _ in chunks] == [(CHUNK, 3, 1), (2, 3, 1), (2, 5, 1), (1, 3, 1)]
-    labels = np.concatenate([y for _, y in chunks])
-    assert labels.tolist() == [label for _, label in samples]
-    assert np.array_equal(np.concatenate([X[:, 0, 0] for X, _ in chunks[:2]]), np.arange(CHUNK + 2))
 
 
 def test_mcr_on_mixed_lengths_matches_per_sample_satisfaction():

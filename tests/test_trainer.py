@@ -5,6 +5,7 @@ hand-built parameter matrices, plus the training-loop contracts
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,14 +32,17 @@ from stlinfer.trainer import (
     simplify,
     train,
 )
+from test_acceptance import DRIVING_SETUPS, NAVAL_CONFIG
 from util import simplify_oracle
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def const_set(values_and_labels, length=3):
     samples = [
         (Signal(np.full((length, 1), float(v))), label) for v, label in values_and_labels
     ]
-    return LabeledDataset(samples)
+    return LabeledDataset.from_samples(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def test_simplify_never_increases_training_mcr():
             (Signal(rng.uniform(-4, 4, (length, dim))), int(rng.choice([-1, 1])))
             for _ in range(12)
         ]
-        data = LabeledDataset(samples)
+        data = LabeledDataset.from_samples(samples)
         before = mcr(data, extract_formula(params, shape))
         after = mcr(data, formula_from_gates(params, shape, simplify(params, shape, data)))
         assert after <= before
@@ -294,7 +298,7 @@ def test_simplify_matches_the_per_sample_oracle(tiny_driving_pair):
         if checked % 2:  # integral values and offsets: robustness exactly 0 occurs
             b, values = np.round(b), np.round(values)
         params = ModelParams(b, t1, t2, M)
-        data = LabeledDataset([(Signal(v), int(rng.choice([-1, 1]))) for v in values])
+        data = LabeledDataset.from_samples([(Signal(v), int(rng.choice([-1, 1]))) for v in values])
         assert simplify(params, shape, data).tolist() == simplify_oracle(params, shape, data).tolist()
         checked += 1
     report = train(tiny_driving_pair, small_cfg(epochs=2))
@@ -306,7 +310,7 @@ def test_simplify_rejects_empty_inputs():
     shape = NetworkShape.cycled(1, m=1)
     params = _params_for_extraction(np.array([[0.1, 0.1, 0.1, 0.1]]))
     with pytest.raises(ValueError, match="empty dataset"):
-        simplify(params, shape, LabeledDataset([]))
+        simplify(params, shape, LabeledDataset.from_samples([]))
     with pytest.raises(EmptyFormulaError):
         simplify(params, shape, const_set([(1.0, 1), (0.0, -1)]))
 
@@ -352,8 +356,8 @@ def test_gate_sampling_is_seeded(tiny_driving_pair):
 
 def test_train_validations(tiny_driving_pair):
     with pytest.raises(ValueError, match="empty"):
-        train(LabeledDataset([]), small_cfg())
-    pos_only = LabeledDataset([(sig, 1) for sig, _ in list(tiny_driving_pair)[:4]])
+        train(LabeledDataset.from_samples([]), small_cfg())
+    pos_only = LabeledDataset.from_samples([(sig, 1) for sig, _ in list(tiny_driving_pair)[:4]])
     with pytest.raises(ValueError, match="both classes"):
         train(pos_only, small_cfg())
     with pytest.raises(ValueError, match="epochs"):
@@ -394,7 +398,7 @@ def test_plain_gradient_descent_runs(tiny_driving_pair):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_aborts_with_epoch(tiny_driving_pair):
     samples = list(tiny_driving_pair)
-    data = LabeledDataset(samples[:5] + samples[-5:])
+    data = LabeledDataset.from_samples(samples[:5] + samples[-5:])
     cfg = small_cfg(epochs=3, batch_size=64, lr=1e120, lr_gates=1e120,
                     optimizer="gd", grad_clip=0.0)
     with pytest.raises(DivergenceError, match="diverged at epoch 1, batch 0: non-finite loss of sample"):
@@ -433,6 +437,13 @@ def test_config_file_round_trip(tmp_path):
         epochs=3, batch_size=10, lr=0.25, gate_sampling=True,
         optimizer="gd", seed=9, beta_hold=0.75,
     )
+
+
+def test_checked_in_configs_are_the_acceptance_configs():
+    # configs/*.cfg are the documented way to rerun the acceptance trainings
+    assert TrainConfig.from_file(CONFIGS / "overtake.cfg") == DRIVING_SETUPS["GoForward-vs-Overtake"][1]
+    assert TrainConfig.from_file(CONFIGS / "stopgo.cfg") == DRIVING_SETUPS["GoForward-vs-StopAndGo"][1]
+    assert TrainConfig.from_file(CONFIGS / "naval.cfg") == NAVAL_CONFIG
 
 
 def test_config_file_errors(tmp_path):
