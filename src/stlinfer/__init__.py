@@ -19,7 +19,6 @@ from .stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
-    batch_robustness,
     count_atoms,
     dnf,
     dnf_clauses,
@@ -27,6 +26,7 @@ from .stl import (
     mcr,
     parse_formula,
     robustness,
+    satisfied,
     satisfies,
 )
 from .network import (

@@ -18,7 +18,7 @@ from .datasets import (
 from .evaluate import emit_report, load_model, network_mcr, sign_agreement
 from .network import ActivationParams, soundness_bound_check, soundness_bound_text
 from .stl import mcr, parse_formula
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, extract_formula, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,7 +123,14 @@ def _cmd_eval(args) -> int:
         params, shape, p = load_model(args.model)
         print(f"network_mcr={network_mcr(params, shape, p, data)!r}")
         if formula is not None:
+            # a user formula, e.g. the pruned one: no agreement is guaranteed
             print(f"sign_agreement={sign_agreement(params, shape, p, formula, data)!r}")
+        # the guaranteed pair: snapped parameters and the formula train extracted
+        extracted = extract_formula(params, shape)
+        agreement = sign_agreement(params.snapped(), shape, p, extracted, data)
+        print(f"extracted_sign_agreement={agreement!r}")
+        if agreement < 1.0:
+            raise ValueError("the snapped network and its extracted formula disagree in sign")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Model and formula evaluation plus report emission.
 
-The network predicts the positive class when its output is strictly
-positive; an output of exactly 0 counts as a negative prediction, the
-same convention exact robustness uses for satisfaction.  Signals of
-any other iterable than a LabeledDataset may differ in length.
+The evaluators take a LabeledDataset and read its X and y.  The network
+predicts the positive class when its output is strictly positive; an
+output of exactly 0 counts as a negative prediction, the same convention
+exact robustness uses for satisfaction.  The formula's verdicts come from
+`stl.satisfied`, the one exact evaluator.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .datasets import LabeledDataset
 from .network import ActivationParams, ModelParams, NetworkShape, SlotSpec, network_outputs
-from .stl import Formula, Signal, TemporalOp, batch_robustness, satisfies
+from .stl import Formula, TemporalOp, satisfied
 from .trainer import TrainReport
 
 __all__ = [
@@ -28,34 +29,17 @@ __all__ = [
 ]
 
 
-def _predictions(params, shape, p, samples, formula=None):
-    """Labels, the network's verdicts (output > 0) and, given a formula,
-    its verdicts (robustness > 0): batched over the X of a LabeledDataset,
-    one signal at a time for any other iterable of (Signal, label)."""
-    if isinstance(samples, LabeledDataset):
-        if not len(samples):
-            return samples.y, None, None
-        net = network_outputs(samples.X, params, shape, p) > 0.0
-        sat = None if formula is None else batch_robustness(samples.X, formula) > 0.0
-        return samples.y, net, sat
-    pairs = list(samples)
-    y = np.array([label for _, label in pairs])
-    net = np.array([network_outputs(s.values[None], params, shape, p)[0] > 0.0 for s, _ in pairs])
-    sat = None if formula is None else np.array([satisfies(s, formula) for s, _ in pairs])
-    return y, net, sat
-
-
 def network_mcr(
     params: ModelParams,
     shape: NetworkShape,
     p: ActivationParams,
-    samples: Iterable[Tuple[Signal, int]],
+    data: LabeledDataset,
 ) -> float:
     """Misclassification rate of the network's output sign."""
-    y, net, _ = _predictions(params, shape, p, samples)
-    if not len(y):
+    if not len(data):
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
-    return int(np.count_nonzero(net != (y == 1))) / len(y)
+    net = network_outputs(data.X, params, shape, p) > 0.0
+    return int(np.count_nonzero(net != (data.y == 1))) / len(data)
 
 
 def sign_agreement(
@@ -63,7 +47,7 @@ def sign_agreement(
     shape: NetworkShape,
     p: ActivationParams,
     formula: Formula,
-    samples: Iterable[Tuple[Signal, int]],
+    data: LabeledDataset,
 ) -> float:
     """Fraction of samples where the network's output sign matches the
     formula's exact robustness sign.
@@ -71,10 +55,10 @@ def sign_agreement(
     With snapped parameters (integral windows, binary gates, slope <= 1)
     and activation parameters passing the soundness bound this is 1.0.
     """
-    y, net, sat = _predictions(params, shape, p, samples, formula)
-    if not len(y):
+    if not len(data):
         raise ValueError("cannot compute sign agreement on an empty dataset")
-    return int(np.count_nonzero(net == sat)) / len(y)
+    net = network_outputs(data.X, params, shape, p) > 0.0
+    return int(np.count_nonzero(net == satisfied(data.X, formula))) / len(data)
 
 
 def emit_report(report: TrainReport, outdir: Union[str, Path]) -> dict:
@@ -105,8 +89,9 @@ def emit_report(report: TrainReport, outdir: Union[str, Path]) -> dict:
 def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, ActivationParams]:
     """Read back the parameters, shape and activation from a report.json.
 
-    JSON as Python reads it admits NaN and Infinity; a non-finite
-    parameter or activation value is refused with its field named.
+    A parameter whose shape disagrees with the network shape, and a
+    non-finite parameter or activation value (JSON as Python reads it
+    admits NaN and Infinity), is refused with its field named.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
@@ -116,17 +101,22 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
             ),
             m=int(payload["shape"]["m"]),
         )
-        params = ModelParams(
-            np.array(payload["params"]["b"], dtype=np.float64),
-            np.array(payload["params"]["t1"], dtype=np.float64),
-            np.array(payload["params"]["t2"], dtype=np.float64),
-            np.array(payload["params"]["M"], dtype=np.float64),
-        )
+        arrays = {
+            name: np.array(payload["params"][name], dtype=np.float64)
+            for name in ("b", "t1", "t2", "M")
+        }
         act = {name: float(payload["activation"][name]) for name in ("beta", "h", "eps", "slope")}
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: not a valid model report: {e}") from None
-    for name in ("b", "t1", "t2", "M"):
-        if not np.isfinite(getattr(params, name)).all():
+    k, m = shape.k, shape.m
+    want = {"b": (k,), "t1": (k,), "t2": (k,), "M": (m, k)}
+    for name, array in arrays.items():
+        if array.shape != want[name]:
+            raise ValueError(
+                f"{path}: params.{name}: shape {array.shape} does not match the "
+                f"network shape's {want[name]} (k={k} slots, m={m} rows)"
+            )
+        if not np.isfinite(array).all():
             raise ValueError(f"{path}: params.{name}: values must be finite")
     for name, value in act.items():
         if not math.isfinite(value):
@@ -135,4 +125,4 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
         p = ActivationParams(**act)
     except ValueError as e:
         raise ValueError(f"{path}: not a valid model report: {e}") from None
-    return params, shape, p
+    return ModelParams(**arrays), shape, p

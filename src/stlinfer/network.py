@@ -110,6 +110,12 @@ class SlotSpec:
     sign: int
     op: TemporalOp
 
+    def __post_init__(self):
+        if self.sign not in (-1, 1):
+            raise ValueError(f"slot sign must be +1 or -1, got {self.sign}")
+        if self.axis < 0:
+            raise ValueError(f"slot axis must be nonnegative, got {self.axis}")
+
 
 @dataclass(frozen=True)
 class NetworkShape:
@@ -402,8 +408,9 @@ def network_pass(
     eventually-slots.  Each live row of the binary gate matrix (by default
     M thresholded at 0.5) pools the slot outputs with a softmin, and a
     softmax over the live rows gives the output.  Raises NonFiniteError
-    naming a non-finite parameter, EmptySelectionError for an empty
-    window and EmptyFormulaError when every gate row is closed.
+    naming a non-finite parameter, ValueError naming a slot whose axis the
+    data lacks, EmptySelectionError for an empty window and
+    EmptyFormulaError when every gate row is closed.
     """
     X = np.asarray(X, dtype=np.float64)
     bad = non_finite_entry({"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M})
@@ -411,6 +418,9 @@ def network_pass(
         raise NonFiniteError(f"non-finite parameter {bad}")
     if gates is None:
         gates = (params.M >= 0.5).astype(np.float64)
+    for j, slot in enumerate(shape.slots):
+        if slot.axis >= X.shape[2]:
+            raise ValueError(f"slot {j} reads axis {slot.axis}, but the data has dim {X.shape[2]}")
     windows = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
     axes = [slot.axis for slot in shape.slots]
     signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)

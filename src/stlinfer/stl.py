@@ -16,9 +16,11 @@ operators take the extremum of the child robustness over the shifted
 window.  A signal satisfies a formula iff its robustness at time 0 is
 strictly positive; robustness exactly 0 counts as a violation.
 
-`robustness` is the recursive reference on one signal.  `batch_robustness`
-evaluates stacked signals (n, length, dim) and gives the same values bit
-for bit; `mcr` uses it on the X of a LabeledDataset.
+`robustness` is the recursive reference on one signal.  `satisfied` is
+the batched verdict (robustness > 0) on signals (n, length, dim): a DNF
+over windowed predicate atoms holds iff some clause has all its atoms
+positive (`atom_matrix` > 0 fed into `clauses_hold`); any other tree goes
+through `satisfies` one signal at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +46,8 @@ __all__ = [
     "robustness",
     "satisfies",
     "atom_matrix",
-    "batch_robustness",
+    "clauses_hold",
+    "satisfied",
     "mcr",
     "format_formula",
     "parse_formula",
@@ -222,12 +225,16 @@ def atom_matrix(X: np.ndarray, atoms: Sequence[TemporalAtom]) -> np.ndarray:
     X has shape (n, length, dim); column j of the (n, len(atoms)) result
     holds atom j, whose child must be a Predicate.  The arithmetic is
     robustness()'s own, so every entry equals it bit for bit.  All windows
-    are checked before any is evaluated.
+    and axes are checked before any atom is evaluated.
     """
-    length = X.shape[1]
+    _, length, dim = X.shape
     for atom in atoms:
         if atom.t2 > length - 1:
             raise IntervalError(_window_outside(atom, 0, length))
+        if atom.child.axis >= dim:
+            raise IntervalError(
+                f"{format_formula(atom)} reads axis {atom.child.axis}, but the data has dim {dim}"
+            )
     A = np.empty((X.shape[0], len(atoms)), dtype=np.float64)
     for j, atom in enumerate(atoms):
         pred = atom.child
@@ -236,66 +243,50 @@ def atom_matrix(X: np.ndarray, atoms: Sequence[TemporalAtom]) -> np.ndarray:
     return A
 
 
-def _predicate_clauses(f: Formula) -> Optional[Tuple[Tuple[TemporalAtom, ...], ...]]:
-    """The clauses of a DNF over windowed predicate atoms, else None."""
-    try:
-        clauses = dnf_clauses(f)
-    except ValueError:
-        return None
-    if all(isinstance(atom.child, Predicate) for clause in clauses for atom in clause):
-        return clauses
-    return None
+def clauses_hold(holds: np.ndarray, use: np.ndarray) -> np.ndarray:
+    """Verdict of a DNF on each sample, from which atoms hold.
+
+    holds (n, atoms) marks the atoms with positive robustness on each
+    sample; use (clauses, atoms) marks the atoms each clause conjoins.
+    Sample i satisfies the DNF iff some non-empty clause has every atom it
+    uses holding.  Robustness 0 of either sign does not hold, so no tie
+    rule is needed.
+    """
+    return ((holds[:, None, :] | ~use).all(axis=2) & use.any(axis=1)).any(axis=1)
 
 
-def batch_robustness(X: np.ndarray, formula: Formula) -> np.ndarray:
-    """Exact robustness at time 0 of `formula` on every signal of X
-    (n, length, dim); equals robustness() bit for bit.
+def satisfied(X: np.ndarray, formula: Formula) -> np.ndarray:
+    """Strict satisfaction of `formula` by every signal of X (n, length,
+    dim); equals satisfies() on each signal.
 
     A DNF over windowed predicate atoms, which is what training extracts
-    and the text grammar prints, runs on the atom matrix: a clause is the
-    min over its atoms, the formula the max over its clauses.  Both fold
-    in robustness()'s order with its tie rule (the first extremum wins),
-    so even the sign of a zero matches.  Any other tree falls back to
-    robustness() on each signal.
+    and the text grammar prints, runs on the atom matrix.  Any other tree,
+    such as G[0,5](x0 > 1 & x1 < 2), falls back to satisfies() on each
+    signal.
     """
-    clauses = _predicate_clauses(formula)
-    if clauses is None:
-        return np.array([robustness(Signal(x), formula) for x in X], dtype=np.float64)
-    A = atom_matrix(X, [atom for clause in clauses for atom in clause])
-    out = None
-    col = 0
-    for clause in clauses:
-        conj = A[:, col]
-        for j in range(col + 1, col + len(clause)):
-            conj = np.where(A[:, j] < conj, A[:, j], conj)
-        col += len(clause)
-        out = conj if out is None else np.where(conj > out, conj, out)
-    return out
+    try:
+        clauses = dnf_clauses(formula)
+    except ValueError:
+        clauses = ()
+    atoms = [atom for clause in clauses for atom in clause]
+    if not atoms or not all(isinstance(atom.child, Predicate) for atom in atoms):
+        return np.array([satisfies(Signal(x), formula) for x in X], dtype=bool)
+    # use[c, j]: atom j belongs to clause c
+    owner = np.repeat(np.arange(len(clauses)), [len(clause) for clause in clauses])
+    use = owner == np.arange(len(clauses))[:, None]
+    return clauses_hold(atom_matrix(X, atoms) > 0.0, use)
 
 
-def mcr(samples: Iterable[Tuple[Signal, int]], formula: Formula) -> float:
-    """Misclassification rate of a formula used as a binary classifier.
+def mcr(data, formula: Formula) -> float:
+    """Misclassification rate of a formula used as a binary classifier on
+    the X and y of a LabeledDataset.
 
-    A sample (s, y) with y in {-1, +1} is misclassified when y = +1 and s
-    does not satisfy the formula, or y = -1 and s does.  Any iterable of
-    (Signal, label) other than a LabeledDataset goes through satisfies(),
-    one signal at a time, so its signals may differ in length.
+    A sample (x, y) with y in {-1, +1} is misclassified when y = +1 and x
+    does not satisfy the formula, or y = -1 and x does.
     """
-    from .datasets import LabeledDataset  # datasets imports this module
-
-    if isinstance(samples, LabeledDataset):
-        y = samples.y
-        sat = batch_robustness(samples.X, formula) > 0.0 if len(y) else None
-    else:
-        pairs = list(samples)
-        y = np.array([label for _, label in pairs], dtype=np.int64)
-        bad = y[(y != 1) & (y != -1)]
-        if bad.size:
-            raise ValueError(f"labels must be +1 or -1, got {bad[0]}")
-        sat = np.array([satisfies(sig, formula) for sig, _ in pairs])
-    if not len(y):
+    if not len(data.y):
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
-    return int(np.count_nonzero(sat != (y == 1))) / len(y)
+    return int(np.count_nonzero(satisfied(data.X, formula) != (data.y == 1))) / len(data.y)
 
 
 # ---------------------------------------------------------------------------

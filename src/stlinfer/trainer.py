@@ -43,6 +43,7 @@ from .stl import (
     Predicate,
     TemporalAtom,
     atom_matrix,
+    clauses_hold,
     dnf,
     format_formula,
 )
@@ -333,10 +334,10 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     reach.  A removal that would close every gate is skipped, since an
     empty matrix encodes no formula.  Returns the pruned binary matrix.
 
-    The exact robustness of each slot atom is computed once.  A formula
-    holds iff some clause has all its atoms positive, so every trial is a
-    boolean reduction over the matrix of failing atoms: one row per
-    sample, one column per slot the extracted formula uses.
+    The exact robustness of each slot atom is computed once, and every
+    trial is `clauses_hold` over the matrix of holding atoms (one row per
+    sample, one column per slot the extracted formula uses) with the
+    trial's gate rows as clauses.
     """
     if not len(data):
         raise ValueError("cannot simplify against an empty dataset")
@@ -347,13 +348,11 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     if not used.size:
         raise EmptyFormulaError("every gate is closed; nothing to simplify")
     atoms = _slot_atoms(params, shape)
-    fails = atom_matrix(data.X, [atoms[j] for j in used]) <= 0.0
+    holds = atom_matrix(data.X, [atoms[j] for j in used]) > 0.0
     positive = data.y == 1
 
     def wrong_count(trial: np.ndarray) -> int:
-        g = trial[:, used] > 0.0
-        clause_holds = ~(fails[:, None, :] & g).any(axis=2) & g.any(axis=1)
-        return int(np.count_nonzero(clause_holds.any(axis=1) != positive))
+        return int(np.count_nonzero(clauses_hold(holds, trial[:, used] > 0.0) != positive))
 
     baseline = wrong_count(gates)
 

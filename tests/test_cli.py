@@ -3,10 +3,11 @@ printed lines, and the files left behind."""
 
 import json
 
+import numpy as np
 import pytest
 
 from stlinfer.cli import main
-from stlinfer.datasets import load_csv
+from stlinfer.datasets import LabeledDataset, load_csv, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,65 @@ def test_eval_model_and_agreement(cli_env, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "formula_mcr=" in out and "network_mcr=" in out and "sign_agreement=" in out
+    assert out.endswith("extracted_sign_agreement=1.0\n")
+
+
+def write_model(path, slots, b, t1, t2, M, slope=1.0):
+    """A report.json holding only what load_model reads."""
+    payload = {
+        "shape": {"m": len(M), "slots": slots},
+        "activation": {"beta": 25.0, "h": 1.0, "eps": 1e-8, "slope": slope},
+        "params": {"b": b, "t1": t1, "t2": t2, "M": M},
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def write_data(path, X, y):
+    save_csv(LabeledDataset(np.asarray(X, dtype=np.float64), np.asarray(y)), path)
+
+
+def test_eval_reports_the_user_formula_and_the_extracted_pair(tmp_path, capsys):
+    # extracted: (F[0,3](x0 > 0)) | (G[0,3](x0 < 0)); the user formula
+    # keeps only the first clause, which an all-negative signal fails
+    model, csv = tmp_path / "report.json", tmp_path / "data.csv"
+    write_model(model, [[0, 1, "F"], [0, -1, "G"]], [0.0, 0.0], [0.0, 0.0], [3.0, 3.0],
+                [[1.0, 0.0], [0.0, 1.0]])
+    write_data(csv, [np.full((4, 1), -1.0), np.full((4, 1), 1.0)], [1, 1])
+    rc = main(["eval", "--data", str(csv), "--model", str(model), "--formula", "F[0,3](x0 > 0)"])
+    assert rc == 0
+    assert capsys.readouterr().out.split() == [
+        "formula_mcr=0.5",
+        "network_mcr=0.0",
+        "sign_agreement=0.5",
+        "extracted_sign_agreement=1.0",
+    ]
+
+
+def test_eval_fails_when_the_extracted_pair_disagrees(tmp_path, capsys):
+    # test_network.py::test_wide_slope_breaks_sign_agreement as a report:
+    # slope 2.5 lets the network read x[3], which F[4,8](x0 > 0) never reads
+    model, csv = tmp_path / "report.json", tmp_path / "data.csv"
+    write_model(model, [[0, 1, "F"]], [0.0], [4.0], [8.0], [[1.0]], slope=2.5)
+    x = np.full((12, 1), -1.0)
+    x[3] = 5.0
+    write_data(csv, [x], [-1])
+    rc = main(["eval", "--data", str(csv), "--model", str(model)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["network_mcr=1.0", "extracted_sign_agreement=0.0"]
+    assert captured.err == "error: the snapped network and its extracted formula disagree in sign\n"
+
+
+def test_eval_names_an_axis_beyond_the_data(cli_env, tmp_path, capsys):
+    csv, _, _ = cli_env
+    rc = main(["eval", "--data", str(csv), "--formula", "G[0,3](x5 > 0)"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: G[0,3](x5 > 0) reads axis 5, but the data has dim 2\n"
+    model = tmp_path / "report.json"
+    write_model(model, [[0, 1, "G"], [5, 1, "F"]], [0.0, 0.0], [0.0, 0.0], [3.0, 3.0], [[1.0, 1.0]])
+    rc = main(["eval", "--data", str(csv), "--model", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: slot 1 reads axis 5, but the data has dim 2\n"
 
 
 def test_eval_needs_formula_or_model(cli_env, capsys):

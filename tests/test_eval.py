@@ -56,31 +56,15 @@ def test_snapped_sign_agreement_is_total():
         assert sign_agreement(params, shape, p, formula, data) == 1.0
 
 
-def test_mixed_lengths_match_per_sample_evaluation():
-    rng = np.random.default_rng(10)
-    p = ActivationParams(beta=25.0, slope=1.0)
-    params, shape, length, _ = random_snapped_model(rng)
-    formula = extract_formula(params, shape)
-    dim = shape.slots[-1].axis + 1
-    samples = [
-        (Signal(rng.uniform(-4, 4, (int(rng.integers(length, length + 4)), dim))), int(rng.choice([-1, 1])))
-        for _ in range(30)
-    ]
-    outs = [network_output(s.values, params, shape, p) for s, _ in samples]
-    wrong = sum((o > 0.0) != (y == 1) for o, (_, y) in zip(outs, samples))
-    agree = sum((o > 0.0) == (robustness(s, formula) > 0.0) for o, (s, _) in zip(outs, samples))
-    assert network_mcr(params, shape, p, samples) == wrong / len(samples)
-    assert sign_agreement(params, shape, p, formula, samples) == agree / len(samples)
-
-
 def test_eval_rejects_empty_datasets():
     rng = np.random.default_rng(9)
     params, shape, _, _ = random_snapped_model(rng)
     p = ActivationParams()
+    empty = LabeledDataset.from_samples([])
     with pytest.raises(ValueError, match="empty dataset"):
-        network_mcr(params, shape, p, [])
+        network_mcr(params, shape, p, empty)
     with pytest.raises(ValueError, match="empty dataset"):
-        sign_agreement(params, shape, p, extract_formula(params, shape), [])
+        sign_agreement(params, shape, p, extract_formula(params, shape), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -153,4 +137,49 @@ def test_load_model_rejects_non_finite_values(tmp_path, trained, group, name, va
         payload[group][name][0] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {group}.{name}: ")):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda d: d["params"].update(b=d["params"]["b"][:1]),
+            "params.b: shape (1,) does not match the network shape's (8,)",
+            id="params.b",
+        ),
+        pytest.param(lambda d: d["params"]["t1"].pop(), "params.t1: shape (7,)", id="params.t1"),
+        pytest.param(lambda d: d["params"]["t2"].append(1.0), "params.t2: shape (9,)", id="params.t2"),
+        pytest.param(
+            lambda d: d["params"].update(M=[row[:1] for row in d["params"]["M"]]),
+            "params.M: shape (2, 1)",
+            id="params.M",
+        ),
+        pytest.param(
+            lambda d: d["shape"].update(m=3),
+            "params.M: shape (2, 8) does not match the network shape's (3, 8)",
+            id="shape.m",
+        ),
+        pytest.param(
+            lambda d: d["shape"]["slots"][0].__setitem__(1, 0),
+            "slot sign must be +1 or -1, got 0",
+            id="slot.sign",
+        ),
+        pytest.param(
+            lambda d: d["shape"]["slots"][0].__setitem__(0, -1),
+            "slot axis must be nonnegative, got -1",
+            id="slot.axis",
+        ),
+    ],
+)
+def test_load_model_refuses_parameters_that_disagree_with_the_shape(
+    tmp_path, trained, edit, message
+):
+    _, report = trained
+    assert (report.shape.k, report.shape.m) == (8, 2)
+    path = emit_report(report, tmp_path / "run")["report"]
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load_model(path)

@@ -332,6 +332,10 @@ def test_cycled_shape_validation():
         NetworkShape((), m=1)
     with pytest.raises(ValueError, match="conjunction row"):
         NetworkShape((SlotSpec(0, 1, TemporalOp.ALWAYS),), m=0)
+    with pytest.raises(ValueError, match="slot sign must be"):
+        SlotSpec(0, 0, TemporalOp.ALWAYS)
+    with pytest.raises(ValueError, match="slot axis must be nonnegative"):
+        SlotSpec(-1, 1, TemporalOp.ALWAYS)
 
 
 def test_model_params_validation_and_snapping():
@@ -491,6 +495,13 @@ def test_batched_forward_raises_named_errors():
         params = ModelParams(**{**good, **change})
         with pytest.raises(error, match=message):
             network_outputs(X, params, shape, P)
+
+
+def test_forward_names_a_slot_axis_beyond_the_data():
+    shape = NetworkShape.cycled(2, m=1)
+    params = ModelParams(np.zeros(8), np.zeros(8), np.full(8, 5.0), np.ones((1, 8)))
+    with pytest.raises(ValueError, match=r"^slot 2 reads axis 1, but the data has dim 1$"):
+        network_outputs(np.zeros((3, 6, 1)), params, shape, P)
 
 
 def test_time_indicator_matches_explicit_trapezoid():

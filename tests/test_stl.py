@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stlinfer.datasets import LabeledDataset
 from stlinfer.stl import (
     And,
     IntervalError,
@@ -17,7 +18,8 @@ from stlinfer.stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
-    batch_robustness,
+    atom_matrix,
+    clauses_hold,
     count_atoms,
     dnf,
     dnf_clauses,
@@ -25,6 +27,7 @@ from stlinfer.stl import (
     mcr,
     parse_formula,
     robustness,
+    satisfied,
     satisfies,
 )
 from util import random_dnf, random_propositional, random_signal
@@ -81,16 +84,16 @@ def test_satisfaction_is_strict():
 def test_mcr_all_correct_and_all_wrong():
     f = Predicate(0, 1, 0.0)
     pos, neg = const_signal(1.0, 3), const_signal(-1.0, 3)
-    assert mcr([(pos, 1), (neg, -1)], f) == 0.0
-    assert mcr([(pos, -1), (neg, 1)], f) == 1.0
-    assert mcr([(pos, 1), (neg, 1)], f) == 0.5
+    assert mcr(LabeledDataset.from_samples([(pos, 1), (neg, -1)]), f) == 0.0
+    assert mcr(LabeledDataset.from_samples([(pos, -1), (neg, 1)]), f) == 1.0
+    assert mcr(LabeledDataset.from_samples([(pos, 1), (neg, 1)]), f) == 0.5
 
 
 def test_mcr_rejects_empty_and_bad_labels():
     with pytest.raises(ValueError, match="empty"):
-        mcr([], Predicate(0, 1, 0.0))
+        mcr(LabeledDataset.from_samples([]), Predicate(0, 1, 0.0))
     with pytest.raises(ValueError, match="label"):
-        mcr([(const_signal(1.0, 3), 0)], Predicate(0, 1, 0.0))
+        LabeledDataset.from_samples([(const_signal(1.0, 3), 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,12 @@ def test_window_outside_signal_names_the_atom():
     f = TemporalAtom(G, 0, 39, Predicate(0, 1, 0.0))
     with pytest.raises(IntervalError, match=r"G\[0,39\]"):
         robustness(const_signal(0.0, 20), f)
+
+
+def test_atom_matrix_names_an_axis_beyond_the_data():
+    atoms = [TemporalAtom(G, 0, 3, Predicate(0, 1, 0.0)), TemporalAtom(G, 0, 3, Predicate(5, 1, 0.0))]
+    with pytest.raises(IntervalError, match=r"^G\[0,3\]\(x5 > 0\) reads axis 5, but the data has dim 2$"):
+        atom_matrix(np.zeros((4, 6, 2)), atoms)
 
 
 def test_shifted_window_out_of_range():
@@ -333,7 +342,7 @@ def test_point_interval_equals_instant_robustness(value, t):
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation against the recursive oracle
+# batched verdicts against the recursive oracle
 
 
 def _coarse(f):
@@ -352,11 +361,11 @@ def _coarse(f):
     coarse=st.booleans(),
     short=st.booleans(),
 )
-def test_batch_robustness_equals_recursive_bitwise(seed, depth, coarse, short):
+def test_satisfied_matches_per_signal_satisfies(seed, depth, coarse, short):
     # depth 0 builds DNFs of predicate atoms (the atom-matrix path), depth
     # 1 mostly boolean children (the fallback).  Coarse draws round every
-    # value and offset to -1, -0, 0 or 1, so extrema tie and robustness
-    # is often a zero of either sign.
+    # value and offset to -1, -0, 0 or 1, so robustness is often a zero
+    # of either sign, which must count as a violation.
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     length = int(rng.integers(1, 15))
@@ -367,21 +376,19 @@ def test_batch_robustness_equals_recursive_bitwise(seed, depth, coarse, short):
     if short:
         X = X[:, : int(rng.integers(1, length + 1))]
     try:
-        want = np.array([robustness(Signal(x), f) for x in X])
+        want = np.array([satisfies(Signal(x), f) for x in X])
     except IntervalError as e:
         with pytest.raises(IntervalError) as got:
-            batch_robustness(X, f)
+            satisfied(X, f)
         assert str(got.value) == str(e)
         return
-    assert batch_robustness(X, f).tobytes() == want.tobytes()
+    got = satisfied(X, f)
+    assert got.dtype == bool and np.array_equal(got, want)
 
 
-def test_mcr_on_mixed_lengths_matches_per_sample_satisfaction():
-    rng = np.random.default_rng(31)
-    f = random_dnf(rng, 2, 6, depth=0)
-    samples = [
-        (random_signal(rng, int(rng.integers(6, 12)), 2), int(rng.choice([-1, 1])))
-        for _ in range(40)
-    ]
-    want = sum(satisfies(s, f) != (y == 1) for s, y in samples) / len(samples)
-    assert mcr(samples, f) == want
+def test_clauses_hold_needs_a_non_empty_clause_of_holding_atoms():
+    holds = np.array([[True, False, True], [False, False, False], [True, True, True]])
+    use = np.array([[True, True, False], [False, False, True]])
+    assert clauses_hold(holds, use).tolist() == [True, False, True]
+    # a clause that uses no atom holds on no sample
+    assert clauses_hold(holds, np.zeros((1, 3), dtype=bool)).tolist() == [False] * 3
