@@ -16,7 +16,12 @@ from .datasets import (
     save_csv,
 )
 from .evaluate import emit_report, load_model, network_mcr, sign_agreement
-from .network import ActivationParams, soundness_bound_check, soundness_bound_text
+from .network import (
+    ActivationParams,
+    guarantee_failure,
+    soundness_bound_check,
+    soundness_bound_text,
+)
 from .stl import mcr, parse_formula
 from .trainer import TrainConfig, extract_formula, train
 
@@ -131,6 +136,11 @@ def _cmd_eval(args) -> int:
         print(f"extracted_sign_agreement={agreement!r}")
         if agreement < 1.0:
             raise ValueError("the snapped network and its extracted formula disagree in sign")
+        # agreement on this data is measured; on other data of its length
+        # it holds only if the model meets the guarantee's preconditions
+        failure = guarantee_failure(p, max(data.length, shape.k, shape.m))
+        if failure is not None:
+            raise ValueError(failure)
     return 0
 
 

@@ -27,9 +27,8 @@ that `NetworkPass.vjp` turns into gradients of the four parameter groups
 in closed form.  Training calls the pair once per batch; every value-only
 use (`network_outputs`, `network_output` and the `*_value` helpers, hence
 evaluation and sign agreement) runs the same forward over signals taken
-CHUNK at a time.  Sums over time reduce along a contiguous last axis and
-sums over samples fold one sample at a time, so a given batch always
-yields the same bits.
+CHUNK at a time.  `guarantee_failure` names the precondition of sign
+agreement that a set of activation parameters fails, if any.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ __all__ = [
     "NonFiniteError",
     "soundness_bound_check",
     "soundness_bound_text",
+    "guarantee_failure",
     "sparse_softmax_value",
     "sparse_softmin_value",
     "time_indicator_values",
@@ -222,6 +222,28 @@ def soundness_bound_text(p: ActivationParams, length: int) -> str:
     )
 
 
+def guarantee_failure(
+    p: ActivationParams, length: int, slope_name: str = "slope"
+) -> Optional[str]:
+    """The first precondition of sign agreement between the snapped
+    network and its extracted formula that p fails on signals of the given
+    length (the largest of l, k and m), as an error message naming the
+    slope `slope_name`; None when both hold."""
+    if not soundness_bound_check(p, length):
+        return (
+            "activation parameters fail the sign-soundness bound: "
+            + soundness_bound_text(p, length)
+        )
+    if p.slope > 1.0:
+        # a wider shoulder gives weight to steps just outside the snapped
+        # window [floor t1, ceil t2], which the extracted formula ignores
+        return (
+            f"{slope_name} = {p.slope:g} exceeds 1: the trained network's windows "
+            "would reach past the extracted formula's, so their signs may disagree"
+        )
+    return None
+
+
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
@@ -253,19 +275,16 @@ def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams):
 def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams):
     """Backward of `_softmax_rows` for output gradients g.
 
-    Returns the gradient wrt r and the two terms of the gradient wrt w,
-    through u = w * exp(zc) and through r' = r * w, which a sum over
-    samples takes in that order.  The gradient of |max r'| goes to the
-    first maximal entry, times the sign of the max; relu passes gradient
-    only where its input is > 0.
+    Returns the gradients wrt r and wrt w, both shaped like r * w.  The
+    gradient of |max r'| goes to the first maximal entry, times the sign
+    of the max.  The clamp relu(zs) passes no gradient: zs <= 0 on every
+    lane with w > 0, and every other lane has u = 0 whatever zs is.
     """
     r, w, rp, den, zs, u, num, den2 = saved
     ez = np.exp(zs - _relu(zs))
     g_num = (g / den2)[..., None]
     g_u = (-g * num / (den2 * den2))[..., None] + g_num * r
-    g_zc = g_u * w * ez
-    g_z = g_zc + -g_zc * (zs > 0.0)
-    g_rpp = g_z * p.beta
+    g_rpp = g_u * w * ez * p.beta
     g_den = (-g_rpp * (rp * p.h) / (den * den)).sum(axis=-1, keepdims=True)
     first = rp.argmax(axis=-1)[..., None]
     top = np.take_along_axis(rp, first, axis=-1)
@@ -273,7 +292,7 @@ def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams):
     g_max = np.zeros_like(rp)
     np.put_along_axis(g_max, first, g_den * sign, axis=-1)
     g_rp = g_rpp / den * p.h + g_max
-    return g_num * u + g_rp * w, g_u * ez, g_rp * r
+    return g_num * u + g_rp * w, g_u * ez + g_rp * r
 
 
 def sparse_softmax_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
@@ -292,14 +311,20 @@ def sparse_softmin_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> f
     return -float(_softmax_rows(-r, np.asarray(w, dtype=np.float64), p)[0])
 
 
-def _window_parts(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
-    """The ramps of every slot's soft window, each of shape (k, length)."""
+def _window_ramps(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
+    """The rising and falling ramps of every slot's soft window, each of
+    shape (k, length), and the masks where each one moves with its end:
+    the rise with t1 on (t1 - slope, t1], the fall with t2 on [t2, t2 +
+    slope), as relu passes gradient only where its input is > 0."""
     if slope <= 0:
         raise ValueError("slope must be positive")
     grid = np.arange(length, dtype=np.float64)
     t1 = np.asarray(t1, dtype=np.float64)[:, None]
     t2 = np.asarray(t2, dtype=np.float64)[:, None]
-    return grid - (t1 - slope), grid - t1, (t2 + slope) - grid, t2 - grid
+    up, up_end, down, down_end = grid - (t1 - slope), grid - t1, (t2 + slope) - grid, t2 - grid
+    rise = (_relu(up) - _relu(up_end)) * (1.0 / slope)
+    fall = (_relu(down) - _relu(down_end)) * (1.0 / slope)
+    return rise, fall, (up > 0.0) & (up_end <= 0.0), (down > 0.0) & (down_end <= 0.0)
 
 
 def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int) -> np.ndarray:
@@ -309,40 +334,23 @@ def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int) -> n
     stays 1 through t2, and falls back to 0 at t2+slope.  For integer
     t1 <= t2 and slope <= 1 it is exactly the binary window indicator.
     """
-    up, up_end, down, down_end = _window_parts(t1, t2, slope, length)
-    rise = (_relu(up) - _relu(up_end)) * (1.0 / slope)
-    fall = (_relu(down) - _relu(down_end)) * (1.0 / slope)
+    rise, fall, _, _ = _window_ramps(t1, t2, slope, length)
     return rise - _relu(rise - fall)
 
 
 def _window_vjp(g: np.ndarray, t1: np.ndarray, t2: np.ndarray, slope: float):
     """Gradients of sum(g * windows) wrt t1 and t2, each of shape (k,)."""
-    up, up_end, down, down_end = _window_parts(t1, t2, slope, g.shape[1])
-    c = 1.0 / slope
-    rise = (_relu(up) - _relu(up_end)) * c
-    fall = (_relu(down) - _relu(down_end)) * c
-    g_cut = -g * (rise - fall > 0.0)  # min(rise, fall) = rise - relu(rise - fall)
-    g_rise = (g + g_cut) * c
-    g_fall = -g_cut * c
-    g_t1 = (g_rise * (up_end > 0.0)).sum(axis=-1) + (-(g_rise * (up > 0.0))).sum(axis=-1)
-    g_t2 = (-g_fall * (down_end > 0.0)).sum(axis=-1) + (g_fall * (down > 0.0)).sum(axis=-1)
+    rise, fall, rising, falling = _window_ramps(t1, t2, slope, g.shape[1])
+    # the window rise - relu(rise - fall) follows the fall where it is lower
+    on_fall = rise - fall > 0.0
+    g_t1 = (g * (rising & ~on_fall)).sum(axis=-1) * (-1.0 / slope)
+    g_t2 = (g * (falling & on_fall)).sum(axis=-1) * (1.0 / slope)
     return g_t1, g_t2
 
 
 def time_indicator_values(t1: float, t2: float, slope: float, length: int) -> np.ndarray:
     """The soft window [t1, t2] on the grid 0..length-1 (see _window_rows)."""
     return _window_rows([float(t1)], [float(t2)], slope, length)[0]
-
-
-def _fold(*terms: np.ndarray) -> np.ndarray:
-    """Sum per-sample terms (samples on axis 0) one at a time, the last
-    sample first and a sample's terms in the order given: the order in
-    which a reverse pass over the batch accumulates them."""
-    parts = [t[s] for s in range(len(terms[0]) - 1, -1, -1) for t in terms]
-    acc = parts[0].copy()
-    for part in parts[1:]:
-        acc = acc + part
-    return acc
 
 
 def non_finite_entry(groups: dict) -> Optional[str]:
@@ -382,16 +390,13 @@ class NetworkPass:
         else:
             g_h = _softmax_vjp(dout, self.disjunction, p)[0]
         # each row pools -g with a softmax: h = -softmax(-g)
-        g_neg, gate_u, gate_rp = _softmax_vjp(-g_h, self.conjunction, p)
-        g = -g_neg[:, -1]
-        for i in range(len(self.live) - 2, -1, -1):
-            g = g + -g_neg[:, i]
-        g_in, window_u, window_rp = _softmax_vjp(g * self.flip, self.temporal, p)
-        g_rows = g_in * self.flip[:, None]
-        g_t1, g_t2 = _window_vjp(_fold(window_u, window_rp), self.params.t1, self.params.t2, p.slope)
+        g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p)
+        g_in, g_windows = _softmax_vjp(-g_neg.sum(axis=1) * self.flip, self.temporal, p)
+        g_t1, g_t2 = _window_vjp(g_windows.sum(axis=0), self.params.t1, self.params.t2, p.slope)
         g_M = np.zeros_like(self.params.M)
-        g_M[self.live] = _fold(gate_u, gate_rp)
-        return {"b": _fold((-g_rows).sum(axis=-1)), "t1": g_t1, "t2": g_t2, "M": g_M}
+        g_M[self.live] = g_gates.sum(axis=0)
+        # rows = sign * x - b enter the temporal softmax times flip
+        return {"b": -self.flip * g_in.sum(axis=(0, 2)), "t1": g_t1, "t2": g_t2, "M": g_M}
 
 
 def network_pass(
@@ -426,8 +431,8 @@ def network_pass(
     signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
     # softmin(r) = -softmax(-r): always-slots flip sign on the way in and out
     flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots])
-    # contiguous (n, k, length): a sum over time then adds up one
-    # contiguous row, the same way a 1-D sum does
+    # contiguous (n, k, length): sums over time then run along memory,
+    # which trains StopAndGo about 7% faster than the strided view
     values = np.ascontiguousarray(X[:, :, axes].transpose(0, 2, 1))
     rows = signs * values - params.b[:, None]
     g, temporal = _softmax_rows(flip[:, None] * rows, windows, p)

@@ -178,13 +178,16 @@ def robustness(signal: Signal, formula: Formula, t: int = 0) -> float:
 
     Uses true min/max throughout, so it serves as the reference semantics
     for everything the trained network approximates.  Raises IntervalError
-    when a temporal window reaches outside 0..length-1.
+    when a temporal window reaches outside 0..length-1 or a predicate reads
+    an axis the signal lacks.
     """
     v = signal.values
-    l = v.shape[0]
+    l, dim = v.shape
     if isinstance(formula, Predicate):
         if not (0 <= t < l):
             raise IntervalError(f"evaluation time {t} outside signal of length {l}")
+        if formula.axis >= dim:
+            raise IntervalError(_axis_outside(formula, formula.axis, dim))
         return float(formula.sign * v[t, formula.axis] - formula.offset)
     if isinstance(formula, Not):
         return -robustness(signal, formula.child, t)
@@ -199,6 +202,8 @@ def robustness(signal: Signal, formula: Formula, t: int = 0) -> float:
         child = formula.child
         if isinstance(child, Predicate):
             # common case, worth vectorizing
+            if child.axis >= dim:
+                raise IntervalError(_axis_outside(child, child.axis, dim))
             row = child.sign * v[lo : hi + 1, child.axis] - child.offset
             ext = row.min() if formula.op is TemporalOp.ALWAYS else row.max()
             return float(ext)
@@ -212,6 +217,10 @@ def _window_outside(atom: TemporalAtom, t: int, length: int) -> str:
         f"window of {format_formula(atom)} evaluated at t={t} "
         f"reaches outside signal of length {length}"
     )
+
+
+def _axis_outside(f: Formula, axis: int, dim: int) -> str:
+    return f"{format_formula(f)} reads axis {axis}, but the data has dim {dim}"
 
 
 def satisfies(signal: Signal, formula: Formula) -> bool:
@@ -232,9 +241,7 @@ def atom_matrix(X: np.ndarray, atoms: Sequence[TemporalAtom]) -> np.ndarray:
         if atom.t2 > length - 1:
             raise IntervalError(_window_outside(atom, 0, length))
         if atom.child.axis >= dim:
-            raise IntervalError(
-                f"{format_formula(atom)} reads axis {atom.child.axis}, but the data has dim {dim}"
-            )
+            raise IntervalError(_axis_outside(atom, atom.child.axis, dim))
     A = np.empty((X.shape[0], len(atoms)), dtype=np.float64)
     for j, atom in enumerate(atoms):
         pred = atom.child

@@ -33,10 +33,9 @@ from .network import (
     ModelParams,
     NetworkShape,
     NonFiniteError,
+    guarantee_failure,
     network_pass,
     non_finite_entry,
-    soundness_bound_check,
-    soundness_bound_text,
 )
 from .stl import (
     Formula,
@@ -53,7 +52,6 @@ __all__ = [
     "TrainReport",
     "DivergenceError",
     "UnsoundConfigError",
-    "loss",
     "train",
     "init_params",
     "project_params",
@@ -81,7 +79,6 @@ class TrainConfig:
     batch_size: int = 50
     lr: float = 0.05
     lr_gates: float = 0.1
-    lr_windows: float = 0.0  # rate for t1/t2; 0 falls back to lr
     beta: float = 25.0
     beta_start: float = 0.0  # 0 keeps beta fixed; else anneal beta_start -> beta
     beta_hold: float = 0.5  # fraction of epochs spent at beta_start before the ramp
@@ -188,14 +185,6 @@ class TrainReport:
             "formula": self.formula_text,
             "simplified": self.simplified_text,
         }
-
-
-def loss(y: int, r: float) -> float:
-    """Exponential margin loss exp(-y * r); OverflowError past the
-    largest float."""
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y}")
-    return math.exp(-float(y) * float(r))
 
 
 class _Optimizer:
@@ -386,22 +375,20 @@ def _batch_gradients(X, y, batch, params, shape, p, gates):
     network output, loss or gradient entry.
     """
     fwd = network_pass(X[batch], params, shape, p, gates)
-    terms = np.empty(len(batch))
-    wrong = 0
-    for s, (r, label) in enumerate(zip(fwd.out.tolist(), y[batch].tolist())):
-        if not math.isfinite(r):
-            raise NonFiniteError(f"non-finite network output of sample {batch[s]}")
-        try:
-            terms[s] = loss(label, r)
-        except OverflowError:
-            raise NonFiniteError(f"non-finite loss of sample {batch[s]}") from None
-        wrong += (r > 0.0) != (label == 1)
-    scale = 1.0 / len(batch)
-    mean = float(np.sum(terms)) * scale
+    labels = y[batch].astype(np.float64)
+    with np.errstate(over="ignore"):
+        terms = np.exp(-labels * fwd.out)
+        mean = float(terms.mean())
+    bad = np.flatnonzero(~(np.isfinite(fwd.out) & np.isfinite(terms)))
+    if bad.size:
+        s = bad[0]
+        what = "network output" if not math.isfinite(fwd.out[s]) else "loss"
+        raise NonFiniteError(f"non-finite {what} of sample {batch[s]}")
     if not math.isfinite(mean):
         raise NonFiniteError("non-finite batch loss")
-    # d mean / d out_s = scale * exp(-y_s out_s) * -y_s
-    grads = fwd.vjp(scale * terms * -y[batch].astype(np.float64))
+    wrong = int(np.count_nonzero((fwd.out > 0.0) != (labels > 0.0)))
+    # d mean / d out_s = exp(-y_s out_s) * -y_s / n
+    grads = fwd.vjp(terms * -labels / len(batch))
     bad = non_finite_entry(grads)
     if bad is not None:
         raise NonFiniteError(f"non-finite gradient of {bad}")
@@ -426,31 +413,19 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     length, dim = data.length, data.dim
     if cfg.epochs < 1 or cfg.batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
-    if cfg.lr <= 0 or cfg.lr_gates <= 0 or cfg.lr_windows < 0:
+    if cfg.lr <= 0 or cfg.lr_gates <= 0:
         raise ValueError("learning rates must be positive")
 
     shape = NetworkShape.cycled(dim, cfg.k if cfg.k > 0 else None, cfg.m)
-    bound_len = max(length, shape.k, shape.m)
     p_final = cfg.activation()
-    if not soundness_bound_check(p_final, bound_len):
-        text = soundness_bound_text(p_final, bound_len)
-        if not cfg.allow_unsound:
-            raise UnsoundConfigError(
-                f"activation parameters fail the sign-soundness bound: {text}"
-            )
-    if cfg.slope_end > 1.0 and not cfg.allow_unsound:
-        # a wider shoulder gives weight to steps just outside the snapped
-        # window [floor t1, ceil t2], which the extracted formula ignores
-        raise UnsoundConfigError(
-            f"slope_end = {cfg.slope_end:g} exceeds 1: the trained network's windows "
-            "would reach past the extracted formula's, so their signs may disagree"
-        )
+    failure = guarantee_failure(p_final, max(length, shape.k, shape.m), "slope_end")
+    if failure is not None and not cfg.allow_unsound:
+        raise UnsoundConfigError(failure)
     rng = np.random.default_rng([cfg.seed, 7])
     gate_rng = np.random.default_rng([cfg.seed, 13]) if cfg.gate_sampling else None
     params = init_params(data, shape, length, rng)
-    lr_w = cfg.lr_windows if cfg.lr_windows > 0 else cfg.lr
     opt = _Optimizer(
-        {"b": cfg.lr, "t1": lr_w, "t2": lr_w, "M": cfg.lr_gates},
+        {"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": cfg.lr_gates},
         kind=cfg.optimizer,
         clip=cfg.grad_clip,
     )

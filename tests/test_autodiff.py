@@ -33,8 +33,8 @@ P = ActivationParams()  # beta 25, h 1
 def softmax_grads(r, w, p=P):
     """Sparse softmax of r over weights w, with its gradients wrt r and w."""
     value, saved = _softmax_rows(np.asarray(r, dtype=np.float64), np.asarray(w, dtype=np.float64), p)
-    g_r, g_u, g_rp = _softmax_vjp(np.array(1.0), saved, p)
-    return float(value), g_r, g_u + g_rp
+    g_r, g_w = _softmax_vjp(np.array(1.0), saved, p)
+    return float(value), g_r, g_w
 
 
 def window_grads(t1, t2, slope, weights):
@@ -91,6 +91,13 @@ def test_relu_subgradient_at_zero_is_zero():
     assert window[4] == 0.0 and window[9] == 0.0
     assert window_grads(5.0, 8.0, 1.0, onehot[4]) == (0.0, 0.0)
     assert window_grads(5.0, 8.0, 1.0, onehot[9]) == (0.0, 0.0)
+    # at step 5 = t1 the rise's inner relu sits on its kink, so only the
+    # outer one moves with t1; at step 8 = t2 rise = fall = 1, and
+    # min(rise, fall) = rise - relu(rise - fall) passes its gradient to
+    # the rise, which t2 does not move
+    assert window[5] == 1.0 and window[8] == 1.0
+    assert window_grads(5.0, 8.0, 1.0, onehot[5]) == (-1.0, 0.0)
+    assert window_grads(5.0, 8.0, 1.0, onehot[8]) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +223,11 @@ def test_primitives_match_finite_differences():
         g_t1, g_t2 = window_grads(t1, t2, slope, weights)
         fd_t1 = central_differences(lambda v: time_indicator_values(v[0], t2, slope, length) @ weights, [t1])
         fd_t2 = central_differences(lambda v: time_indicator_values(t1, v[0], slope, length) @ weights, [t2])
+        assert rel_err([g_t1, g_t2], np.concatenate([fd_t1, fd_t2])) < 1e-5
+        # crossed ends give a tent below 1, each flank moving with one end
+        g_t1, g_t2 = window_grads(t2, t1, slope, weights)
+        fd_t1 = central_differences(lambda v: time_indicator_values(v[0], t1, slope, length) @ weights, [t2])
+        fd_t2 = central_differences(lambda v: time_indicator_values(t2, v[0], slope, length) @ weights, [t1])
         assert rel_err([g_t1, g_t2], np.concatenate([fd_t1, fd_t2])) < 1e-5
 
 

@@ -159,11 +159,11 @@ def test_eval_model_and_agreement(cli_env, capsys):
     assert out.endswith("extracted_sign_agreement=1.0\n")
 
 
-def write_model(path, slots, b, t1, t2, M, slope=1.0):
+def write_model(path, slots, b, t1, t2, M, slope=1.0, beta=25.0):
     """A report.json holding only what load_model reads."""
     payload = {
         "shape": {"m": len(M), "slots": slots},
-        "activation": {"beta": 25.0, "h": 1.0, "eps": 1e-8, "slope": slope},
+        "activation": {"beta": beta, "h": 1.0, "eps": 1e-8, "slope": slope},
         "params": {"b": b, "t1": t1, "t2": t2, "M": M},
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -205,11 +205,36 @@ def test_eval_fails_when_the_extracted_pair_disagrees(tmp_path, capsys):
     assert captured.err == "error: the snapped network and its extracted formula disagree in sign\n"
 
 
+def test_eval_fails_when_a_precondition_of_the_guarantee_fails(tmp_path, capsys):
+    # constant signals agree in sign whatever the activation, so only the
+    # precondition that makes agreement a guarantee on other data can fail
+    model, csv = tmp_path / "report.json", tmp_path / "data.csv"
+    write_data(csv, [np.full((12, 1), -1.0), np.full((12, 1), 1.0)], [-1, 1])
+    write_model(model, [[0, 1, "F"]], [0.0], [4.0], [8.0], [[1.0]], slope=1.5)
+    rc = main(["eval", "--data", str(csv), "--model", str(model)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["network_mcr=0.0", "extracted_sign_agreement=1.0"]
+    assert captured.err.startswith("error: slope = 1.5 exceeds 1: the trained network's windows")
+    # beta 0.5 is sound up to length 3 only
+    write_model(model, [[0, 1, "F"]], [0.0], [4.0], [8.0], [[1.0]], beta=0.5)
+    rc = main(["eval", "--data", str(csv), "--model", str(model)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["network_mcr=0.0", "extracted_sign_agreement=1.0"]
+    assert captured.err.startswith("error: activation parameters fail the sign-soundness bound: ")
+    assert "l=12)" in captured.err
+
+
 def test_eval_names_an_axis_beyond_the_data(cli_env, tmp_path, capsys):
     csv, _, _ = cli_env
     rc = main(["eval", "--data", str(csv), "--formula", "G[0,3](x5 > 0)"])
     assert rc == 1
     assert capsys.readouterr().err == "error: G[0,3](x5 > 0) reads axis 5, but the data has dim 2\n"
+    # a tree that is no DNF is evaluated per signal, and names the predicate
+    rc = main(["eval", "--data", str(csv), "--formula", "G[0,3](x5 > 0 & x1 < 2)"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: x5 > 0 reads axis 5, but the data has dim 2\n"
     model = tmp_path / "report.json"
     write_model(model, [[0, 1, "G"], [5, 1, "F"]], [0.0, 0.0], [0.0, 0.0], [3.0, 3.0], [[1.0, 1.0]])
     rc = main(["eval", "--data", str(csv), "--model", str(model)])

@@ -112,6 +112,17 @@ def test_atom_matrix_names_an_axis_beyond_the_data():
         atom_matrix(np.zeros((4, 6, 2)), atoms)
 
 
+def test_robustness_names_an_axis_beyond_the_signal():
+    signal = Signal(np.zeros((4, 2)))
+    message = r"^x5 > 0 reads axis 5, but the data has dim 2$"
+    for text in ("x5 > 0", "G[0,3](x5 > 0)", "G[0,3](x5 > 0 & x1 < 2)"):
+        with pytest.raises(IntervalError, match=message):
+            robustness(signal, parse_formula(text))
+    # satisfied() runs a tree that is no DNF through satisfies()
+    with pytest.raises(IntervalError, match=message):
+        satisfied(np.zeros((3, 4, 2)), parse_formula("F[0,3](x0 > 1 | x5 > 0)"))
+
+
 def test_shifted_window_out_of_range():
     f = TemporalAtom(F, 3, 5, Predicate(0, 1, 0.0))
     robustness(const_signal(0.0, 10), f, 4)  # reaches index 9, still inside
