@@ -36,7 +36,6 @@ from .network import (
     ModelParams,
     NetworkShape,
     SlotSpec,
-    network_output,
     network_outputs,
     soundness_bound_check,
     sparse_softmax_value,

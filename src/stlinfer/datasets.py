@@ -114,9 +114,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.X.shape[2]
 
-    def labels(self) -> np.ndarray:
-        return self.y.copy()
-
 
 # ---------------------------------------------------------------------------
 # Driving scenario

@@ -25,9 +25,8 @@ The network is computed one way: `network_pass` runs it on numpy arrays
 over a batch of signals X (n, length, dim) and keeps the intermediates
 that `NetworkPass.vjp` turns into gradients of the four parameter groups
 in closed form.  Training calls the pair once per batch; every value-only
-use (`network_outputs`, `network_output` and the `*_value` helpers, hence
-evaluation and sign agreement) runs the same forward over signals taken
-CHUNK at a time.  `guarantee_failure` names the precondition of sign
+use (`network_outputs` and the `*_value` helpers, hence evaluation and
+sign agreement) runs the same forward over signals taken CHUNK at a time.  `guarantee_failure` names the precondition of sign
 agreement that a set of activation parameters fails, if any.
 """
 
@@ -58,7 +57,6 @@ __all__ = [
     "time_indicator_values",
     "network_pass",
     "network_outputs",
-    "network_output",
     "CHUNK",
 ]
 
@@ -472,13 +470,3 @@ def network_outputs(
         raise NonFiniteError("non-finite network output")
     return out
 
-
-def network_output(
-    values: np.ndarray,
-    params: ModelParams,
-    shape: NetworkShape,
-    p: ActivationParams,
-) -> float:
-    """Value-only forward pass on one signal of shape (length, dim)."""
-    X = np.asarray(values, dtype=np.float64)[None]
-    return float(network_outputs(X, params, shape, p)[0])

@@ -1,12 +1,14 @@
 """Training loop, parameter projection, formula extraction and pruning.
 
 The trainer fits the formula network by minimizing the exponential margin
-loss exp(-label * output) with an adaptive-moment optimizer built here
-(first/second moment estimates with bias correction).  Each batch is one
-batched network pass over its signals (n, l, dim), the mean loss, and one
-closed-form backward of that pass.  After every step the parameters are
-projected back into their feasible box: gates into [0, 1], window ends
-into [0, l-1] with t1 <= t2.
+loss exp(-label * output) with one fixed recipe: Adam (first/second moment
+estimates with bias correction) after capping the global gradient norm at
+GRAD_CLIP, with the gates M moving at LR_GATES and the other groups at the
+config's lr.  Each batch is one batched network pass over its signals
+(n, l, dim) with the gates thresholded at 0.5, the mean loss, and one
+closed-form backward of that pass, whose straight-through gradient reaches
+M.  After every step the parameters are projected back into their
+feasible box: gates into [0, 1], window ends into [0, l-1] with t1 <= t2.
 
 Extraction thresholds the gate matrix at 0.5, drops rows with no open
 gate, floors t1 and ceils t2, and reads one conjunction clause per
@@ -22,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -78,7 +80,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 50
     lr: float = 0.05
-    lr_gates: float = 0.1
     beta: float = 25.0
     beta_start: float = 0.0  # 0 keeps beta fixed; else anneal beta_start -> beta
     beta_hold: float = 0.5  # fraction of epochs spent at beta_start before the ramp
@@ -89,16 +90,18 @@ class TrainConfig:
     k: int = 0  # 0 picks the default of 4 * dim
     m: int = 2
     seed: int = 0
-    optimizer: str = "adam"  # 'adam' (adaptive-moment) or 'gd' (plain descent)
-    grad_clip: float = 1.0  # global gradient norm cap; 0 disables
-    gate_sampling: bool = False
     allow_unsound: bool = False
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "TrainConfig":
-        """Read `key = value` lines; '#' starts a comment, blank lines ok."""
+        """Read `key = value` lines; '#' starts a comment, blank lines ok.
+
+        A key may appear once: a second line naming it is refused rather
+        than silently overriding the first.
+        """
         values = {}
-        fields = {f: t for f, t in cls.__annotations__.items()}
+        set_on = {}
+        fields = cls.__dataclass_fields__
         text = Path(path).read_text(encoding="utf-8")
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -111,18 +114,15 @@ class TrainConfig:
             if key not in fields:
                 known = ", ".join(sorted(fields))
                 raise ValueError(f"{path}:{lineno}: unknown config key '{key}' (known: {known})")
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: '{key}' already set on line {set_on[key]}")
+            set_on[key] = lineno
             values[key] = _parse_config_value(key, val, path, lineno)
         return cls(**values)
 
-    def activation(
-        self, slope: Optional[float] = None, beta: Optional[float] = None
-    ) -> ActivationParams:
-        return ActivationParams(
-            beta=self.beta if beta is None else beta,
-            h=self.h,
-            eps=self.eps,
-            slope=self.slope_end if slope is None else slope,
-        )
+    def activation(self) -> ActivationParams:
+        """The activation parameters at the end of the schedule."""
+        return ActivationParams(beta=self.beta, h=self.h, eps=self.eps, slope=self.slope_end)
 
 
 def _parse_config_value(key: str, val: str, path, lineno: int):
@@ -137,12 +137,10 @@ def _parse_config_value(key: str, val: str, path, lineno: int):
             raise ValueError(f"not a boolean: '{val}'")
         if kind == "int":
             return int(val)
-        if kind == "float":
-            x = float(val)
-            if not math.isfinite(x):
-                raise ValueError(f"not a finite number: '{val}'")
-            return x
-        return val
+        x = float(val)
+        if not math.isfinite(x):
+            raise ValueError(f"not a finite number: '{val}'")
+        return x
     except ValueError as e:
         raise ValueError(f"{path}:{lineno}: bad value for '{key}': {e}") from None
 
@@ -187,56 +185,43 @@ class TrainReport:
         }
 
 
+# Exponential loss makes early gradients huge; without a cap on the global
+# gradient norm the second-moment estimate saturates and later steps vanish.
+GRAD_CLIP = 1.0
+# Learning rate of the conjunction gates M; TrainConfig.lr drives b, t1, t2.
+LR_GATES = 0.1
+# Adam's moment decays and denominator guard.  The second-moment memory is
+# short: lanes that lose the min/max selection see their gradient magnitude
+# drop by orders of magnitude, and a long memory would freeze them for
+# thousands of steps afterwards.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.9
+ADAM_EPS = 1e-8
+
+
 class _Optimizer:
-    """Per-group gradient steps: plain descent or adaptive-moment.
+    """Adam over named parameter groups (first/second moment estimates
+    with bias correction), applied after capping the global gradient norm
+    at GRAD_CLIP."""
 
-    The adaptive variant uses a short second-moment memory (beta2 = 0.9):
-    lanes that lose the min/max selection see their gradient magnitude
-    drop by orders of magnitude, and a long memory would freeze them for
-    thousands of steps afterwards.
-    """
-
-    def __init__(
-        self,
-        lrs: dict,
-        kind: str = "adam",
-        beta1: float = 0.9,
-        beta2: float = 0.9,
-        eps: float = 1e-8,
-        clip: float = 0.0,
-    ):
-        if kind not in ("adam", "gd"):
-            raise ValueError(f"unknown optimizer kind '{kind}' (use 'adam' or 'gd')")
+    def __init__(self, lrs: dict):
         self.lrs = lrs
-        self.kind = kind
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.clip = clip
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = dict.fromkeys(lrs, 0.0)
+        self.v = dict.fromkeys(lrs, 0.0)
         self.t = 0
 
     def step(self, arrays: dict, grads: dict) -> None:
-        if self.clip > 0:
-            # Exponential loss makes early gradients huge; without a cap the
-            # second-moment estimate saturates and later steps vanish.
-            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if norm > self.clip:
-                grads = {k: g * (self.clip / norm) for k, g in grads.items()}
-        if self.kind == "gd":
-            for name, x in arrays.items():
-                x -= self.lrs[name] * grads[name]
-            return
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if norm > GRAD_CLIP:
+            grads = {k: g * (GRAD_CLIP / norm) for k, g in grads.items()}
         self.t += 1
         for name, x in arrays.items():
             g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(x)
-                self.v[name] = np.zeros_like(x)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1**self.t)
-            vhat = self.v[name] / (1 - self.beta2**self.t)
-            x -= self.lrs[name] * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            mhat = self.m[name] / (1 - ADAM_BETA1**self.t)
+            vhat = self.v[name] / (1 - ADAM_BETA2**self.t)
+            x -= self.lrs[name] * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def init_params(
@@ -367,14 +352,14 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     return gates
 
 
-def _batch_gradients(X, y, batch, params, shape, p, gates):
+def _batch_gradients(X, y, batch, params, shape, p):
     """One batch: the network pass, the mean loss and its gradients.
 
     Returns (gradients per parameter group, mean loss, misclassified
     count).  Raises NonFiniteError naming the first non-finite parameter,
     network output, loss or gradient entry.
     """
-    fwd = network_pass(X[batch], params, shape, p, gates)
+    fwd = network_pass(X[batch], params, shape, p)
     labels = y[batch].astype(np.float64)
     with np.errstate(over="ignore"):
         terms = np.exp(-labels * fwd.out)
@@ -398,12 +383,13 @@ def _batch_gradients(X, y, batch, params, shape, p, gates):
 def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport:
     """Fit the network to a labeled dataset and return the full report.
 
-    Deterministic for a fixed (data, config): batch order, initialization
-    and any gate sampling all derive from cfg.seed.  Raises
-    UnsoundConfigError when the activation parameters cannot guarantee
-    sign agreement, or slope_end exceeds 1 (pass allow_unsound to proceed
-    anyway), and DivergenceError naming the epoch, batch and quantity
-    when a non-finite value shows up mid-training.
+    Deterministic for a fixed (data, config): batch order and
+    initialization derive from cfg.seed.  Raises ValueError naming the
+    first config field out of its range, UnsoundConfigError when the
+    activation parameters cannot guarantee sign agreement, or slope_end
+    exceeds 1 (pass allow_unsound to proceed anyway), and DivergenceError
+    naming the epoch, batch and quantity when a non-finite value shows up
+    mid-training.
     """
     if not len(data):
         raise ValueError("cannot train on an empty dataset")
@@ -413,8 +399,16 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     length, dim = data.length, data.dim
     if cfg.epochs < 1 or cfg.batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
-    if cfg.lr <= 0 or cfg.lr_gates <= 0:
-        raise ValueError("learning rates must be positive")
+    if cfg.lr <= 0:
+        raise ValueError(f"lr must be positive, got {cfg.lr}")
+    if not 0.0 <= cfg.beta_hold <= 1.0:
+        raise ValueError(f"beta_hold must lie in [0, 1], got {cfg.beta_hold}")
+    if cfg.beta_start < 0:
+        raise ValueError(f"beta_start must be >= 0 (0 keeps beta fixed), got {cfg.beta_start}")
+    if cfg.k < 0:
+        raise ValueError(f"k must be >= 0 (0 picks 4 * dim), got {cfg.k}")
+    if cfg.slope_start <= 0:
+        raise ValueError(f"slope_start must be positive, got {cfg.slope_start}")
 
     shape = NetworkShape.cycled(dim, cfg.k if cfg.k > 0 else None, cfg.m)
     p_final = cfg.activation()
@@ -422,13 +416,8 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     if failure is not None and not cfg.allow_unsound:
         raise UnsoundConfigError(failure)
     rng = np.random.default_rng([cfg.seed, 7])
-    gate_rng = np.random.default_rng([cfg.seed, 13]) if cfg.gate_sampling else None
     params = init_params(data, shape, length, rng)
-    opt = _Optimizer(
-        {"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": cfg.lr_gates},
-        kind=cfg.optimizer,
-        clip=cfg.grad_clip,
-    )
+    opt = _Optimizer({"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": LR_GATES})
 
     n, X, y = len(data), data.X, data.y
     losses: List[float] = []
@@ -447,7 +436,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         if frac <= cfg.beta_hold:
             ramp = 0.0
         else:
-            ramp = (frac - cfg.beta_hold) / max(1.0 - cfg.beta_hold, 1e-9)
+            ramp = (frac - cfg.beta_hold) / (1.0 - cfg.beta_hold)
         beta = beta0 + (cfg.beta - beta0) * ramp
         p = replace(p_final, slope=slope, beta=beta)
         started = time.perf_counter()
@@ -456,14 +445,8 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         wrong = 0
         for index, lo in enumerate(range(0, n, cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
-            if gate_rng is None:
-                gates = (params.M >= 0.5).astype(np.float64)
-            else:
-                gates = (gate_rng.random(params.M.shape) < params.M).astype(np.float64)
             try:
-                grads, batch_loss, batch_wrong = _batch_gradients(
-                    X, y, batch, params, shape, p, gates
-                )
+                grads, batch_loss, batch_wrong = _batch_gradients(X, y, batch, params, shape, p)
             except NonFiniteError as e:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {index}: {e}"

@@ -20,7 +20,7 @@ from stlinfer.network import (
     ActivationParams,
     ModelParams,
     NetworkShape,
-    network_output,
+    network_outputs,
     network_pass,
     soundness_bound_check,
     sparse_softmax_value,
@@ -151,7 +151,7 @@ def test_sign_soundness_sweep():
 def _fd_output(values, params, shape, p, group, j, delta):
     q = params.copy()
     getattr(q, group)[j] += delta
-    return network_output(values, q, shape, p)
+    return network_outputs(values[None], q, shape, p)[0]
 
 
 def test_forward_gradients_match_finite_differences():

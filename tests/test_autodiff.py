@@ -112,10 +112,9 @@ def test_exp_at_zero():
     X = np.zeros((4, 6, 1))
     y = np.array([1, -1, 1, 1])
     batch = np.array([2, 0, 3, 1])
-    gates = np.ones((2, 4))
-    fwd = network_pass(X[batch], params, shape, P, gates)
+    fwd = network_pass(X[batch], params, shape, P)
     assert np.abs(fwd.out).max() == 0.0
-    grads, mean, _ = _batch_gradients(X, y, batch, params, shape, P, gates)
+    grads, mean, _ = _batch_gradients(X, y, batch, params, shape, P)
     assert mean == 1.0
     want = fwd.vjp(0.25 * -y[batch].astype(np.float64))
     for group in ("b", "t1", "t2", "M"):
@@ -275,13 +274,12 @@ def test_unused_leaf_gets_zero_gradient():
 def test_non_finite_forward_names_the_node():
     X, params, shape = one_slot_gates_case(np.random.default_rng(36))
     y = np.array([1, -1, 1, 1, -1])
-    gates = (params.M >= 0.5).astype(np.float64)
     X[2] = -1000.0  # label +1: exp(-out) overflows
     with pytest.raises(NonFiniteError, match=r"^non-finite loss of sample 2$"):
-        _batch_gradients(X, y, np.array([3, 2, 0, 1, 4]), params, shape, P, gates)
+        _batch_gradients(X, y, np.array([3, 2, 0, 1, 4]), params, shape, P)
     params.t1[2] = np.nan
     with pytest.raises(NonFiniteError, match=r"^non-finite parameter t1\[2\]$"):
-        _batch_gradients(X, y, np.arange(5), params, shape, P, gates)
+        _batch_gradients(X, y, np.arange(5), params, shape, P)
 
 
 def test_non_finite_array_detected():

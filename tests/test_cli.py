@@ -36,7 +36,7 @@ def test_generate_pair_csv(cli_env, capsys):
     csv, _, _ = cli_env
     data = load_csv(csv)
     assert len(data) == 30
-    labels = data.labels()
+    labels = data.y
     assert (labels == 1).sum() == 15 and (labels == -1).sum() == 15
 
 
@@ -49,7 +49,7 @@ def test_generate_single_behavior(tmp_path, capsys):
     assert rc == 0
     assert "wrote 5 samples" in capsys.readouterr().out
     data = load_csv(out)
-    assert data.labels().tolist() == [1] * 5
+    assert data.y.tolist() == [1] * 5
 
 
 def test_generate_naval_counts_per_class(tmp_path, capsys):

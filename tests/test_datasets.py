@@ -73,7 +73,7 @@ def test_gen_driving_shapes_and_determinism():
 
 def test_gen_driving_pair_layout():
     data = gen_driving_pair(DrivingBehavior.GO_FORWARD, DrivingBehavior.OVERTAKE, 30, seed=2)
-    labels = data.labels()
+    labels = data.y
     assert labels[:30].tolist() == [1] * 30
     assert labels[30:].tolist() == [-1] * 30
     assert data.metadata["behaviors"] == ["GoForward", "Overtake"]
@@ -104,7 +104,7 @@ def test_naval_reference_formula_separates():
 
 def test_naval_balance_and_both_anomaly_kinds():
     data = gen_naval(60, seed=0)
-    labels = data.labels()
+    labels = data.y
     assert (labels == 1).sum() == 30 and (labels == -1).sum() == 30
     assert data.length == 61 and data.dim == 2
     negatives = [sig for sig, label in data if label == -1]
@@ -149,7 +149,7 @@ def test_csv_round_trip_is_lossless(tmp_path, tiny_naval):
     head = path.read_text(encoding="utf-8").split("\n", 1)[0]
     assert head == "label,2,61"
     back = load_csv(path)
-    assert back.labels().tolist() == tiny_naval.labels().tolist()
+    assert back.y.tolist() == tiny_naval.y.tolist()
     for (a, _), (b, _) in zip(tiny_naval, back):
         assert np.array_equal(a.values, b.values)
 
@@ -325,7 +325,7 @@ def test_iteration_yields_signals_and_int_labels(tiny_naval):
         assert label == tiny_naval.y[i]
     again = LabeledDataset.from_samples(pairs)
     assert again.X.tobytes() == tiny_naval.X.tobytes()
-    assert again.labels().tolist() == tiny_naval.labels().tolist()
+    assert again.y.tolist() == tiny_naval.y.tolist()
 
 
 def test_dense_dataset_checks_its_arrays():

@@ -13,7 +13,6 @@ from stlinfer.network import (
     ActivationParams,
     ModelParams,
     NetworkShape,
-    network_output,
     soundness_bound_check,
 )
 from stlinfer.stl import Signal, mcr, robustness

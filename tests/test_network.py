@@ -23,7 +23,6 @@ from stlinfer.network import (
     NetworkShape,
     NonFiniteError,
     SlotSpec,
-    network_output,
     network_outputs,
     network_pass,
     soundness_bound_check,
@@ -379,11 +378,11 @@ def test_forward_invariant_to_slot_permutation():
         t2=np.array([float(rng.integers(6, length)) for _ in range(shape.k)]),
         M=rng.uniform(0.0, 1.0, (2, shape.k)),
     )
-    base = network_output(values, params, shape, P)
+    base = network_outputs(values[None], params, shape, P)[0]
     perm = rng.permutation(shape.k)
     shape_p = NetworkShape(tuple(shape.slots[j] for j in perm), m=2)
     params_p = ModelParams(params.b[perm], params.t1[perm], params.t2[perm], params.M[:, perm])
-    assert abs(network_output(values, params_p, shape_p, P) - base) <= 1e-12
+    assert abs(network_outputs(values[None], params_p, shape_p, P)[0] - base) <= 1e-12
 
 
 def test_network_pass_accepts_explicit_gates():
@@ -414,8 +413,8 @@ def test_wide_slope_breaks_sign_agreement():
     x[3] = 5.0
     formula = TemporalAtom(TemporalOp.EVENTUALLY, 4, 8, Predicate(0, 1, 0.0))
     assert robustness(Signal(x), formula) == -1.0
-    assert network_output(x, params, shape, ActivationParams(slope=1.0)) == -1.0
-    assert network_output(x, params, shape, ActivationParams(slope=2.5)) == pytest.approx(5.0)
+    assert network_outputs(x[None], params, shape, ActivationParams(slope=1.0))[0] == -1.0
+    assert network_outputs(x[None], params, shape, ActivationParams(slope=2.5))[0] == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +473,7 @@ def test_batched_forward_chunk_edges(n):
     got = network_outputs(X, params, shape, p)
     assert got.shape == (n,)
     # a signal's output does not depend on the chunk it is evaluated in
-    one_by_one = np.array([network_output(values, params, shape, p) for values in X])
+    one_by_one = np.array([network_outputs(values[None], params, shape, p)[0] for values in X])
     assert got.tobytes() == one_by_one.tobytes()
     _compare_with_naive(X, params, shape, p, got)
 

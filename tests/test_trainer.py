@@ -4,6 +4,7 @@ hand-built parameter matrices, plus the training-loop contracts
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,10 +17,12 @@ from stlinfer.network import (
     EmptyFormulaError,
     ModelParams,
     NetworkShape,
-    network_output,
+    network_outputs,
 )
 from stlinfer.stl import Signal, count_atoms, dnf_clauses, format_formula, mcr, parse_formula
 from stlinfer.trainer import (
+    GRAD_CLIP,
+    LR_GATES,
     DivergenceError,
     TrainConfig,
     UnsoundConfigError,
@@ -70,10 +73,9 @@ def test_batch_loss_gradient_matches_central_differences():
         X = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 41)), length, dim))
         y = rng.choice([-1, 1], len(X))
         p = ActivationParams(beta=float(rng.uniform(2.0, 10.0)), slope=float(rng.choice([1.0, 2.0])))
-        gates = (M >= 0.5).astype(np.float64)
         batch = rng.permutation(len(X))
-        grads, mean, _ = _batch_gradients(X, y, batch, params, shape, p, gates)
-        oracle = [math.exp(-y[i] * network_output(X[i], params, shape, p)) for i in batch]
+        grads, mean, _ = _batch_gradients(X, y, batch, params, shape, p)
+        oracle = [math.exp(-y[i] * r) for i, r in zip(batch, network_outputs(X[batch], params, shape, p))]
         assert mean == pytest.approx(np.mean(oracle))
         for group in ("b", "t1", "t2"):
             for j in range(shape.k):
@@ -81,7 +83,7 @@ def test_batch_loss_gradient_matches_central_differences():
                 for delta in (step, -step):
                     q = params.copy()
                     getattr(q, group)[j] += delta
-                    moved.append(_batch_gradients(X, y, batch, q, shape, p, gates)[1])
+                    moved.append(_batch_gradients(X, y, batch, q, shape, p)[1])
                 fd = (moved[0] - moved[1]) / (2.0 * step)
                 an = grads[group][j]
                 worst = max(worst, abs(fd - an) / max(1.0, abs(fd), abs(an)))
@@ -326,13 +328,6 @@ def test_train_is_deterministic(tiny_driving_pair):
     assert a.canonical_dict() == b.canonical_dict()
 
 
-def test_gate_sampling_is_seeded(tiny_driving_pair):
-    cfg = small_cfg(epochs=2, gate_sampling=True)
-    a = train(tiny_driving_pair, cfg)
-    b = train(tiny_driving_pair, cfg)
-    assert a.canonical_dict() == b.canonical_dict()
-
-
 def test_train_validations(tiny_driving_pair):
     with pytest.raises(ValueError, match="empty"):
         train(LabeledDataset.from_samples([]), small_cfg())
@@ -343,10 +338,19 @@ def test_train_validations(tiny_driving_pair):
         train(tiny_driving_pair, small_cfg(epochs=0))
     with pytest.raises(ValueError, match="positive"):
         train(tiny_driving_pair, small_cfg(batch_size=0))
-    with pytest.raises(ValueError, match="learning rates"):
+    with pytest.raises(ValueError, match="lr must be positive"):
         train(tiny_driving_pair, small_cfg(lr=-0.1))
-    with pytest.raises(ValueError, match="optimizer"):
-        train(tiny_driving_pair, small_cfg(optimizer="sgd"))
+    # schedule values train would otherwise reinterpret, refused by name
+    for key, value in [
+        ("beta_hold", 2.0),  # would never ramp, yet the report claims beta
+        ("beta_hold", -0.5),
+        ("beta_start", -1.0),  # would pass for "fixed beta"
+        ("k", -3),  # would pass for "pick the default"
+        ("slope_start", 0.0),  # would fail mid-epoch without naming the key
+        ("slope_start", -1.0),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{key} must .*, got {value}$"):
+            train(tiny_driving_pair, small_cfg(**{key: value}))
 
 
 def test_unsound_config_refused(tiny_driving_pair):
@@ -369,17 +373,11 @@ def test_slope_end_above_one_is_refused(tiny_driving_pair):
     assert len(report.losses) == 1
 
 
-def test_plain_gradient_descent_runs(tiny_driving_pair):
-    report = train(tiny_driving_pair, small_cfg(epochs=2, optimizer="gd"))
-    assert len(report.losses) == 2
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_aborts_with_epoch(tiny_driving_pair):
     samples = list(tiny_driving_pair)
     data = LabeledDataset.from_samples(samples[:5] + samples[-5:])
-    cfg = small_cfg(epochs=3, batch_size=64, lr=1e120, lr_gates=1e120,
-                    optimizer="gd", grad_clip=0.0)
+    cfg = small_cfg(epochs=3, batch_size=64, lr=1e120)
     with pytest.raises(DivergenceError, match="diverged at epoch 1, batch 0: non-finite loss of sample"):
         train(data, cfg)
     # with two batches a step, the second batch of epoch 0 already meets
@@ -404,8 +402,7 @@ def test_config_file_round_trip(tmp_path):
         "epochs = 3\n"
         "batch_size= 10\n"
         "lr =0.25\n"
-        "gate_sampling = yes\n"
-        "optimizer = gd\n"
+        "allow_unsound = yes\n"
         "seed = 9\n"
         "beta_hold = 0.75  # fraction\n"
         "\n",
@@ -413,8 +410,7 @@ def test_config_file_round_trip(tmp_path):
     )
     cfg = TrainConfig.from_file(path)
     assert cfg == TrainConfig(
-        epochs=3, batch_size=10, lr=0.25, gate_sampling=True,
-        optimizer="gd", seed=9, beta_hold=0.75,
+        epochs=3, batch_size=10, lr=0.25, allow_unsound=True, seed=9, beta_hold=0.75,
     )
 
 
@@ -430,15 +426,45 @@ def test_config_file_errors(tmp_path):
     path.write_text("epochs = 3\nlr = 0.1\nwarp = 9\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":3: unknown config key 'warp'"):
         TrainConfig.from_file(path)
+    # the optimizer, its clip, the gate rate and gate sampling are fixed
+    for key, value in [("optimizer", "adam"), ("grad_clip", "1.0"), ("lr_gates", "0.1"),
+                       ("gate_sampling", "false")]:
+        path.write_text(f"epochs = 3\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad.cfg:2: unknown config key '{key}'"):
+            TrainConfig.from_file(path)
+    path.write_text("epochs = 3\nlr = 0.1\n# again\nepochs = 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad.cfg:4: 'epochs' already set on line 1$"):
+        TrainConfig.from_file(path)
     path.write_text("epochs = many\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":1: bad value for 'epochs'"):
         TrainConfig.from_file(path)
     path.write_text("epochs 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         TrainConfig.from_file(path)
-    path.write_text("gate_sampling = maybe\n", encoding="utf-8")
+    path.write_text("allow_unsound = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not a boolean"):
         TrainConfig.from_file(path)
+
+
+def test_readme_config_table_matches_train_config(tmp_path):
+    # every documented key, with its documented default, read back as a
+    # config file must give exactly the default TrainConfig
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Training configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.split("\n") if line.startswith("| `")]
+    lines = []
+    for keys, defaults in rows:
+        names = re.findall(r"`(\w+)`", keys)
+        values = [v.strip() for v in defaults.split("/")]
+        assert len(names) == len(values), keys
+        lines += [f"{name} = {value}" for name, value in zip(names, values)]
+    path = tmp_path / "readme.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert TrainConfig.from_file(path) == TrainConfig()
+    assert sorted(line.split(" = ")[0] for line in lines) == sorted(TrainConfig.__dataclass_fields__)
+    # and the fixed part of the recipe is stated with its values
+    assert f"gradient norm at {GRAD_CLIP}" in section
+    assert f"fixed rate of {LR_GATES}" in section
 
 
 @pytest.mark.parametrize("key", ["beta", "lr", "slope_end"])
