@@ -26,8 +26,20 @@ over a batch of signals X (n, length, dim) and keeps the intermediates
 that `NetworkPass.vjp` turns into gradients of the four parameter groups
 in closed form.  Training calls the pair once per batch; every value-only
 use (`network_outputs` and the `*_value` helpers, hence evaluation and
-sign agreement) runs the same forward over signals taken CHUNK at a time.  `guarantee_failure` names the precondition of sign
-agreement that a set of activation parameters fails, if any.
+sign agreement) runs the same forward over signals taken CHUNK at a time.
+`guarantee_failure` names the precondition of sign agreement that a set
+of activation parameters fails, if any.
+
+A pass writes its (n, k, length)-sized intermediates into a workspace
+the caller owns: a dict of float64 arrays keyed by layer, name and
+shape, filled on first use and reused by every later pass of that shape.
+One such array of a naval training batch (50 x 8 x 61) takes 195 kB, and
+a pass with its backward needs about twenty; reuse spares the allocator
+that work on every batch.  `train` and `network_outputs` each keep one
+workspace per call; `ws=None` gives fresh arrays.  The arithmetic is the
+same ufunc sequence either way, so the bits are too.
+The arrays a `NetworkPass` saves are valid only until the next pass on
+the same workspace, so call its `vjp` before then.
 """
 
 from __future__ import annotations
@@ -246,11 +258,27 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams):
+def _buffer(ws: Optional[dict], layer: str, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of the given shape: a fresh one when
+    ws is None, else the workspace's array under (layer, name, shape),
+    made on first use."""
+    if ws is None:
+        return np.empty(shape)
+    key = (layer, name, shape)
+    buf = ws.get(key)
+    if buf is None:
+        buf = ws[key] = np.empty(shape)
+    return buf
+
+
+def _softmax_rows(
+    r: np.ndarray, w: np.ndarray, p: ActivationParams, ws: Optional[dict] = None, layer: str = ""
+):
     """Sparse softmax along the last axis; `w` broadcasts against `r` and
     must select at least one entry in each of its rows.
 
-    Returns the values and the intermediates `_softmax_vjp` reads.  The
+    Returns the values and the intermediates `_softmax_vjp` reads; the
+    ones shaped like r * w live in workspace `ws` under `layer`.  The
     shift by the largest selected exponent is a constant (softmax ratios
     do not depend on it), and clamping at 0 keeps zero-weight lanes from
     overflowing exp; their terms are multiplied by w_i = 0.
@@ -258,39 +286,60 @@ def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams):
     support = w > 0.0
     if not support.any(axis=-1).all():
         raise EmptySelectionError("selection weights are all zero (empty time window)")
-    rp = r * w
+    shape = np.broadcast_shapes(r.shape, w.shape)
+    rp = np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
     den = np.abs(rp.max(axis=-1, keepdims=True)) + p.eps
-    zs = rp * p.h / den * p.beta
-    zs = zs - np.where(support, zs, -np.inf).max(axis=-1, keepdims=True)
-    # fewer live (n, k, length) arrays keep the value path as fast as a
-    # forward that saves nothing; the backward recomputes exp(zc)
-    u = w * np.exp(zs - _relu(zs))
-    num = (r * u).sum(axis=-1)
+    zs = np.multiply(rp, p.h, out=_buffer(ws, layer, "ez", shape))
+    np.divide(zs, den, out=zs)
+    np.multiply(zs, p.beta, out=zs)
+    np.subtract(zs, np.max(zs, axis=-1, keepdims=True, where=support, initial=-np.inf), out=zs)
+    # exp(min(zs, 0)) overwrites zs, which the backward does not need
+    ez = np.exp(np.minimum(zs, 0.0, out=zs), out=zs)
+    u = np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
+    num = np.multiply(r, u, out=_buffer(ws, layer, "tmp", shape)).sum(axis=-1)
     den2 = u.sum(axis=-1)
-    return num / den2, (r, w, rp, den, zs, u, num, den2)
+    return num / den2, (r, w, rp, den, ez, u, num, den2)
 
 
-def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams):
+def _softmax_vjp(
+    g: np.ndarray, saved, p: ActivationParams, ws: Optional[dict] = None, layer: str = ""
+):
     """Backward of `_softmax_rows` for output gradients g.
 
-    Returns the gradients wrt r and wrt w, both shaped like r * w.  The
-    gradient of |max r'| goes to the first maximal entry, times the sign
-    of the max.  The clamp relu(zs) passes no gradient: zs <= 0 on every
-    lane with w > 0, and every other lane has u = 0 whatever zs is.
+    Returns the gradients wrt r and wrt w, both shaped like r * w and
+    held in workspace `ws` under `layer`.  The gradient of |max r'| goes
+    to the first maximal entry, times the sign of the max.  The clamp
+    min(zs, 0) passes no gradient: zs <= 0 on every lane with w > 0, and
+    every other lane has u = 0 whatever zs is.
     """
-    r, w, rp, den, zs, u, num, den2 = saved
-    ez = np.exp(zs - _relu(zs))
+    r, w, rp, den, ez, u, num, den2 = saved
+    shape = rp.shape
     g_num = (g / den2)[..., None]
-    g_u = (-g * num / (den2 * den2))[..., None] + g_num * r
-    g_rpp = g_u * w * ez * p.beta
-    g_den = (-g_rpp * (rp * p.h) / (den * den)).sum(axis=-1, keepdims=True)
+    g_u = np.multiply(g_num, r, out=_buffer(ws, layer, "g_u", shape))
+    np.add((-g * num / (den2 * den2))[..., None], g_u, out=g_u)
+    g_rpp = np.multiply(g_u, w, out=_buffer(ws, layer, "g_rp", shape))
+    np.multiply(g_rpp, ez, out=g_rpp)
+    np.multiply(g_rpp, p.beta, out=g_rpp)
+    t1 = np.negative(g_rpp, out=_buffer(ws, layer, "tmp", shape))
+    t2 = np.multiply(rp, p.h, out=_buffer(ws, layer, "tmp2", shape))
+    np.multiply(t1, t2, out=t1)
+    np.divide(t1, den * den, out=t1)
+    g_den = t1.sum(axis=-1, keepdims=True)
     first = rp.argmax(axis=-1)[..., None]
     top = np.take_along_axis(rp, first, axis=-1)
     sign = np.where(top > 0.0, 1.0, np.where(top < 0.0, -1.0, 0.0))
-    g_max = np.zeros_like(rp)
-    np.put_along_axis(g_max, first, g_den * sign, axis=-1)
-    g_rp = g_rpp / den * p.h + g_max
-    return g_num * u + g_rp * w, g_u * ez + g_rp * r
+    # g_rp = g_rpp / den * h + g_max, where g_max is g_den * sign at each
+    # row's first maximum and +0.0 elsewhere; adding 0.0 turns -0.0 into 0.0
+    g_rp = np.divide(g_rpp, den, out=g_rpp)
+    np.multiply(g_rp, p.h, out=g_rp)
+    at_first = np.take_along_axis(g_rp, first, axis=-1) + g_den * sign
+    np.add(g_rp, 0.0, out=g_rp)
+    np.put_along_axis(g_rp, first, at_first, axis=-1)
+    g_r = np.multiply(g_num, u, out=t1)
+    np.add(g_r, np.multiply(g_rp, w, out=t2), out=g_r)
+    g_w = np.multiply(g_u, ez, out=g_u)
+    np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
+    return g_r, g_w
 
 
 def sparse_softmax_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
@@ -364,7 +413,9 @@ def non_finite_entry(groups: dict) -> Optional[str]:
 class NetworkPass:
     """One forward over a batch, with what `vjp` needs.  `out` holds the
     network output of each signal; positive means the signal is predicted
-    to satisfy the learned formula."""
+    to satisfy the learned formula.  The saved layer arrays live in
+    workspace `ws` (when given) and stay valid only until the next pass
+    on it."""
 
     out: np.ndarray
     params: ModelParams
@@ -374,6 +425,7 @@ class NetworkPass:
     temporal: tuple
     conjunction: tuple
     disjunction: Optional[tuple]
+    ws: Optional[dict]
 
     def vjp(self, dout: np.ndarray) -> dict:
         """Gradients of sum_s dout[s] * out[s] wrt b, t1, t2 and M.
@@ -381,15 +433,17 @@ class NetworkPass:
         Gates are straight-through: a gate row gets the gradient of its
         binary gates, and a dead row gets zero.
         """
-        p = self.p
+        p, ws = self.p, self.ws
         dout = np.asarray(dout, dtype=np.float64)
         if self.disjunction is None:
             g_h = dout[:, None]
         else:
-            g_h = _softmax_vjp(dout, self.disjunction, p)[0]
+            g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction")[0]
         # each row pools -g with a softmax: h = -softmax(-g)
-        g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p)
-        g_in, g_windows = _softmax_vjp(-g_neg.sum(axis=1) * self.flip, self.temporal, p)
+        g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p, ws, "conjunction")
+        g_in, g_windows = _softmax_vjp(
+            -g_neg.sum(axis=1) * self.flip, self.temporal, p, ws, "temporal"
+        )
         g_t1, g_t2 = _window_vjp(g_windows.sum(axis=0), self.params.t1, self.params.t2, p.slope)
         g_M = np.zeros_like(self.params.M)
         g_M[self.live] = g_gates.sum(axis=0)
@@ -403,6 +457,7 @@ def network_pass(
     shape: NetworkShape,
     p: ActivationParams,
     gates: Optional[np.ndarray] = None,
+    ws: Optional[dict] = None,
 ) -> NetworkPass:
     """Network forward over every signal of X (n, length, dim).
 
@@ -413,7 +468,9 @@ def network_pass(
     softmax over the live rows gives the output.  Raises NonFiniteError
     naming a non-finite parameter, ValueError naming a slot whose axis the
     data lacks, EmptySelectionError for an empty window and
-    EmptyFormulaError when every gate row is closed.
+    EmptyFormulaError when every gate row is closed.  The (n, k, length)
+    intermediates go into workspace `ws`, or fresh arrays when it is None
+    (see the module docstring).
     """
     X = np.asarray(X, dtype=np.float64)
     bad = non_finite_entry({"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M})
@@ -431,20 +488,24 @@ def network_pass(
     flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots])
     # contiguous (n, k, length): sums over time then run along memory,
     # which trains StopAndGo about 7% faster than the strided view
-    values = np.ascontiguousarray(X[:, :, axes].transpose(0, 2, 1))
-    rows = signs * values - params.b[:, None]
-    g, temporal = _softmax_rows(flip[:, None] * rows, windows, p)
+    rows = _buffer(ws, "temporal", "r", (X.shape[0], shape.k, X.shape[1]))
+    # the axes are checked above; mode="clip" lets take write rows directly
+    np.take(X.transpose(0, 2, 1), axes, axis=1, out=rows, mode="clip")
+    np.multiply(signs, rows, out=rows)
+    np.subtract(rows, params.b[:, None], out=rows)
+    np.multiply(flip[:, None], rows, out=rows)
+    g, temporal = _softmax_rows(rows, windows, p, ws, "temporal")
     g = flip * g
     live = np.flatnonzero((gates > 0.0).any(axis=1))
     if not live.size:
         raise EmptyFormulaError("every conjunction row is gated off")
-    h, conjunction = _softmax_rows(-g[:, None, :], gates[live], p)
+    h, conjunction = _softmax_rows(-g[:, None, :], gates[live], p, ws, "conjunction")
     h = -h
     if len(live) == 1:
         out, disjunction = h[:, 0], None
     else:
-        out, disjunction = _softmax_rows(h, np.ones(len(live)), p)
-    return NetworkPass(out, params, p, flip, live, temporal, conjunction, disjunction)
+        out, disjunction = _softmax_rows(h, np.ones(len(live)), p, ws, "disjunction")
+    return NetworkPass(out, params, p, flip, live, temporal, conjunction, disjunction, ws)
 
 
 def network_outputs(
@@ -455,14 +516,15 @@ def network_outputs(
 ) -> np.ndarray:
     """Network output for every signal of X (n, length, dim), value only.
 
-    Runs `network_pass` on CHUNK signals at a time and drops its
-    intermediates after each chunk.  Raises what `network_pass` raises,
-    and NonFiniteError on a non-finite output.
+    Runs `network_pass` on CHUNK signals at a time, every chunk in one
+    workspace.  Raises what `network_pass` raises, and NonFiniteError on
+    a non-finite output.
     """
     X = np.asarray(X, dtype=np.float64)
+    ws: dict = {}
     out = np.concatenate(
         [
-            network_pass(X[lo : lo + CHUNK], params, shape, p).out
+            network_pass(X[lo : lo + CHUNK], params, shape, p, ws=ws).out
             for lo in range(0, max(X.shape[0], 1), CHUNK)
         ]
     )

@@ -233,9 +233,12 @@ def init_params(
     """Offsets drawn inside the 10th-90th percentile band of each slot's
     signed axis values; windows start full; gates start near 0.5."""
     b = np.empty(shape.k)
+    bands = {}  # (axis, sign) -> (lo, hi); k = 4 * dim repeats every pair
     for j, slot in enumerate(shape.slots):
-        pooled = slot.sign * data.X[:, :, slot.axis].ravel()
-        lo, hi = np.percentile(pooled, [10.0, 90.0])
+        key = (slot.axis, slot.sign)
+        if key not in bands:
+            bands[key] = np.percentile(slot.sign * data.X[:, :, slot.axis].ravel(), [10.0, 90.0])
+        lo, hi = bands[key]
         b[j] = rng.uniform(lo, hi)
     t1 = np.zeros(shape.k)
     t2 = np.full(shape.k, float(length - 1))
@@ -352,14 +355,15 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     return gates
 
 
-def _batch_gradients(X, y, batch, params, shape, p):
-    """One batch: the network pass, the mean loss and its gradients.
+def _batch_gradients(X, y, batch, params, shape, p, ws=None):
+    """One batch: the network pass (in workspace ws), the mean loss and
+    its gradients.
 
     Returns (gradients per parameter group, mean loss, misclassified
     count).  Raises NonFiniteError naming the first non-finite parameter,
     network output, loss or gradient entry.
     """
-    fwd = network_pass(X[batch], params, shape, p)
+    fwd = network_pass(X[batch], params, shape, p, ws=ws)
     labels = y[batch].astype(np.float64)
     with np.errstate(over="ignore"):
         terms = np.exp(-labels * fwd.out)
@@ -409,6 +413,8 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         raise ValueError(f"k must be >= 0 (0 picks 4 * dim), got {cfg.k}")
     if cfg.slope_start <= 0:
         raise ValueError(f"slope_start must be positive, got {cfg.slope_start}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
 
     shape = NetworkShape.cycled(dim, cfg.k if cfg.k > 0 else None, cfg.m)
     p_final = cfg.activation()
@@ -423,22 +429,26 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     losses: List[float] = []
     train_mcr: List[float] = []
     epoch_seconds: List[float] = []
+    ws: dict = {}  # one workspace for every batch's network pass
     beta0 = cfg.beta_start if cfg.beta_start > 0 else cfg.beta
     for epoch in range(cfg.epochs):
-        if cfg.epochs == 1:
-            frac = 1.0
+        if epoch == cfg.epochs - 1:
+            # the last epoch trains at the activation the report records,
+            # whatever beta_hold is
+            p = p_final
         else:
             frac = epoch / (cfg.epochs - 1)
-        slope = cfg.slope_start + (cfg.slope_end - cfg.slope_start) * frac
-        # Soft selection early so every lane feels the class gradient and
-        # thresholds can place themselves, sharp selection late so the
-        # network matches the extracted formula's min/max semantics.
-        if frac <= cfg.beta_hold:
-            ramp = 0.0
-        else:
-            ramp = (frac - cfg.beta_hold) / (1.0 - cfg.beta_hold)
-        beta = beta0 + (cfg.beta - beta0) * ramp
-        p = replace(p_final, slope=slope, beta=beta)
+            slope = cfg.slope_start + (cfg.slope_end - cfg.slope_start) * frac
+            # Soft selection early so every lane feels the class gradient and
+            # thresholds can place themselves, sharp selection late so the
+            # network matches the extracted formula's min/max semantics.
+            # frac < 1 here, so the ramp's divisor 1 - beta_hold is positive.
+            if frac <= cfg.beta_hold:
+                ramp = 0.0
+            else:
+                ramp = (frac - cfg.beta_hold) / (1.0 - cfg.beta_hold)
+            beta = beta0 + (cfg.beta - beta0) * ramp
+            p = replace(p_final, slope=slope, beta=beta)
         started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
@@ -446,7 +456,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
         for index, lo in enumerate(range(0, n, cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
             try:
-                grads, batch_loss, batch_wrong = _batch_gradients(X, y, batch, params, shape, p)
+                grads, batch_loss, batch_wrong = _batch_gradients(X, y, batch, params, shape, p, ws)
             except NonFiniteError as e:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {index}: {e}"

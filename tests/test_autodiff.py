@@ -7,13 +7,16 @@ gradient only where their input is > 0, the |max| normalizer routes its
 gradient to the first maximal entry times the sign of the max, binary
 gates pass their gradient on unchanged, unused slots get zero gradient,
 and values agree with central differences at smooth points.  Failure
-modes name the non-finite quantity.
+modes name the non-finite quantity.  Passes that reuse one workspace give
+the bytes of passes on fresh arrays.
 """
 
 import numpy as np
 import pytest
 
+from stlinfer import network, trainer
 from stlinfer.network import (
+    CHUNK,
     ActivationParams,
     ModelParams,
     NetworkShape,
@@ -25,7 +28,7 @@ from stlinfer.network import (
     network_pass,
     time_indicator_values,
 )
-from stlinfer.trainer import _batch_gradients
+from stlinfer.trainer import TrainConfig, _batch_gradients, train
 
 P = ActivationParams()  # beta 25, h 1
 
@@ -123,6 +126,16 @@ def test_exp_at_zero():
 
 # ---------------------------------------------------------------------------
 # the |max| normalizer of the sparse softmax
+
+
+def test_zero_gradient_keeps_the_signs_of_its_zeros():
+    # g_rp = g_rpp / den * h + g_max, and g_max is +0.0 off each row's
+    # maximum, so a zero output gradient gives g_rp = +0.0 everywhere and
+    # g_w = g_u * ez + g_rp * r is -0.0 exactly where r < 0 (num > 0 here)
+    r = np.array([-1.0, 2.0, -3.0, 0.5])
+    _, saved = _softmax_rows(r, np.ones(4), P)
+    _, g_w = _softmax_vjp(np.array(0.0), saved, P)
+    assert np.signbit(g_w).tolist() == [True, False, True, False]
 
 
 def test_abs_max_value_and_gradient_routing():
@@ -288,3 +301,99 @@ def test_non_finite_array_detected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="non-finite network output"):
             network_outputs(X, params, shape, P)
+
+
+# ---------------------------------------------------------------------------
+# the workspace
+
+
+def random_network_case(rng, n, length, dim, m, one_live):
+    """Signals and parameters for a pass, with one live gate row or at
+    least two."""
+    shape = NetworkShape.cycled(dim, m=m)
+    t1 = rng.uniform(0.0, length - 1.0, shape.k)
+    t2 = np.minimum(t1 + rng.uniform(0.0, length, shape.k), length - 1.0)
+    M = rng.uniform(0.0, 1.0, (m, shape.k))
+    M[:, 0] = 0.9
+    if one_live:
+        M[1:] = 0.1
+    params = ModelParams(rng.normal(size=shape.k), t1, t2, M)
+    return rng.normal(size=(n, length, dim)), params, shape
+
+
+def pass_bytes(fwd, dout):
+    return fwd.out.tobytes(), {group: g.tobytes() for group, g in fwd.vjp(dout).items()}
+
+
+def test_workspace_passes_equal_fresh_passes():
+    # one workspace across shapes, as in training: repeated shapes, a
+    # smaller last batch, other n, L, dim and m, one live row or several;
+    # the workspace is poisoned with NaN between passes, so a stale or
+    # shared intermediate shows in the bytes
+    rng = np.random.default_rng(41)
+    ws = {}
+    cases = [
+        (50, 61, 2, 2, False),
+        (50, 61, 2, 2, True),
+        (17, 61, 2, 2, False),
+        (50, 61, 2, 2, False),
+        (25, 40, 1, 3, False),
+        (25, 40, 1, 3, True),
+        (6, 12, 3, 1, True),
+        (1, 5, 2, 4, False),
+        (9, 4, 1, 4, False),  # k = L = live rows: two layers' arrays of one shape
+    ]
+    for n, length, dim, m, one_live in cases:
+        X, params, shape = random_network_case(rng, n, length, dim, m, one_live)
+        p = ActivationParams(beta=float(rng.choice([3.0, 25.0])), slope=float(rng.choice([1.0, 3.0])))
+        dout = rng.normal(size=n)
+        reused = network_pass(X, params, shape, p, ws=ws)
+        assert (len(reused.live) == 1) == one_live
+        assert pass_bytes(reused, dout) == pass_bytes(network_pass(X, params, shape, p), dout)
+        for array in ws.values():
+            array.fill(np.nan)
+
+
+def test_network_outputs_equal_fresh_chunk_passes():
+    rng = np.random.default_rng(42)
+    for n in (1, CHUNK, CHUNK + 1, 300):
+        X, params, shape = random_network_case(rng, n, 20, 2, 2, False)
+        fresh = [network_pass(X[lo : lo + CHUNK], params, shape, P).out for lo in range(0, n, CHUNK)]
+        assert network_outputs(X, params, shape, P).tobytes() == np.concatenate(fresh).tobytes()
+
+
+def test_second_pass_reuses_the_workspace():
+    # a pass of a shape seen before adds no arrays and writes its saved
+    # intermediates into the first pass's memory
+    rng = np.random.default_rng(43)
+    X, params, shape = random_network_case(rng, 30, 25, 2, 3, False)
+    ws = {}
+    first = network_pass(X, params, shape, P, ws=ws)
+    first.vjp(rng.normal(size=len(X)))
+    keys = set(ws)
+    second = network_pass(rng.normal(size=X.shape), params, shape, P, ws=ws)
+    second.vjp(rng.normal(size=len(X)))
+    assert set(ws) == keys
+    for layer in ("temporal", "conjunction", "disjunction"):
+        # r (the temporal layer's predicate rows), rp, ez and u
+        for i in (0, 2, 4, 5) if layer == "temporal" else (2, 4, 5):
+            assert np.shares_memory(getattr(first, layer)[i], getattr(second, layer)[i]), (layer, i)
+
+
+def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
+    # train and network_outputs each pass one workspace to all their passes
+    seen = []
+
+    def record(X, params, shape, p, gates=None, ws=None):
+        seen.append(ws)
+        return real(X, params, shape, p, gates, ws)
+
+    real = network.network_pass
+    monkeypatch.setattr(network, "network_pass", record)
+    monkeypatch.setattr(trainer, "network_pass", record)
+    X, params, shape = random_network_case(np.random.default_rng(44), 2 * CHUNK + 1, 10, 1, 2, False)
+    network_outputs(X, params, shape, P)
+    train(tiny_driving_pair, TrainConfig(epochs=2, batch_size=25))
+    assert len(seen) == 3 + 2 * 3
+    for calls in (seen[:3], seen[3:]):
+        assert isinstance(calls[0], dict) and all(ws is calls[0] for ws in calls)

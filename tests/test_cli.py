@@ -119,6 +119,14 @@ def test_train_refuses_unsound_activation(cli_env, tmp_path, capsys):
     assert rc == 0
 
 
+def test_train_names_a_negative_seed(cli_env, tmp_path, capsys):
+    csv, cfg, _ = cli_env
+    rc = main(["train", "--data", str(csv), "--config", str(cfg),
+               "--seed", "-1", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r")])
     assert rc == 1

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stlinfer import trainer
 from stlinfer.datasets import LabeledDataset
+from stlinfer.evaluate import emit_report
 from stlinfer.network import (
     ActivationParams,
     EmptyFormulaError,
@@ -119,6 +121,20 @@ def test_init_params_ranges(tiny_driving_pair):
             [slot.sign * sig.values[:, slot.axis] for sig, _ in tiny_driving_pair]
         )
         assert pooled.min() <= params.b[j] <= pooled.max()
+
+
+def test_init_params_draws_offsets_in_slot_order(tiny_naval):
+    # each (axis, sign) band is computed once, but the draws keep slot
+    # order: the offsets equal a band computed afresh for every slot
+    shape = NetworkShape.cycled(tiny_naval.dim)
+    params = init_params(tiny_naval, shape, tiny_naval.length, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    want = [
+        rng.uniform(*np.percentile(slot.sign * tiny_naval.X[:, :, slot.axis].ravel(), [10.0, 90.0]))
+        for slot in shape.slots
+    ]
+    assert params.b.tobytes() == np.array(want).tobytes()
+    assert params.M.tobytes() == rng.uniform(0.4, 0.6, size=(shape.m, shape.k)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +344,17 @@ def test_train_is_deterministic(tiny_driving_pair):
     assert a.canonical_dict() == b.canonical_dict()
 
 
+def test_train_reports_are_byte_identical_in_one_process(tiny_driving_pair, tmp_path):
+    # 60 samples in batches of 25 leave a last batch of 10, so each run's
+    # workspace holds arrays of two batch shapes; report.json's bytes also
+    # tell -0.0 from 0.0, which canonical_dict's == does not
+    cfg = small_cfg(batch_size=25)
+    for run in ("first", "second"):
+        emit_report(train(tiny_driving_pair, cfg), tmp_path / run)
+    first, second = ((tmp_path / run / "report.json").read_bytes() for run in ("first", "second"))
+    assert first == second
+
+
 def test_train_validations(tiny_driving_pair):
     with pytest.raises(ValueError, match="empty"):
         train(LabeledDataset.from_samples([]), small_cfg())
@@ -340,6 +367,8 @@ def test_train_validations(tiny_driving_pair):
         train(tiny_driving_pair, small_cfg(batch_size=0))
     with pytest.raises(ValueError, match="lr must be positive"):
         train(tiny_driving_pair, small_cfg(lr=-0.1))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        train(tiny_driving_pair, small_cfg(seed=-1))
     # schedule values train would otherwise reinterpret, refused by name
     for key, value in [
         ("beta_hold", 2.0),  # would never ramp, yet the report claims beta
@@ -389,6 +418,30 @@ def test_divergence_aborts_with_epoch(tiny_driving_pair):
 def test_beta_hold_of_one_is_valid(tiny_driving_pair):
     report = train(tiny_driving_pair, small_cfg(epochs=2, beta_start=3.0, beta_hold=1.0))
     assert len(report.losses) == 2
+
+
+@pytest.mark.parametrize(
+    "hold, betas",
+    [
+        (0.5, [3.0, 3.0, 3.0, 14.0, 25.0]),  # the shipped configs' schedule
+        (1.0, [3.0, 3.0, 3.0, 3.0, 25.0]),  # held to the end, then beta
+        (0.0, [3.0, 8.5, 14.0, 19.5, 25.0]),
+    ],
+)
+def test_last_epoch_trains_at_the_reported_activation(tiny_driving_pair, monkeypatch, hold, betas):
+    seen = {}  # (beta, slope) in first-seen order: one key per epoch, as slopes differ
+
+    def record(X, y, batch, params, shape, p, ws=None):
+        seen[(p.beta, p.slope)] = None
+        return batch_gradients(X, y, batch, params, shape, p, ws)
+
+    batch_gradients = trainer._batch_gradients
+    monkeypatch.setattr(trainer, "_batch_gradients", record)
+    cfg = small_cfg(epochs=5, beta_start=3.0, beta=25.0, beta_hold=hold, slope_start=3.0)
+    report = train(tiny_driving_pair, cfg)
+    assert [beta for beta, _ in seen] == betas
+    assert [slope for _, slope in seen] == [3.0, 2.5, 2.0, 1.5, 1.0]
+    assert (report.activation.beta, report.activation.slope) == list(seen)[-1]
 
 
 # ---------------------------------------------------------------------------
