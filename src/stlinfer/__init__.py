@@ -38,9 +38,6 @@ from .network import (
     SlotSpec,
     network_outputs,
     soundness_bound_check,
-    sparse_softmax_value,
-    sparse_softmin_value,
-    time_indicator_values,
 )
 from .datasets import (
     DrivingBehavior,

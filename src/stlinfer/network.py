@@ -25,10 +25,16 @@ The network is computed one way: `network_pass` runs it on numpy arrays
 over a batch of signals X (n, length, dim) and keeps the intermediates
 that `NetworkPass.vjp` turns into gradients of the four parameter groups
 in closed form.  Training calls the pair once per batch; every value-only
-use (`network_outputs` and the `*_value` helpers, hence evaluation and
-sign agreement) runs the same forward over signals taken CHUNK at a time.
-`guarantee_failure` names the precondition of sign agreement that a set
-of activation parameters fails, if any.
+use (`network_outputs`, hence evaluation and sign agreement) runs the
+same forward over signals taken CHUNK at a time.  `guarantee_failure`
+names the precondition of sign agreement that a set of activation
+parameters fails, if any.
+
+The backward recomputes nothing the forward found.  Each softmax layer
+saves the flat index of every row's first maximum and its value `top`,
+so the backward routes the normalizer's gradient with a plain take and
+put; the window layer saves, next to the windows, the masks of the
+steps that move with each window end.
 
 A pass writes its (n, k, length)-sized intermediates into a workspace
 the caller owns: a dict of float64 arrays keyed by layer, name and
@@ -64,9 +70,6 @@ __all__ = [
     "soundness_bound_check",
     "soundness_bound_text",
     "guarantee_failure",
-    "sparse_softmax_value",
-    "sparse_softmin_value",
-    "time_indicator_values",
     "network_pass",
     "network_outputs",
     "CHUNK",
@@ -278,7 +281,9 @@ def _softmax_rows(
     must select at least one entry in each of its rows.
 
     Returns the values and the intermediates `_softmax_vjp` reads; the
-    ones shaped like r * w live in workspace `ws` under `layer`.  The
+    ones shaped like r * w live in workspace `ws` under `layer`.  Each
+    row's first maximum of r' is found once, and saved as its flat index
+    `first` into the contiguous r' together with its value `top`.  The
     shift by the largest selected exponent is a constant (softmax ratios
     do not depend on it), and clamping at 0 keeps zero-weight lanes from
     overflowing exp; their terms are multiplied by w_i = 0.
@@ -288,7 +293,10 @@ def _softmax_rows(
         raise EmptySelectionError("selection weights are all zero (empty time window)")
     shape = np.broadcast_shapes(r.shape, w.shape)
     rp = np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
-    den = np.abs(rp.max(axis=-1, keepdims=True)) + p.eps
+    first = rp.argmax(axis=-1)
+    first += np.arange(0, rp.size, shape[-1]).reshape(first.shape)
+    top = rp.take(first)
+    den = (np.abs(top) + p.eps)[..., None]
     zs = np.multiply(rp, p.h, out=_buffer(ws, layer, "ez", shape))
     np.divide(zs, den, out=zs)
     np.multiply(zs, p.beta, out=zs)
@@ -298,7 +306,7 @@ def _softmax_rows(
     u = np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
     num = np.multiply(r, u, out=_buffer(ws, layer, "tmp", shape)).sum(axis=-1)
     den2 = u.sum(axis=-1)
-    return num / den2, (r, w, rp, den, ez, u, num, den2)
+    return num / den2, (r, w, rp, den, ez, u, num, den2, first, top)
 
 
 def _softmax_vjp(
@@ -308,11 +316,12 @@ def _softmax_vjp(
 
     Returns the gradients wrt r and wrt w, both shaped like r * w and
     held in workspace `ws` under `layer`.  The gradient of |max r'| goes
-    to the first maximal entry, times the sign of the max.  The clamp
-    min(zs, 0) passes no gradient: zs <= 0 on every lane with w > 0, and
-    every other lane has u = 0 whatever zs is.
+    to the first maximal entry, times the sign of the max: the forward's
+    saved flat index `first` and value `top`.  The clamp min(zs, 0)
+    passes no gradient: zs <= 0 on every lane with w > 0, and every other
+    lane has u = 0 whatever zs is.
     """
-    r, w, rp, den, ez, u, num, den2 = saved
+    r, w, rp, den, ez, u, num, den2, first, top = saved
     shape = rp.shape
     g_num = (g / den2)[..., None]
     g_u = np.multiply(g_num, r, out=_buffer(ws, layer, "g_u", shape))
@@ -324,17 +333,15 @@ def _softmax_vjp(
     t2 = np.multiply(rp, p.h, out=_buffer(ws, layer, "tmp2", shape))
     np.multiply(t1, t2, out=t1)
     np.divide(t1, den * den, out=t1)
-    g_den = t1.sum(axis=-1, keepdims=True)
-    first = rp.argmax(axis=-1)[..., None]
-    top = np.take_along_axis(rp, first, axis=-1)
+    g_den = t1.sum(axis=-1)
     sign = np.where(top > 0.0, 1.0, np.where(top < 0.0, -1.0, 0.0))
     # g_rp = g_rpp / den * h + g_max, where g_max is g_den * sign at each
     # row's first maximum and +0.0 elsewhere; adding 0.0 turns -0.0 into 0.0
     g_rp = np.divide(g_rpp, den, out=g_rpp)
     np.multiply(g_rp, p.h, out=g_rp)
-    at_first = np.take_along_axis(g_rp, first, axis=-1) + g_den * sign
+    at_first = g_rp.take(first) + g_den * sign
     np.add(g_rp, 0.0, out=g_rp)
-    np.put_along_axis(g_rp, first, at_first, axis=-1)
+    g_rp.put(first, at_first)
     g_r = np.multiply(g_num, u, out=t1)
     np.add(g_r, np.multiply(g_rp, w, out=t2), out=g_r)
     g_w = np.multiply(g_u, ez, out=g_u)
@@ -342,27 +349,18 @@ def _softmax_vjp(
     return g_r, g_w
 
 
-def sparse_softmax_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
-    """Smooth, sign-sound stand-in for max over the entries selected by w.
+def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
+    """Soft indicator of [t1, t2] on the grid 0..length-1 for every slot,
+    shape (k, length), and the two masks `_window_vjp` reads.
 
-    Output always lies between the min and max of the selected entries.
-    Raises EmptySelectionError when no weight is positive.
+    Trapezoid built from relu ramps: rises from 0 at t1-slope to 1 at t1,
+    stays 1 through t2, and falls back to 0 at t2+slope.  For integer
+    t1 <= t2 and slope <= 1 it is exactly the binary window indicator.
+    The window rise - relu(rise - fall) is the lower ramp.  It moves with
+    t1 where the rise is lower and moving (on (t1 - slope, t1]), and with
+    t2 where the fall is lower and moving (on [t2, t2 + slope)), as relu
+    passes gradient only where its input is > 0; the masks mark those steps.
     """
-    r = np.asarray(r, dtype=np.float64)
-    return float(_softmax_rows(r, np.asarray(w, dtype=np.float64), p)[0])
-
-
-def sparse_softmin_value(r: np.ndarray, w: np.ndarray, p: ActivationParams) -> float:
-    """Sign-sound stand-in for min over selected entries: -softmax(-r)."""
-    r = np.asarray(r, dtype=np.float64)
-    return -float(_softmax_rows(-r, np.asarray(w, dtype=np.float64), p)[0])
-
-
-def _window_ramps(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
-    """The rising and falling ramps of every slot's soft window, each of
-    shape (k, length), and the masks where each one moves with its end:
-    the rise with t1 on (t1 - slope, t1], the fall with t2 on [t2, t2 +
-    slope), as relu passes gradient only where its input is > 0."""
     if slope <= 0:
         raise ValueError("slope must be positive")
     grid = np.arange(length, dtype=np.float64)
@@ -371,33 +369,18 @@ def _window_ramps(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
     up, up_end, down, down_end = grid - (t1 - slope), grid - t1, (t2 + slope) - grid, t2 - grid
     rise = (_relu(up) - _relu(up_end)) * (1.0 / slope)
     fall = (_relu(down) - _relu(down_end)) * (1.0 / slope)
-    return rise, fall, (up > 0.0) & (up_end <= 0.0), (down > 0.0) & (down_end <= 0.0)
+    excess = rise - fall
+    on_fall = excess > 0.0
+    at_t1 = (up > 0.0) & (up_end <= 0.0) & ~on_fall
+    at_t2 = (down > 0.0) & (down_end <= 0.0) & on_fall
+    return rise - _relu(excess), (at_t1, at_t2)
 
 
-def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int) -> np.ndarray:
-    """Soft indicator of [t1, t2] on the grid 0..length-1 for every slot.
-
-    Trapezoid built from relu ramps: rises from 0 at t1-slope to 1 at t1,
-    stays 1 through t2, and falls back to 0 at t2+slope.  For integer
-    t1 <= t2 and slope <= 1 it is exactly the binary window indicator.
-    """
-    rise, fall, _, _ = _window_ramps(t1, t2, slope, length)
-    return rise - _relu(rise - fall)
-
-
-def _window_vjp(g: np.ndarray, t1: np.ndarray, t2: np.ndarray, slope: float):
-    """Gradients of sum(g * windows) wrt t1 and t2, each of shape (k,)."""
-    rise, fall, rising, falling = _window_ramps(t1, t2, slope, g.shape[1])
-    # the window rise - relu(rise - fall) follows the fall where it is lower
-    on_fall = rise - fall > 0.0
-    g_t1 = (g * (rising & ~on_fall)).sum(axis=-1) * (-1.0 / slope)
-    g_t2 = (g * (falling & on_fall)).sum(axis=-1) * (1.0 / slope)
-    return g_t1, g_t2
-
-
-def time_indicator_values(t1: float, t2: float, slope: float, length: int) -> np.ndarray:
-    """The soft window [t1, t2] on the grid 0..length-1 (see _window_rows)."""
-    return _window_rows([float(t1)], [float(t2)], slope, length)[0]
+def _window_vjp(g: np.ndarray, ends: tuple, slope: float):
+    """Gradients of sum(g * windows) wrt t1 and t2, each of shape (k,),
+    from the masks `ends` that `_window_rows` returned with the windows."""
+    at_t1, at_t2 = ends
+    return (g * at_t1).sum(axis=-1) * (-1.0 / slope), (g * at_t2).sum(axis=-1) * (1.0 / slope)
 
 
 def non_finite_entry(groups: dict) -> Optional[str]:
@@ -422,6 +405,7 @@ class NetworkPass:
     p: ActivationParams
     flip: np.ndarray
     live: np.ndarray
+    window_ends: tuple
     temporal: tuple
     conjunction: tuple
     disjunction: Optional[tuple]
@@ -444,7 +428,7 @@ class NetworkPass:
         g_in, g_windows = _softmax_vjp(
             -g_neg.sum(axis=1) * self.flip, self.temporal, p, ws, "temporal"
         )
-        g_t1, g_t2 = _window_vjp(g_windows.sum(axis=0), self.params.t1, self.params.t2, p.slope)
+        g_t1, g_t2 = _window_vjp(g_windows.sum(axis=0), self.window_ends, p.slope)
         g_M = np.zeros_like(self.params.M)
         g_M[self.live] = g_gates.sum(axis=0)
         # rows = sign * x - b enter the temporal softmax times flip
@@ -481,7 +465,7 @@ def network_pass(
     for j, slot in enumerate(shape.slots):
         if slot.axis >= X.shape[2]:
             raise ValueError(f"slot {j} reads axis {slot.axis}, but the data has dim {X.shape[2]}")
-    windows = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    windows, window_ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
     axes = [slot.axis for slot in shape.slots]
     signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
     # softmin(r) = -softmax(-r): always-slots flip sign on the way in and out
@@ -505,7 +489,9 @@ def network_pass(
         out, disjunction = h[:, 0], None
     else:
         out, disjunction = _softmax_rows(h, np.ones(len(live)), p, ws, "disjunction")
-    return NetworkPass(out, params, p, flip, live, temporal, conjunction, disjunction, ws)
+    return NetworkPass(
+        out, params, p, flip, live, window_ends, temporal, conjunction, disjunction, ws
+    )
 
 
 def network_outputs(

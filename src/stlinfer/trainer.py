@@ -4,11 +4,14 @@ The trainer fits the formula network by minimizing the exponential margin
 loss exp(-label * output) with one fixed recipe: Adam (first/second moment
 estimates with bias correction) after capping the global gradient norm at
 GRAD_CLIP, with the gates M moving at LR_GATES and the other groups at the
-config's lr.  Each batch is one batched network pass over its signals
-(n, l, dim) with the gates thresholded at 0.5, the mean loss, and one
-closed-form backward of that pass, whose straight-through gradient reaches
-M.  After every step the parameters are projected back into their
-feasible box: gates into [0, 1], window ends into [0, l-1] with t1 <= t2.
+config's lr.  The four parameter groups b, t1, t2 and M are views of one
+flat vector, so a step is a few vector operations over it with one
+learning rate per entry.  Each batch is one batched network pass over its
+signals (n, l, dim) with the gates thresholded at 0.5, the mean loss, and
+one closed-form backward of that pass, whose straight-through gradient
+reaches M.  After every step the parameters are projected back into
+their feasible box: gates into [0, 1], window ends into [0, l-1] with
+t1 <= t2.
 
 Extraction thresholds the gate matrix at 0.5, drops rows with no open
 gate, floors t1 and ceils t2, and reads one conjunction clause per
@@ -199,29 +202,50 @@ ADAM_BETA2 = 0.9
 ADAM_EPS = 1e-8
 
 
-class _Optimizer:
-    """Adam over named parameter groups (first/second moment estimates
-    with bias correction), applied after capping the global gradient norm
-    at GRAD_CLIP."""
+# The parameter groups in the order they lie in the flat vector.
+GROUPS = ("b", "t1", "t2", "M")
 
-    def __init__(self, lrs: dict):
-        self.lrs = lrs
-        self.m = dict.fromkeys(lrs, 0.0)
-        self.v = dict.fromkeys(lrs, 0.0)
+
+def _flat_params(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
+    """One float64 vector holding b, t1, t2 and M in GROUPS order, and the
+    same parameters as views of it, so in-place updates of either show in
+    both."""
+    flat = np.concatenate([getattr(params, name).ravel() for name in GROUPS])
+    k = params.b.size
+    M = flat[3 * k :].reshape(params.M.shape)
+    return flat, ModelParams(flat[:k], flat[k : 2 * k], flat[2 * k : 3 * k], M)
+
+
+class _Optimizer:
+    """Adam over one flat parameter vector (first/second moment estimates
+    with bias correction), applied after capping the global gradient norm
+    at GRAD_CLIP; `lr` holds each entry's learning rate."""
+
+    def __init__(self, lr: np.ndarray):
+        self.lr = lr
+        self.m = np.zeros_like(lr)
+        self.v = np.zeros_like(lr)
         self.t = 0
 
-    def step(self, arrays: dict, grads: dict) -> None:
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    def step(self, x: np.ndarray, grads: dict) -> None:
+        """Update x, laid out as `_flat_params` lays it out, in place from
+        the gradient of each group."""
+        # the norm sums group by group, in GROUPS order
+        norm = math.sqrt(sum(float(np.sum(grads[name] * grads[name])) for name in GROUPS))
+        g = np.concatenate([grads[name].ravel() for name in GROUPS])
         if norm > GRAD_CLIP:
-            grads = {k: g * (GRAD_CLIP / norm) for k, g in grads.items()}
+            g *= GRAD_CLIP / norm
         self.t += 1
-        for name, x in arrays.items():
-            g = grads[name]
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            mhat = self.m[name] / (1 - ADAM_BETA1**self.t)
-            vhat = self.v[name] / (1 - ADAM_BETA2**self.t)
-            x -= self.lrs[name] * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * g * g
+        step = self.m / (1 - ADAM_BETA1**self.t)
+        step *= self.lr
+        root = np.sqrt(self.v / (1 - ADAM_BETA2**self.t))
+        root += ADAM_EPS
+        step /= root
+        x -= step
 
 
 def init_params(
@@ -401,18 +425,19 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     if labels != [-1, 1]:
         raise ValueError(f"training data must contain both classes, got labels {labels}")
     length, dim = data.length, data.dim
-    if cfg.epochs < 1 or cfg.batch_size < 1:
-        raise ValueError("epochs and batch_size must be positive")
-    if cfg.lr <= 0:
-        raise ValueError(f"lr must be positive, got {cfg.lr}")
+    for key in ("epochs", "batch_size", "lr", "beta", "h", "eps", "slope_start", "slope_end"):
+        if getattr(cfg, key) <= 0:
+            raise ValueError(f"{key} must be positive, got {getattr(cfg, key)}")
     if not 0.0 <= cfg.beta_hold <= 1.0:
         raise ValueError(f"beta_hold must lie in [0, 1], got {cfg.beta_hold}")
     if cfg.beta_start < 0:
         raise ValueError(f"beta_start must be >= 0 (0 keeps beta fixed), got {cfg.beta_start}")
     if cfg.k < 0:
         raise ValueError(f"k must be >= 0 (0 picks 4 * dim), got {cfg.k}")
-    if cfg.slope_start <= 0:
-        raise ValueError(f"slope_start must be positive, got {cfg.slope_start}")
+    if cfg.k % (2 * dim):
+        raise ValueError(f"k must be a multiple of 2 * dim = {2 * dim}, got {cfg.k}")
+    if cfg.m < 1:
+        raise ValueError(f"m must be >= 1, got {cfg.m}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
 
@@ -422,8 +447,10 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     if failure is not None and not cfg.allow_unsound:
         raise UnsoundConfigError(failure)
     rng = np.random.default_rng([cfg.seed, 7])
-    params = init_params(data, shape, length, rng)
-    opt = _Optimizer({"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": LR_GATES})
+    flat, params = _flat_params(init_params(data, shape, length, rng))
+    lr = np.full(flat.size, cfg.lr)
+    lr[3 * shape.k :] = LR_GATES  # the gates M
+    opt = _Optimizer(lr)
 
     n, X, y = len(data), data.X, data.y
     losses: List[float] = []
@@ -463,8 +490,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
                 ) from e
             loss_sum += batch_loss * len(batch)
             wrong += batch_wrong
-            arrays = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
-            opt.step(arrays, grads)
+            opt.step(flat, grads)
             project_params(params, length)
         losses.append(loss_sum / n)
         train_mcr.append(wrong / n)

@@ -23,9 +23,6 @@ from stlinfer.network import (
     network_outputs,
     network_pass,
     soundness_bound_check,
-    sparse_softmax_value,
-    sparse_softmin_value,
-    time_indicator_values,
 )
 from stlinfer.stl import (
     And,
@@ -42,7 +39,13 @@ from stlinfer.stl import (
 )
 from stlinfer.trainer import TrainConfig, train
 
-from util import random_dnf, random_signal
+from util import (
+    random_dnf,
+    random_signal,
+    sparse_softmax_value,
+    sparse_softmin_value,
+    time_indicator_values,
+)
 
 
 def _announce(name: str, ok: bool, detail: str = "") -> None:

@@ -8,7 +8,8 @@ gradient to the first maximal entry times the sign of the max, binary
 gates pass their gradient on unchanged, unused slots get zero gradient,
 and values agree with central differences at smooth points.  Failure
 modes name the non-finite quantity.  Passes that reuse one workspace give
-the bytes of passes on fresh arrays.
+the bytes of passes on fresh arrays, and the forward's saved first maxima
+route the normalizer's gradient to the bytes a fresh argmax gave.
 """
 
 import numpy as np
@@ -23,12 +24,13 @@ from stlinfer.network import (
     NonFiniteError,
     _softmax_rows,
     _softmax_vjp,
+    _window_rows,
     _window_vjp,
     network_outputs,
     network_pass,
-    time_indicator_values,
 )
 from stlinfer.trainer import TrainConfig, _batch_gradients, train
+from util import softmax_vjp_oracle, time_indicator_values
 
 P = ActivationParams()  # beta 25, h 1
 
@@ -42,7 +44,9 @@ def softmax_grads(r, w, p=P):
 
 def window_grads(t1, t2, slope, weights):
     """Gradients of weights @ window(t1, t2) wrt t1 and t2."""
-    g_t1, g_t2 = _window_vjp(np.asarray(weights, dtype=np.float64)[None], np.array([t1]), np.array([t2]), slope)
+    weights = np.asarray(weights, dtype=np.float64)[None]
+    _, ends = _window_rows(np.array([t1]), np.array([t2]), slope, weights.shape[1])
+    g_t1, g_t2 = _window_vjp(weights, ends, slope)
     return float(g_t1[0]), float(g_t2[0])
 
 
@@ -175,6 +179,58 @@ def test_abs_max_tie_routes_to_first_index():
     assert abs(right0 - left0) > 1e-3  # a genuine kink
     assert g_r[0] == pytest.approx(right0, rel=1e-5, abs=1e-6)
     assert g_r[1] == pytest.approx(left1, rel=1e-5, abs=1e-6)
+
+
+def softmax_layer_draw(rng, layer):
+    """r and w of one layer's softmax: (n, k, L) predicate rows over
+    (k, L) windows, (n, 1, k) slot outputs over (live, k) binary gates,
+    or (n, live) row outputs over ones.  Values come from a small grid
+    with signed zeros, so rows tie at their maximum, peak at +0.0 or
+    -0.0, lie wholly below zero, or hold a single entry."""
+    n, width = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    if layer == "temporal":
+        k = int(rng.integers(1, 5))
+        r_shape, w = (n, k, width), rng.choice([0.0, 0.5, 1.0], (k, width))
+    elif layer == "conjunction":
+        r_shape, w = (n, 1, width), rng.choice([0.0, 1.0], (int(rng.integers(1, 4)), width))
+    else:
+        r_shape, w = (n, width), np.ones(width)
+    w[..., rng.integers(width)] = 1.0  # every row selects an entry
+    r = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], r_shape)
+    if rng.random() < 0.3:
+        r = -np.abs(r) - 0.5
+    return r, w
+
+
+def test_first_maximum_route_equals_argmax_route():
+    # the saved flat first maxima route the normalizer's gradient to the
+    # bytes that argmax + take_along_axis / put_along_axis gave, on all
+    # three layer shapes, on fresh arrays and in a workspace
+    rng = np.random.default_rng(45)
+    ws = {}
+    seen = set()
+    for layer in ("temporal", "conjunction", "disjunction"):
+        for _ in range(150):
+            r, w = softmax_layer_draw(rng, layer)
+            p = ActivationParams(beta=float(rng.choice([0.5, 25.0])), h=float(rng.choice([1.0, 2.0])))
+            _, saved = _softmax_rows(r, w, p, ws if rng.random() < 0.5 else None, layer)
+            rp = saved[2]
+            assert saved[3].tobytes() == (np.abs(rp.max(axis=-1, keepdims=True)) + p.eps).tobytes()
+            g = rng.normal(size=rp.shape[:-1])
+            g[rng.random(g.shape) < 0.2] = 0.0
+            want = softmax_vjp_oracle(g, saved, p)
+            got = _softmax_vjp(g, saved, p, ws, layer)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], layer
+            top = rp.max(axis=-1)
+            seen.add(("single", rp.shape[-1] == 1))
+            seen.add(("tie", bool(((rp == top[..., None]).sum(axis=-1) > 1).any())))
+            seen.add(("all negative", bool((top < 0.0).any())))
+            first = rp.argmax(axis=-1)[..., None]
+            zero = np.take_along_axis(rp, first, axis=-1) == 0.0
+            sign = np.signbit(np.take_along_axis(rp, first, axis=-1))
+            seen.add(("+0 max", bool((zero & ~sign).any())))
+            seen.add(("-0 max", bool((zero & sign).any())))
+    assert {case for case, hit in seen if hit} == {"single", "tie", "all negative", "+0 max", "-0 max"}
 
 
 # ---------------------------------------------------------------------------

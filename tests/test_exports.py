@@ -1,9 +1,13 @@
 """Export hygiene: every name a module lists in `__all__` exists, and every
 name the package re-exports is listed in its module's `__all__`, so that
-deleting code cannot leave a stale export behind."""
+deleting code cannot leave a stale export behind.  The functions the
+benchmark's tracer wraps by name still exist, so that a refactor cannot
+silently turn their per-layer metrics into absent ones."""
 
 import ast
+import functools
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -31,3 +35,26 @@ def test_package_reexports_only_listed_names():
         module = importlib.import_module(f"stlinfer.{node.module}")
         unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in module.__all__]
     assert unlisted == []
+
+
+# what perfbench/layers.py wraps in the trainer, as "module.qualname"
+TRACED = [
+    "stlinfer.trainer.train",
+    "stlinfer.trainer._Optimizer.step",
+    "stlinfer.trainer.project_params",
+    "stlinfer.trainer.extract_formula",
+    "stlinfer.trainer.simplify",
+]
+
+
+def test_perfbench_targets_resolve():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = {f"{module}.{qualname}": (module, qualname) for module, qualname, *_ in layers.TARGETS}
+    assert set(TRACED) <= set(targets)
+    for name in TRACED:
+        module, qualname = targets[name]
+        target = functools.reduce(getattr, qualname.split("."), importlib.import_module(module))
+        assert callable(target), name

@@ -27,15 +27,15 @@ from stlinfer.network import (
     network_pass,
     soundness_bound_check,
     soundness_bound_text,
-    sparse_softmax_value,
-    sparse_softmin_value,
-    time_indicator_values,
 )
 from stlinfer.stl import Predicate, Signal, TemporalAtom, TemporalOp, robustness
 from util import (
     naive_network_output,
     selected_softmax_oracle,
     selected_softmin_oracle,
+    sparse_softmax_value,
+    sparse_softmin_value,
+    time_indicator_values,
     trapezoid_window,
 )
 

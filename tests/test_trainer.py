@@ -13,7 +13,7 @@ import pytest
 
 from stlinfer import trainer
 from stlinfer.datasets import LabeledDataset
-from stlinfer.evaluate import emit_report
+from stlinfer.evaluate import emit_report, load_model
 from stlinfer.network import (
     ActivationParams,
     EmptyFormulaError,
@@ -24,6 +24,7 @@ from stlinfer.network import (
 from stlinfer.stl import Signal, count_atoms, dnf_clauses, format_formula, mcr, parse_formula
 from stlinfer.trainer import (
     GRAD_CLIP,
+    GROUPS,
     LR_GATES,
     DivergenceError,
     TrainConfig,
@@ -37,7 +38,7 @@ from stlinfer.trainer import (
     train,
 )
 from test_acceptance import DRIVING_SETUPS, NAVAL_CONFIG
-from util import simplify_oracle
+from util import FourGroupAdam, simplify_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,6 +108,59 @@ def test_project_params_clips_everything():
     assert params.M.tolist() == [[1.0, 0.0, 0.4]]
     assert params.t1.tolist() == [0.0, 3.5, 3.0]
     assert params.t2.tolist() == [4.0, 3.5, 7.0]
+
+
+def test_flat_adam_equals_adam_by_group():
+    # Adam on one flat vector, with the parameters as views of it, leaves
+    # every group byte-equal to Adam run group by group, whether or not
+    # the gradient norm exceeds GRAD_CLIP
+    rng = np.random.default_rng(52)
+    k, m, lr = 8, 3, 0.25
+    start = ModelParams(rng.normal(size=k), rng.uniform(0, 5, k), rng.uniform(5, 10, k), rng.uniform(0, 1, (m, k)))
+    flat, params = trainer._flat_params(start)
+    rates = np.full(flat.size, lr)
+    rates[3 * k :] = LR_GATES
+    opt = trainer._Optimizer(rates)
+    ref = start.copy()
+    oracle = FourGroupAdam({"b": lr, "t1": lr, "t2": lr, "M": LR_GATES})
+    clipped = []
+    for step in range(30):
+        scale = 0.01 if step % 3 == 0 else 10.0
+        grads = {name: scale * rng.normal(size=getattr(start, name).shape) for name in GROUPS}
+        grads["t1"][step % k] = -0.0
+        grads["M"][step % m] = 0.0
+        clipped.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) > GRAD_CLIP)
+        opt.step(flat, grads)
+        oracle.step({name: getattr(ref, name) for name in GROUPS}, grads)
+        project_params(params, 10)
+        project_params(ref, 10)
+        for name in GROUPS:
+            assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), (step, name)
+            assert np.shares_memory(getattr(params, name), flat)
+    assert any(clipped) and not all(clipped)
+
+
+def test_train_steps_the_gates_at_their_own_rate(monkeypatch, tiny_driving_pair):
+    rates = []
+
+    class Recording(trainer._Optimizer):
+        def __init__(self, lr):
+            rates.append(lr.tolist())
+            super().__init__(lr)
+
+    monkeypatch.setattr(trainer, "_Optimizer", Recording)
+    report = train(tiny_driving_pair, small_cfg(epochs=1, lr=0.2))
+    k, m = report.shape.k, report.shape.m
+    assert rates == [[0.2] * (3 * k) + [LR_GATES] * (m * k)]
+
+
+def test_trained_params_round_trip_through_the_report(tmp_path, tiny_driving_pair):
+    report = train(tiny_driving_pair, small_cfg(epochs=2))
+    params, shape, _ = load_model(emit_report(report, tmp_path)["report"])
+    assert shape == report.shape
+    for name in GROUPS:
+        assert getattr(params, name).shape == getattr(report.params, name).shape
+        assert getattr(params, name).tobytes() == getattr(report.params, name).tobytes()
 
 
 def test_init_params_ranges(tiny_driving_pair):
@@ -377,6 +431,15 @@ def test_train_validations(tiny_driving_pair):
         ("k", -3),  # would pass for "pick the default"
         ("slope_start", 0.0),  # would fail mid-epoch without naming the key
         ("slope_start", -1.0),
+        # values the network would refuse without naming the key
+        ("k", 3),
+        ("m", 0),
+        ("batch_size", 0),
+        ("epochs", 0),
+        ("beta", 0.0),
+        ("h", -1.0),
+        ("eps", 0.0),
+        ("slope_end", 0.0),
     ]:
         with pytest.raises(ValueError, match=rf"^{key} must .*, got {value}$"):
             train(tiny_driving_pair, small_cfg(**{key: value}))

@@ -7,17 +7,84 @@ stays algebraically honest.  `naive_network_output` builds the whole
 network for one signal from those oracles and an explicit trapezoid
 window, as the reference for the batched forward.  `simplify_oracle` is
 the per-sample pruning loop the batched `simplify` replaced, kept as its
-reference.  The random builders produce formulas whose connectives
-alternate, so printing and reparsing reproduces the tree node for node.
+reference.  `softmax_vjp_oracle` and `FourGroupAdam` are the backward
+routing and the optimizer as they were before the forward saved its
+first maxima and the parameters became one flat vector; the library
+versions must keep their bytes.  The `*_value` helpers run the batched
+layers on one row.  The random builders produce formulas whose
+connectives alternate, so printing and reparsing reproduces the tree
+node for node.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from stlinfer.network import ActivationParams, ModelParams, NetworkShape
+from stlinfer.network import ActivationParams, ModelParams, NetworkShape, _softmax_rows, _window_rows
 from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
-from stlinfer.trainer import formula_from_gates
+from stlinfer.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP, formula_from_gates
+
+
+def sparse_softmax_value(r, w, p: ActivationParams) -> float:
+    """Sparse softmax of one vector r over the entries w selects: smooth,
+    sign-sound stand-in for their max.  Raises EmptySelectionError when
+    no weight is positive."""
+    return float(_softmax_rows(np.asarray(r, dtype=np.float64), np.asarray(w, dtype=np.float64), p)[0])
+
+
+def sparse_softmin_value(r, w, p: ActivationParams) -> float:
+    """Sign-sound stand-in for the min over selected entries: -softmax(-r)."""
+    return -sparse_softmax_value(-np.asarray(r, dtype=np.float64), w, p)
+
+
+def time_indicator_values(t1: float, t2: float, slope: float, length: int) -> np.ndarray:
+    """The soft window [t1, t2] on the grid 0..length-1 (see _window_rows)."""
+    return _window_rows([float(t1)], [float(t2)], slope, length)[0][0]
+
+
+def softmax_vjp_oracle(g, saved, p: ActivationParams):
+    """`_softmax_vjp` on fresh arrays, finding each row's first maximum
+    again with argmax and routing through take_along_axis and
+    put_along_axis; reads none of the forward's saved maxima."""
+    r, w, rp, den, ez, u, num, den2 = saved[:8]
+    g_num = (g / den2)[..., None]
+    g_u = (-g * num / (den2 * den2))[..., None] + g_num * r
+    g_rpp = g_u * w * ez * p.beta
+    g_den = (-g_rpp * (rp * p.h) / (den * den)).sum(axis=-1, keepdims=True)
+    first = rp.argmax(axis=-1)[..., None]
+    top = np.take_along_axis(rp, first, axis=-1)
+    sign = np.where(top > 0.0, 1.0, np.where(top < 0.0, -1.0, 0.0))
+    g_rp = g_rpp / den * p.h
+    at_first = np.take_along_axis(g_rp, first, axis=-1) + g_den * sign
+    g_rp = g_rp + 0.0
+    np.put_along_axis(g_rp, first, at_first, axis=-1)
+    return g_num * u + g_rp * w, g_u * ez + g_rp * r
+
+
+class FourGroupAdam:
+    """Adam over a dict of named parameter arrays, each group updated on
+    its own after the global gradient-norm clip."""
+
+    def __init__(self, lrs: dict):
+        self.lrs = lrs
+        self.m = dict.fromkeys(lrs, 0.0)
+        self.v = dict.fromkeys(lrs, 0.0)
+        self.t = 0
+
+    def step(self, arrays: dict, grads: dict) -> None:
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if norm > GRAD_CLIP:
+            grads = {k: g * (GRAD_CLIP / norm) for k, g in grads.items()}
+        self.t += 1
+        for name, x in arrays.items():
+            g = grads[name]
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            mhat = self.m[name] / (1 - ADAM_BETA1**self.t)
+            vhat = self.v[name] / (1 - ADAM_BETA2**self.t)
+            x -= self.lrs[name] * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def selected_softmax_oracle(r, w, beta: float, h: float, eps: float = 1e-8) -> float:
