@@ -89,9 +89,10 @@ def emit_report(report: TrainReport, outdir: Union[str, Path]) -> dict:
 def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, ActivationParams]:
     """Read back the parameters, shape and activation from a report.json.
 
-    A parameter whose shape disagrees with the network shape, and a
+    A parameter whose shape disagrees with the network shape, a
     non-finite parameter or activation value (JSON as Python reads it
-    admits NaN and Infinity), is refused with its field named.
+    admits NaN and Infinity), and a window outside 0 <= t1 <= t2 (which
+    training never leaves) are refused with the field named.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
@@ -118,6 +119,13 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
             )
         if not np.isfinite(array).all():
             raise ValueError(f"{path}: params.{name}: values must be finite")
+    t1, t2 = arrays["t1"], arrays["t2"]
+    bad = np.flatnonzero((t1 < 0.0) | (t1 > t2))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"{path}: params.t1[{j}]: window [{t1[j]:g}, {t2[j]:g}] must satisfy 0 <= t1 <= t2"
+        )
     for name, value in act.items():
         if not math.isfinite(value):
             raise ValueError(f"{path}: activation.{name}: value must be finite")

@@ -170,40 +170,62 @@ class NetworkShape:
         return cls(tuple(slots), m)
 
 
-@dataclass
 class ModelParams:
     """Trainable parameters: predicate offsets b, window ends t1/t2 (one
-    each per slot), and the conjunction gate matrix M of shape (m, k)."""
+    each per slot), and the conjunction gate matrix M of shape (m, k).
 
-    b: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    M: np.ndarray
+    This class owns the layout: `flat` holds b, t1, t2, then M row by row,
+    the groups are views of it, and gradients and learning rates share it.
+    A group cannot be rebound, as the new array would leave `flat`.
+    """
 
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.t1 = np.asarray(self.t1, dtype=np.float64)
-        self.t2 = np.asarray(self.t2, dtype=np.float64)
-        self.M = np.asarray(self.M, dtype=np.float64)
-        k = self.b.shape[0]
-        if self.t1.shape != (k,) or self.t2.shape != (k,):
+    __slots__ = ("_flat", "_b", "_t1", "_t2", "_M")
+
+    def __init__(self, b, t1, t2, M):
+        b, t1, t2, M = (np.asarray(a, dtype=np.float64) for a in (b, t1, t2, M))
+        k = b.shape[0]
+        if b.shape != (k,) or t1.shape != (k,) or t2.shape != (k,):
             raise ValueError("b, t1 and t2 must share shape (k,)")
-        if self.M.ndim != 2 or self.M.shape[1] != k:
+        if M.ndim != 2 or M.shape[1] != k:
             raise ValueError("gate matrix must have shape (m, k)")
+        self._view(np.concatenate([b, t1, t2, M.ravel()]), M.shape)
+
+    def _view(self, flat: np.ndarray, gate_shape: tuple) -> "ModelParams":
+        k = gate_shape[1]
+        self._flat, self._M = flat, flat[3 * k :].reshape(gate_shape)
+        self._b, self._t1, self._t2 = flat[:k], flat[k : 2 * k], flat[2 * k : 3 * k]
+        return self
+
+    flat = property(lambda self: self._flat, doc="b, t1, t2 and M (row by row) in one vector")
+    b = property(lambda self: self._b, doc="predicate offsets, shape (k,)")
+    t1 = property(lambda self: self._t1, doc="window starts, shape (k,)")
+    t2 = property(lambda self: self._t2, doc="window ends, shape (k,)")
+    M = property(lambda self: self._M, doc="conjunction gates, shape (m, k)")
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.b.copy(), self.t1.copy(), self.t2.copy(), self.M.copy())
+        return ModelParams(self._b, self._t1, self._t2, self._M)
+
+    def zeros(self) -> "ModelParams":
+        """Zero parameters of this shape, as gradients use."""
+        return ModelParams.__new__(ModelParams)._view(np.zeros_like(self._flat), self._M.shape)
+
+    def gates(self) -> np.ndarray:
+        """The binary gate matrix: M thresholded at 0.5."""
+        return (self._M >= 0.5).astype(np.float64)
 
     def snapped(self) -> "ModelParams":
         """Integral windows and binary gates: t1 floors, t2 ceils, gates
         threshold at 0.5.  With slope <= 1 the network then evaluates the
         same windows the extracted formula uses."""
-        return ModelParams(
-            self.b.copy(),
-            np.floor(self.t1),
-            np.ceil(self.t2),
-            (self.M >= 0.5).astype(np.float64),
-        )
+        return ModelParams(self._b, np.floor(self._t1), np.ceil(self._t2), self.gates())
+
+    def non_finite_entry(self) -> Optional[str]:
+        """The first non-finite entry ('b[j]', ..., 'M[i, j]'), or None."""
+        finite = np.isfinite(self._flat)
+        if finite.all():
+            return None
+        group, j = divmod(int(finite.argmin()), self._b.size)
+        return f"{('b', 't1', 't2')[group]}[{j}]" if group < 3 else f"M[{group - 3}, {j}]"
 
 
 def _soundness_sides(p: ActivationParams, length: int) -> tuple[float, float]:
@@ -383,15 +405,6 @@ def _window_vjp(g: np.ndarray, ends: tuple, slope: float):
     return (g * at_t1).sum(axis=-1) * (-1.0 / slope), (g * at_t2).sum(axis=-1) * (1.0 / slope)
 
 
-def non_finite_entry(groups: dict) -> Optional[str]:
-    """The first non-finite entry of named arrays, as 'name[index]'."""
-    for name, values in groups.items():
-        finite = np.isfinite(values)
-        if not finite.all():
-            return f"{name}[{', '.join(str(i) for i in np.argwhere(~finite)[0])}]"
-    return None
-
-
 @dataclass
 class NetworkPass:
     """One forward over a batch, with what `vjp` needs.  `out` holds the
@@ -411,8 +424,10 @@ class NetworkPass:
     disjunction: Optional[tuple]
     ws: Optional[dict]
 
-    def vjp(self, dout: np.ndarray) -> dict:
-        """Gradients of sum_s dout[s] * out[s] wrt b, t1, t2 and M.
+    def vjp(self, dout: np.ndarray) -> ModelParams:
+        """Gradients of sum_s dout[s] * out[s] wrt b, t1, t2 and M, as a
+        `ModelParams` whose `flat` lines up entry by entry with the
+        parameters'.
 
         Gates are straight-through: a gate row gets the gradient of its
         binary gates, and a dead row gets zero.
@@ -428,11 +443,12 @@ class NetworkPass:
         g_in, g_windows = _softmax_vjp(
             -g_neg.sum(axis=1) * self.flip, self.temporal, p, ws, "temporal"
         )
-        g_t1, g_t2 = _window_vjp(g_windows.sum(axis=0), self.window_ends, p.slope)
-        g_M = np.zeros_like(self.params.M)
-        g_M[self.live] = g_gates.sum(axis=0)
+        grads = self.params.zeros()
+        grads.t1[:], grads.t2[:] = _window_vjp(g_windows.sum(axis=0), self.window_ends, p.slope)
+        grads.M[self.live] = g_gates.sum(axis=0)
         # rows = sign * x - b enter the temporal softmax times flip
-        return {"b": -self.flip * g_in.sum(axis=(0, 2)), "t1": g_t1, "t2": g_t2, "M": g_M}
+        np.multiply(-self.flip, g_in.sum(axis=(0, 2)), out=grads.b)
+        return grads
 
 
 def network_pass(
@@ -448,7 +464,7 @@ def network_pass(
     Predicate rows sign * x[:, axis] - b (n, k, length) are pooled over
     each slot's soft window: sparse softmin for always-slots, softmax for
     eventually-slots.  Each live row of the binary gate matrix (by default
-    M thresholded at 0.5) pools the slot outputs with a softmin, and a
+    `params.gates()`) pools the slot outputs with a softmin, and a
     softmax over the live rows gives the output.  Raises NonFiniteError
     naming a non-finite parameter, ValueError naming a slot whose axis the
     data lacks, EmptySelectionError for an empty window and
@@ -457,11 +473,11 @@ def network_pass(
     (see the module docstring).
     """
     X = np.asarray(X, dtype=np.float64)
-    bad = non_finite_entry({"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M})
+    bad = params.non_finite_entry()
     if bad is not None:
         raise NonFiniteError(f"non-finite parameter {bad}")
     if gates is None:
-        gates = (params.M >= 0.5).astype(np.float64)
+        gates = params.gates()
     for j, slot in enumerate(shape.slots):
         if slot.axis >= X.shape[2]:
             raise ValueError(f"slot {j} reads axis {slot.axis}, but the data has dim {X.shape[2]}")

@@ -4,14 +4,14 @@ The trainer fits the formula network by minimizing the exponential margin
 loss exp(-label * output) with one fixed recipe: Adam (first/second moment
 estimates with bias correction) after capping the global gradient norm at
 GRAD_CLIP, with the gates M moving at LR_GATES and the other groups at the
-config's lr.  The four parameter groups b, t1, t2 and M are views of one
-flat vector, so a step is a few vector operations over it with one
-learning rate per entry.  Each batch is one batched network pass over its
-signals (n, l, dim) with the gates thresholded at 0.5, the mean loss, and
-one closed-form backward of that pass, whose straight-through gradient
-reaches M.  After every step the parameters are projected back into
-their feasible box: gates into [0, 1], window ends into [0, l-1] with
-t1 <= t2.
+config's lr.  The parameters, their gradients and the per-entry learning
+rates all lie in the one flat layout that `ModelParams` defines, so a
+step is a few vector operations.  Each batch is one batched network pass
+over its signals (n, l, dim) with the gates thresholded at 0.5, the mean
+loss, and one closed-form backward of that pass, whose straight-through
+gradient reaches M.  After every step the parameters are projected back
+into their feasible box: gates into [0, 1], window ends into [0, l-1]
+with t1 <= t2.
 
 Extraction thresholds the gate matrix at 0.5, drops rows with no open
 gate, floors t1 and ceils t2, and reads one conjunction clause per
@@ -40,7 +40,6 @@ from .network import (
     NonFiniteError,
     guarantee_failure,
     network_pass,
-    non_finite_entry,
 )
 from .stl import (
     Formula,
@@ -175,12 +174,7 @@ class TrainReport:
                 "slots": [[s.axis, s.sign, s.op.value] for s in self.shape.slots],
             },
             "activation": asdict(self.activation),
-            "params": {
-                "b": self.params.b.tolist(),
-                "t1": self.params.t1.tolist(),
-                "t2": self.params.t2.tolist(),
-                "M": self.params.M.tolist(),
-            },
+            "params": {name: getattr(self.params, name).tolist() for name in ("b", "t1", "t2", "M")},
             "losses": self.losses,
             "train_mcr": self.train_mcr,
             "formula": self.formula_text,
@@ -202,24 +196,10 @@ ADAM_BETA2 = 0.9
 ADAM_EPS = 1e-8
 
 
-# The parameter groups in the order they lie in the flat vector.
-GROUPS = ("b", "t1", "t2", "M")
-
-
-def _flat_params(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
-    """One float64 vector holding b, t1, t2 and M in GROUPS order, and the
-    same parameters as views of it, so in-place updates of either show in
-    both."""
-    flat = np.concatenate([getattr(params, name).ravel() for name in GROUPS])
-    k = params.b.size
-    M = flat[3 * k :].reshape(params.M.shape)
-    return flat, ModelParams(flat[:k], flat[k : 2 * k], flat[2 * k : 3 * k], M)
-
-
 class _Optimizer:
     """Adam over one flat parameter vector (first/second moment estimates
     with bias correction), applied after capping the global gradient norm
-    at GRAD_CLIP; `lr` holds each entry's learning rate."""
+    at GRAD_CLIP; `lr` holds the rate of each entry of `ModelParams.flat`."""
 
     def __init__(self, lr: np.ndarray):
         self.lr = lr
@@ -227,14 +207,11 @@ class _Optimizer:
         self.v = np.zeros_like(lr)
         self.t = 0
 
-    def step(self, x: np.ndarray, grads: dict) -> None:
-        """Update x, laid out as `_flat_params` lays it out, in place from
-        the gradient of each group."""
-        # the norm sums group by group, in GROUPS order
-        norm = math.sqrt(sum(float(np.sum(grads[name] * grads[name])) for name in GROUPS))
-        g = np.concatenate([grads[name].ravel() for name in GROUPS])
-        if norm > GRAD_CLIP:
-            g *= GRAD_CLIP / norm
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
+        """Update params in place from grads, which leaves grads as it is."""
+        # the norm sums group by group, in layout order
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in (grads.b, grads.t1, grads.t2, grads.M)))
+        g = grads.flat * (GRAD_CLIP / norm) if norm > GRAD_CLIP else grads.flat
         self.t += 1
         self.m *= ADAM_BETA1
         self.m += (1 - ADAM_BETA1) * g
@@ -245,7 +222,7 @@ class _Optimizer:
         root = np.sqrt(self.v / (1 - ADAM_BETA2**self.t))
         root += ADAM_EPS
         step /= root
-        x -= step
+        np.subtract(params.flat, step, out=params.flat)
 
 
 def init_params(
@@ -278,8 +255,7 @@ def project_params(params: ModelParams, length: int) -> None:
     swapped = params.t1 > params.t2
     if np.any(swapped):
         mid = 0.5 * (params.t1[swapped] + params.t2[swapped])
-        params.t1[swapped] = mid
-        params.t2[swapped] = mid
+        params.t1[swapped] = params.t2[swapped] = mid
 
 
 def formula_from_gates(params: ModelParams, shape: NetworkShape, gates: np.ndarray) -> Formula:
@@ -320,7 +296,7 @@ def _slot_atoms(params: ModelParams, shape: NetworkShape) -> List[TemporalAtom]:
 
 def extract_formula(params: ModelParams, shape: NetworkShape) -> Formula:
     """Threshold gates at 0.5 and read the formula the network encodes."""
-    return formula_from_gates(params, shape, (params.M >= 0.5).astype(np.float64))
+    return formula_from_gates(params, shape, params.gates())
 
 
 def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> np.ndarray:
@@ -342,7 +318,7 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     """
     if not len(data):
         raise ValueError("cannot simplify against an empty dataset")
-    gates = (params.M >= 0.5).astype(np.float64)
+    gates = params.gates()
     # Pruning only closes gates, so only the extracted formula's atoms are
     # ever read; a closed slot's window need not even fit the signals.
     used = np.flatnonzero(gates.any(axis=0))
@@ -383,7 +359,7 @@ def _batch_gradients(X, y, batch, params, shape, p, ws=None):
     """One batch: the network pass (in workspace ws), the mean loss and
     its gradients.
 
-    Returns (gradients per parameter group, mean loss, misclassified
+    Returns (gradients in the parameters' layout, mean loss, misclassified
     count).  Raises NonFiniteError naming the first non-finite parameter,
     network output, loss or gradient entry.
     """
@@ -402,7 +378,7 @@ def _batch_gradients(X, y, batch, params, shape, p, ws=None):
     wrong = int(np.count_nonzero((fwd.out > 0.0) != (labels > 0.0)))
     # d mean / d out_s = exp(-y_s out_s) * -y_s / n
     grads = fwd.vjp(terms * -labels / len(batch))
-    bad = non_finite_entry(grads)
+    bad = grads.non_finite_entry()
     if bad is not None:
         raise NonFiniteError(f"non-finite gradient of {bad}")
     return grads, mean, wrong
@@ -447,10 +423,9 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     if failure is not None and not cfg.allow_unsound:
         raise UnsoundConfigError(failure)
     rng = np.random.default_rng([cfg.seed, 7])
-    flat, params = _flat_params(init_params(data, shape, length, rng))
-    lr = np.full(flat.size, cfg.lr)
-    lr[3 * shape.k :] = LR_GATES  # the gates M
-    opt = _Optimizer(lr)
+    params = init_params(data, shape, length, rng)
+    rate = np.full(shape.k, cfg.lr)
+    opt = _Optimizer(ModelParams(rate, rate, rate, np.full(params.M.shape, LR_GATES)).flat)
 
     n, X, y = len(data), data.X, data.y
     losses: List[float] = []
@@ -490,7 +465,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
                 ) from e
             loss_sum += batch_loss * len(batch)
             wrong += batch_wrong
-            opt.step(flat, grads)
+            opt.step(params, grads)
             project_params(params, length)
         losses.append(loss_sum / n)
         train_mcr.append(wrong / n)

@@ -124,8 +124,7 @@ def test_exp_at_zero():
     grads, mean, _ = _batch_gradients(X, y, batch, params, shape, P)
     assert mean == 1.0
     want = fwd.vjp(0.25 * -y[batch].astype(np.float64))
-    for group in ("b", "t1", "t2", "M"):
-        assert grads[group].tobytes() == want[group].tobytes()
+    assert grads.flat.tobytes() == want.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ def test_first_maximum_route_equals_argmax_route():
 def test_ste_thresholds_at_half():
     X, params, shape = one_slot_gates_case(np.random.default_rng(31))
     below = np.nextafter(0.5, 0.0)
-    params.M = np.array([[0.5, below, 0.9, 0.2], [below, below, 0.1, 0.3]])
+    params.M[...] = [[0.5, below, 0.9, 0.2], [below, below, 0.1, 0.3]]
     fwd = network_pass(X, params, shape, P)
     assert fwd.live.tolist() == [0]
     binary = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -254,7 +253,7 @@ def test_ste_backward_is_identity():
     X, params, shape = one_slot_gates_case(np.random.default_rng(32))
     gates = (params.M >= 0.5).astype(np.float64)
     dout = np.random.default_rng(33).normal(size=len(X))
-    g_M = network_pass(X, params, shape, p).vjp(dout)["M"]
+    g_M = network_pass(X, params, shape, p).vjp(dout).M
     nudged = params.copy()
     nudged.M[0, 0] -= 0.1
     assert network_pass(X, nudged, shape, p).out.tobytes() == network_pass(X, params, shape, p).out.tobytes()
@@ -326,8 +325,7 @@ def test_replay_determinism():
 
     (out1, g1), (out2, g2) = run(), run()
     assert out1.tobytes() == out2.tobytes()
-    for group in ("b", "t1", "t2", "M"):
-        assert g1[group].tobytes() == g2[group].tobytes()
+    assert g1.flat.tobytes() == g2.flat.tobytes()
 
 
 def test_unused_leaf_gets_zero_gradient():
@@ -336,8 +334,8 @@ def test_unused_leaf_gets_zero_gradient():
     gates = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     grads = network_pass(X, params, shape, P, gates).vjp(np.ones(len(X)))
     for group in ("b", "t1", "t2"):
-        assert grads[group][2:].tolist() == [0.0, 0.0]
-    assert np.abs(grads["b"][:2]).min() > 0.0
+        assert getattr(grads, group)[2:].tolist() == [0.0, 0.0]
+    assert np.abs(grads.b[:2]).min() > 0.0
 
 
 def test_non_finite_forward_names_the_node():
@@ -378,7 +376,7 @@ def random_network_case(rng, n, length, dim, m, one_live):
 
 
 def pass_bytes(fwd, dout):
-    return fwd.out.tobytes(), {group: g.tobytes() for group, g in fwd.vjp(dout).items()}
+    return fwd.out.tobytes(), fwd.vjp(dout).flat.tobytes()
 
 
 def test_workspace_passes_equal_fresh_passes():

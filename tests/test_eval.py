@@ -182,3 +182,32 @@ def test_load_model_refuses_parameters_that_disagree_with_the_shape(
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "j, t1, t2, window",
+    [(0, 5.0, 4.0, "[5, 4]"), (3, -4.0, None, "[-4, "), (1, 0.0, -1.0, "[0, -1]")],
+    ids=["t1>t2", "t1<0", "t2<0"],
+)
+def test_load_model_refuses_windows_outside_order(tmp_path, trained, j, t1, t2, window):
+    _, report = trained
+    path = emit_report(report, tmp_path / "run")["report"]
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["params"]["t1"][j] = t1
+    if t2 is not None:
+        payload["params"]["t2"][j] = t2
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    message = f"{path}: params.t1[{j}]: window {window}"
+    with pytest.raises(ValueError, match=re.escape(message) + ".*must satisfy 0 <= t1 <= t2"):
+        load_model(path)
+
+
+def test_load_model_accepts_point_windows(tmp_path, trained):
+    _, report = trained
+    path = emit_report(report, tmp_path / "run")["report"]
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["params"]["t1"][0] = payload["params"]["t2"][0] = 0.0
+    payload["params"]["t1"][1] = payload["params"]["t2"][1] = 2.5
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    params, _, _ = load_model(path)
+    assert params.t1[:2].tolist() == params.t2[:2].tolist() == [0.0, 2.5]

@@ -351,6 +351,78 @@ def test_model_params_validation_and_snapping():
     s = p.snapped()
     assert s.t1.tolist() == [1.0, 0.0] and s.t2.tolist() == [5.0, 2.0]
     assert s.M.tolist() == [[0.0, 1.0]]
+    assert p.gates().tolist() == [[0.0, 1.0]]
+
+
+GROUPS = ("b", "t1", "t2", "M")
+
+
+def test_model_params_groups_are_views_of_flat():
+    b, t1, t2, M = np.arange(3.0), np.arange(3.0, 6.0), np.arange(6.0, 9.0), np.arange(9.0, 15.0).reshape(2, 3)
+    params = ModelParams(b, t1, t2, M)
+    # b, t1, t2, then M row by row
+    assert params.flat.tolist() == list(range(15))
+    for name, given in zip(GROUPS, (b, t1, t2, M)):
+        assert np.shares_memory(getattr(params, name), params.flat)
+        assert not np.shares_memory(getattr(params, name), given)
+    params.M[1, 0] = -1.0
+    params.t1[2] = -2.0
+    assert params.flat[12] == -1.0 and params.flat[5] == -2.0
+    copied = params.copy()
+    assert copied.flat.tobytes() == params.flat.tobytes()
+    for name in GROUPS:
+        assert getattr(copied, name).shape == getattr(params, name).shape
+        assert np.shares_memory(getattr(copied, name), copied.flat)
+        assert not np.shares_memory(getattr(copied, name), params.flat)
+    zeros = params.zeros()
+    assert zeros.M.shape == (2, 3) and zeros.flat.tolist() == [0.0] * 15
+
+
+@pytest.mark.parametrize("name", GROUPS + ("flat",))
+def test_model_params_groups_cannot_be_rebound(name):
+    params = ModelParams(np.zeros(2), np.zeros(2), np.ones(2), np.full((1, 2), 0.7))
+    before = params.flat.copy()
+    with pytest.raises(AttributeError):
+        setattr(params, name, np.zeros_like(getattr(params, name)))
+    assert params.flat.tobytes() == before.tobytes()
+
+
+def _non_finite_by_group(params):
+    """The first non-finite entry, found group by group with argwhere."""
+    for name in GROUPS:
+        finite = np.isfinite(getattr(params, name))
+        if not finite.all():
+            return f"{name}[{', '.join(str(i) for i in np.argwhere(~finite)[0])}]"
+    return None
+
+
+def test_non_finite_entry_names_the_first_bad_entry():
+    rng = np.random.default_rng(9)
+    params = ModelParams(rng.normal(size=4), np.zeros(4), np.full(4, 5.0), rng.uniform(size=(3, 4)))
+    assert params.non_finite_entry() is None
+    named = [("b", 2, "b[2]"), ("t1", 0, "t1[0]"), ("t2", 3, "t2[3]"), ("M", (1, 3), "M[1, 3]"), ("M", (0, 0), "M[0, 0]")]
+    for name, index, want in named:
+        for value in (math.nan, math.inf, -math.inf):
+            bad = params.copy()
+            getattr(bad, name)[index] = value
+            assert bad.non_finite_entry() == want == _non_finite_by_group(bad)
+    # several bad entries: the first in b, t1, t2, M order wins
+    for _ in range(200):
+        bad = params.copy()
+        bad.flat[rng.choice(bad.flat.size, int(rng.integers(1, 4)), replace=False)] = math.nan
+        assert bad.non_finite_entry() == _non_finite_by_group(bad)
+
+
+def test_vjp_returns_gradients_in_the_parameter_layout():
+    rng = np.random.default_rng(10)
+    X, params, shape, p = _random_case(rng, 4)
+    grads = network_pass(X, params, shape, p).vjp(rng.normal(size=len(X)))
+    assert isinstance(grads, ModelParams)
+    assert grads.flat.shape == params.flat.shape and grads.M.shape == params.M.shape
+    by_group = np.concatenate([grads.b, grads.t1, grads.t2, grads.M.ravel()])
+    assert grads.flat.tobytes() == by_group.tobytes()
+    for name in GROUPS:
+        assert np.shares_memory(getattr(grads, name), grads.flat)
 
 
 def test_activation_params_validation():
@@ -529,7 +601,7 @@ def test_gate_gradient_matches_central_differences():
         gates = np.where(rng.random(params.M.shape) < 0.6, rng.uniform(0.3, 1.0, params.M.shape), 0.0)
         gates[0, 0] = 0.7
         dout = rng.normal(size=len(X))
-        grad = network_pass(X, params, shape, p, gates).vjp(dout)["M"]
+        grad = network_pass(X, params, shape, p, gates).vjp(dout).M
         for i, j in np.argwhere(gates > 0.0):
             hi, lo = gates.copy(), gates.copy()
             hi[i, j] += step
@@ -552,7 +624,7 @@ def test_gate_gradient_is_straight_through():
     dout = rng.normal(size=6)
     # M's values past the threshold do not matter, only the gates they give
     grads = [
-        network_pass(X, ModelParams(b, t1, t2, np.where(gates > 0, level, 0.1)), shape, P).vjp(dout)["M"]
+        network_pass(X, ModelParams(b, t1, t2, np.where(gates > 0, level, 0.1)), shape, P).vjp(dout).M
         for level in (0.6, 0.95)
     ]
     assert grads[0].tobytes() == grads[1].tobytes()

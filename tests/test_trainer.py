@@ -24,7 +24,6 @@ from stlinfer.network import (
 from stlinfer.stl import Signal, count_atoms, dnf_clauses, format_formula, mcr, parse_formula
 from stlinfer.trainer import (
     GRAD_CLIP,
-    GROUPS,
     LR_GATES,
     DivergenceError,
     TrainConfig,
@@ -41,6 +40,7 @@ from test_acceptance import DRIVING_SETUPS, NAVAL_CONFIG
 from util import FourGroupAdam, simplify_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GROUPS = ("b", "t1", "t2", "M")
 
 
 def const_set(values_and_labels, length=3):
@@ -88,7 +88,7 @@ def test_batch_loss_gradient_matches_central_differences():
                     getattr(q, group)[j] += delta
                     moved.append(_batch_gradients(X, y, batch, q, shape, p)[1])
                 fd = (moved[0] - moved[1]) / (2.0 * step)
-                an = grads[group][j]
+                an = getattr(grads, group)[j]
                 worst = max(worst, abs(fd - an) / max(1.0, abs(fd), abs(an)))
     assert worst <= 1e-4
 
@@ -117,26 +117,29 @@ def test_flat_adam_equals_adam_by_group():
     rng = np.random.default_rng(52)
     k, m, lr = 8, 3, 0.25
     start = ModelParams(rng.normal(size=k), rng.uniform(0, 5, k), rng.uniform(5, 10, k), rng.uniform(0, 1, (m, k)))
-    flat, params = trainer._flat_params(start)
-    rates = np.full(flat.size, lr)
-    rates[3 * k :] = LR_GATES
-    opt = trainer._Optimizer(rates)
+    params = start.copy()
+    rates = params.zeros()
+    rates.flat[:] = lr
+    rates.M[:] = LR_GATES
+    opt = trainer._Optimizer(rates.flat)
     ref = start.copy()
     oracle = FourGroupAdam({"b": lr, "t1": lr, "t2": lr, "M": LR_GATES})
     clipped = []
     for step in range(30):
         scale = 0.01 if step % 3 == 0 else 10.0
-        grads = {name: scale * rng.normal(size=getattr(start, name).shape) for name in GROUPS}
-        grads["t1"][step % k] = -0.0
-        grads["M"][step % m] = 0.0
-        clipped.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) > GRAD_CLIP)
-        opt.step(flat, grads)
-        oracle.step({name: getattr(ref, name) for name in GROUPS}, grads)
+        grads = ModelParams(*(scale * rng.normal(size=getattr(start, name).shape) for name in GROUPS))
+        grads.t1[step % k] = -0.0
+        grads.M[step % m] = 0.0
+        by_group = {name: getattr(grads, name) for name in GROUPS}
+        clipped.append(math.sqrt(sum(float(np.sum(g * g)) for g in by_group.values())) > GRAD_CLIP)
+        opt.step(params, grads)
+        # the step leaves grads as it was, so the oracle reads the same
+        oracle.step({name: getattr(ref, name) for name in GROUPS}, by_group)
         project_params(params, 10)
         project_params(ref, 10)
         for name in GROUPS:
             assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), (step, name)
-            assert np.shares_memory(getattr(params, name), flat)
+            assert np.shares_memory(getattr(params, name), params.flat)
     assert any(clipped) and not all(clipped)
 
 
