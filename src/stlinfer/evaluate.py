@@ -29,15 +29,30 @@ __all__ = [
 ]
 
 
+def _check_windows(params: ModelParams, data: LabeledDataset) -> None:
+    """Refuse a window that ends past the data's last step: the network
+    would pool a truncated window, and the formula cannot be evaluated."""
+    ends = np.ceil(params.t2)
+    late = np.flatnonzero(ends > data.length - 1)
+    if late.size:
+        j = int(late[0])
+        raise ValueError(
+            f"slot {j}: window end ceil(t2) = {ends[j]:g} lies past the last step "
+            f"{data.length - 1} of data of length {data.length}"
+        )
+
+
 def network_mcr(
     params: ModelParams,
     shape: NetworkShape,
     p: ActivationParams,
     data: LabeledDataset,
 ) -> float:
-    """Misclassification rate of the network's output sign."""
+    """Misclassification rate of the network's output sign.  Raises
+    ValueError for a window that ends past the data's last step."""
     if not len(data):
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
+    _check_windows(params, data)
     net = network_outputs(data.X, params, shape, p) > 0.0
     return int(np.count_nonzero(net != (data.y == 1))) / len(data)
 
@@ -54,9 +69,11 @@ def sign_agreement(
 
     With snapped parameters (integral windows, binary gates, slope <= 1)
     and activation parameters passing the soundness bound this is 1.0.
+    Raises ValueError for a window that ends past the data's last step.
     """
     if not len(data):
         raise ValueError("cannot compute sign agreement on an empty dataset")
+    _check_windows(params, data)
     net = network_outputs(data.X, params, shape, p) > 0.0
     return int(np.count_nonzero(net == satisfied(data.X, formula))) / len(data)
 

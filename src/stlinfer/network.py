@@ -30,11 +30,18 @@ same forward over signals taken CHUNK at a time.  `guarantee_failure`
 names the precondition of sign agreement that a set of activation
 parameters fails, if any.
 
-The backward recomputes nothing the forward found.  Each softmax layer
-saves the flat index of every row's first maximum and its value `top`,
-so the backward routes the normalizer's gradient with a plain take and
-put; the window layer saves, next to the windows, the masks of the
-steps that move with each window end.
+The pass does only the arithmetic its outputs and gradients read, and
+the backward recomputes nothing the forward found.  Each softmax layer
+saves the flat index of every row's first maximum, its value `top` and
+r' * h, so the backward routes the normalizer's gradient with a plain
+take and put.  The exponent shift is read at the first maximum of the
+exponents with unselected lanes at -inf, not reduced by a masked max.
+The window layer saves, next to the windows, the masks of the steps
+that move with each window end, and the backward forms the temporal
+layer's selection-weight gradient only at those lanes (about two per
+slot); the disjunction's, which nothing reads, it does not form.
+Predicate rows take two passes, (flip * sign) * x - flip * b.  Each of
+these gives the output and gradient bits of the arithmetic it replaced.
 
 A pass writes its (n, k, length)-sized intermediates into a workspace
 the caller owns: a dict of float64 arrays keyed by layer, name and
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -144,6 +152,19 @@ class NetworkShape:
     @property
     def k(self) -> int:
         return len(self.slots)
+
+    @cached_property
+    def constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What `network_pass` reads of the slots, made once: the axes,
+        flip * sign as a (k, 1) column and flip, where flip = -1 marks an
+        always-slot (softmin(r) = -softmax(-r) flips sign on the way in
+        and out)."""
+        axes = np.array([slot.axis for slot in self.slots], dtype=np.intp)
+        flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in self.slots])
+        flip_sign = (flip * [slot.sign for slot in self.slots])[:, None]
+        for array in (axes, flip_sign, flip):
+            array.flags.writeable = False
+        return axes, flip_sign, flip
 
     @classmethod
     def cycled(cls, dim: int, k: Optional[int] = None, m: int = 2) -> "NetworkShape":
@@ -305,45 +326,70 @@ def _softmax_rows(
     Returns the values and the intermediates `_softmax_vjp` reads; the
     ones shaped like r * w live in workspace `ws` under `layer`.  Each
     row's first maximum of r' is found once, and saved as its flat index
-    `first` into the contiguous r' together with its value `top`.  The
-    shift by the largest selected exponent is a constant (softmax ratios
-    do not depend on it), and clamping at 0 keeps zero-weight lanes from
-    overflowing exp; their terms are multiplied by w_i = 0.
+    `first` into the contiguous r' together with its value `top`; r' * h
+    is saved too.  The shift by the largest selected exponent is a
+    constant (softmax ratios do not depend on it), and clamping at 0 keeps
+    zero-weight lanes from overflowing exp; their terms are multiplied by
+    w_i = 0.  The shift is read at the first maximum of the exponents
+    with the unselected lanes at -inf, or at `first` when every lane is
+    selected (the exponents grow with r').  Either read can differ from
+    the selected maximum only in the sign of a zero, which leaves every
+    exp(min(zs - shift, 0)) as it is.
     """
-    support = w > 0.0
-    if not support.any(axis=-1).all():
+    if not (np.maximum.reduce(w, axis=-1) > 0.0).all():
         raise EmptySelectionError("selection weights are all zero (empty time window)")
-    shape = np.broadcast_shapes(r.shape, w.shape)
+    shape = np.broadcast(r, w).shape
     rp = np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
+    starts = np.arange(0, rp.size, shape[-1]).reshape(shape[:-1])
     first = rp.argmax(axis=-1)
-    first += np.arange(0, rp.size, shape[-1]).reshape(first.shape)
+    first += starts
     top = rp.take(first)
     den = (np.abs(top) + p.eps)[..., None]
-    zs = np.multiply(rp, p.h, out=_buffer(ws, layer, "ez", shape))
-    np.divide(zs, den, out=zs)
+    # x * 1.0 is x, so the default h = 1 saves a pass and a buffer
+    rph = rp if p.h == 1.0 else np.multiply(rp, p.h, out=_buffer(ws, layer, "rph", shape))
+    zs = np.divide(rph, den, out=_buffer(ws, layer, "ez", shape))
     np.multiply(zs, p.beta, out=zs)
-    np.subtract(zs, np.max(zs, axis=-1, keepdims=True, where=support, initial=-np.inf), out=zs)
+    if np.minimum.reduce(w, axis=None) > 0.0:
+        shift = zs.take(first)
+    else:
+        masked = np.add(zs, np.where(w > 0.0, 0.0, -np.inf), out=_buffer(ws, layer, "tmp", shape))
+        at = masked.argmax(axis=-1)
+        at += starts
+        shift = zs.take(at)
+    np.subtract(zs, shift[..., None], out=zs)
     # exp(min(zs, 0)) overwrites zs, which the backward does not need
     ez = np.exp(np.minimum(zs, 0.0, out=zs), out=zs)
     u = np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
-    num = np.multiply(r, u, out=_buffer(ws, layer, "tmp", shape)).sum(axis=-1)
-    den2 = u.sum(axis=-1)
-    return num / den2, (r, w, rp, den, ez, u, num, den2, first, top)
+    num = np.add.reduce(np.multiply(r, u, out=_buffer(ws, layer, "tmp", shape)), axis=-1)
+    den2 = np.add.reduce(u, axis=-1)
+    return num / den2, (r, w, rp, den, ez, u, num, den2, first, top, rph)
+
+
+# the lanes of a softmax whose weights need no gradient
+_NO_LANES = np.empty(0, dtype=np.intp)
 
 
 def _softmax_vjp(
-    g: np.ndarray, saved, p: ActivationParams, ws: Optional[dict] = None, layer: str = ""
+    g: np.ndarray,
+    saved,
+    p: ActivationParams,
+    ws: Optional[dict] = None,
+    layer: str = "",
+    lanes: Optional[np.ndarray] = None,
 ):
     """Backward of `_softmax_rows` for output gradients g.
 
-    Returns the gradients wrt r and wrt w, both shaped like r * w and
-    held in workspace `ws` under `layer`.  The gradient of |max r'| goes
-    to the first maximal entry, times the sign of the max: the forward's
-    saved flat index `first` and value `top`.  The clamp min(zs, 0)
-    passes no gradient: zs <= 0 on every lane with w > 0, and every other
-    lane has u = 0 whatever zs is.
+    Returns the gradient wrt r, shaped like r * w and held in workspace
+    `ws` under `layer`, and the gradient wrt w: also shaped like r * w
+    when `lanes` is None, else only its sum over the leading axis at the
+    flat indices `lanes` into the trailing axes, bit for bit (r must then
+    have the shape of r * w; empty `lanes` skip it).  The gradient of |max r'| goes to the first maximal
+    entry, times the sign of the max: the forward's saved flat index
+    `first` and value `top`.  The clamp min(zs, 0) passes no gradient:
+    zs <= 0 on every lane with w > 0, and every other lane has u = 0
+    whatever zs is.
     """
-    r, w, rp, den, ez, u, num, den2, first, top = saved
+    r, w, rp, den, ez, u, num, den2, first, top, rph = saved
     shape = rp.shape
     g_num = (g / den2)[..., None]
     g_u = np.multiply(g_num, r, out=_buffer(ws, layer, "g_u", shape))
@@ -351,24 +397,35 @@ def _softmax_vjp(
     g_rpp = np.multiply(g_u, w, out=_buffer(ws, layer, "g_rp", shape))
     np.multiply(g_rpp, ez, out=g_rpp)
     np.multiply(g_rpp, p.beta, out=g_rpp)
-    t1 = np.negative(g_rpp, out=_buffer(ws, layer, "tmp", shape))
-    t2 = np.multiply(rp, p.h, out=_buffer(ws, layer, "tmp2", shape))
-    np.multiply(t1, t2, out=t1)
+    t1 = np.multiply(g_rpp, rph, out=_buffer(ws, layer, "tmp", shape))
     np.divide(t1, den * den, out=t1)
-    g_den = t1.sum(axis=-1)
+    # the sum of the negated terms: 0 - sum is -sum, and +0.0 when zero
+    g_den = 0.0 - np.add.reduce(t1, axis=-1)
     sign = np.where(top > 0.0, 1.0, np.where(top < 0.0, -1.0, 0.0))
     # g_rp = g_rpp / den * h + g_max, where g_max is g_den * sign at each
     # row's first maximum and +0.0 elsewhere; adding 0.0 turns -0.0 into 0.0
     g_rp = np.divide(g_rpp, den, out=g_rpp)
-    np.multiply(g_rp, p.h, out=g_rp)
+    if p.h != 1.0:
+        np.multiply(g_rp, p.h, out=g_rp)
     at_first = g_rp.take(first) + g_den * sign
     np.add(g_rp, 0.0, out=g_rp)
     g_rp.put(first, at_first)
     g_r = np.multiply(g_num, u, out=t1)
-    np.add(g_r, np.multiply(g_rp, w, out=t2), out=g_r)
-    g_w = np.multiply(g_u, ez, out=g_u)
-    np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
-    return g_r, g_w
+    np.add(g_r, np.multiply(g_rp, w, out=_buffer(ws, layer, "tmp2", shape)), out=g_r)
+    if lanes is None:
+        g_w = np.multiply(g_u, ez, out=g_u)
+        np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
+        return g_r, g_w
+    if not lanes.size:
+        return g_r, np.empty(0)
+    # numpy sums a (n, >= 2) array over n row after row, as it does the
+    # full (n, ...) array, but a single column pairwise: read one lane twice
+    cols = np.repeat(lanes, 2) if lanes.size == 1 < rp[0].size else lanes
+    n = shape[0]
+    g_w = g_u.reshape(n, -1).take(cols, axis=1)
+    g_w *= ez.reshape(n, -1).take(cols, axis=1)
+    g_w += g_rp.reshape(n, -1).take(cols, axis=1) * r.reshape(n, -1).take(cols, axis=1)
+    return g_r, np.add.reduce(g_w, axis=0)[: lanes.size]
 
 
 def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
@@ -437,17 +494,24 @@ class NetworkPass:
         if self.disjunction is None:
             g_h = dout[:, None]
         else:
-            g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction")[0]
+            g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction", _NO_LANES)[0]
         # each row pools -g with a softmax: h = -softmax(-g)
         g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p, ws, "conjunction")
-        g_in, g_windows = _softmax_vjp(
-            -g_neg.sum(axis=1) * self.flip, self.temporal, p, ws, "temporal"
+        # the window gradient reads g_w only where a window end moves it
+        at_t1, at_t2 = self.window_ends
+        lanes = (at_t1 | at_t2).ravel().nonzero()[0]
+        g_in, g_lanes = _softmax_vjp(
+            -np.add.reduce(g_neg, axis=1) * self.flip, self.temporal, p, ws, "temporal", lanes
         )
+        # +0.0 off the lanes: _window_vjp reads those only through sums,
+        # and a numpy sum whose terms are all zeros is +0.0 whatever their signs
+        g_windows = np.zeros(at_t1.shape)
+        g_windows.put(lanes, g_lanes)
         grads = self.params.zeros()
-        grads.t1[:], grads.t2[:] = _window_vjp(g_windows.sum(axis=0), self.window_ends, p.slope)
-        grads.M[self.live] = g_gates.sum(axis=0)
-        # rows = sign * x - b enter the temporal softmax times flip
-        np.multiply(-self.flip, g_in.sum(axis=(0, 2)), out=grads.b)
+        grads.t1[:], grads.t2[:] = _window_vjp(g_windows, self.window_ends, p.slope)
+        grads.M[self.live] = np.add.reduce(g_gates, axis=0)
+        # rows = flip * (sign * x - b) enter the temporal softmax
+        np.multiply(-self.flip, np.add.reduce(g_in, axis=(0, 2)), out=grads.b)
         return grads
 
 
@@ -473,30 +537,31 @@ def network_pass(
     (see the module docstring).
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3:
+        raise ValueError(f"signals must have shape (n, length, dim), got shape {X.shape}")
     bad = params.non_finite_entry()
     if bad is not None:
         raise NonFiniteError(f"non-finite parameter {bad}")
     if gates is None:
         gates = params.gates()
-    for j, slot in enumerate(shape.slots):
-        if slot.axis >= X.shape[2]:
-            raise ValueError(f"slot {j} reads axis {slot.axis}, but the data has dim {X.shape[2]}")
+    axes, flip_sign, flip = shape.constants
+    if axes.max() >= X.shape[2]:
+        j = int(np.argmax(axes >= X.shape[2]))
+        raise ValueError(f"slot {j} reads axis {axes[j]}, but the data has dim {X.shape[2]}")
     windows, window_ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
-    axes = [slot.axis for slot in shape.slots]
-    signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
-    # softmin(r) = -softmax(-r): always-slots flip sign on the way in and out
-    flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots])
     # contiguous (n, k, length): sums over time then run along memory,
     # which trains StopAndGo about 7% faster than the strided view
     rows = _buffer(ws, "temporal", "r", (X.shape[0], shape.k, X.shape[1]))
     # the axes are checked above; mode="clip" lets take write rows directly
-    np.take(X.transpose(0, 2, 1), axes, axis=1, out=rows, mode="clip")
-    np.multiply(signs, rows, out=rows)
-    np.subtract(rows, params.b[:, None], out=rows)
-    np.multiply(flip[:, None], rows, out=rows)
+    X.transpose(0, 2, 1).take(axes, axis=1, out=rows, mode="clip")
+    # flip * (sign * x - b) in two passes: multiplying by +-1 is exact, up
+    # to the sign of a zero row value, which outputs and gradients do not
+    # see (each ends in a sum, and numpy sums zeros to +0.0)
+    np.multiply(flip_sign, rows, out=rows)
+    np.subtract(rows, (flip * params.b)[:, None], out=rows)
     g, temporal = _softmax_rows(rows, windows, p, ws, "temporal")
     g = flip * g
-    live = np.flatnonzero((gates > 0.0).any(axis=1))
+    live = np.logical_or.reduce(gates > 0.0, axis=1).nonzero()[0]
     if not live.size:
         raise EmptyFormulaError("every conjunction row is gated off")
     h, conjunction = _softmax_rows(-g[:, None, :], gates[live], p, ws, "conjunction")

@@ -247,13 +247,21 @@ def init_params(
     return ModelParams(b, t1, t2, M)
 
 
-def project_params(params: ModelParams, length: int) -> None:
-    """Clamp parameters in place to their feasible box after a step."""
-    np.clip(params.M, 0.0, 1.0, out=params.M)
-    np.clip(params.t1, 0.0, float(length - 1), out=params.t1)
-    np.clip(params.t2, 0.0, float(length - 1), out=params.t2)
+def _feasible_box(params: ModelParams, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of each entry of `params.flat`: b is free, t1 and t2 lie in
+    [0, length - 1] and the gates M in [0, 1]."""
+    k, free, last = params.b.size, np.full(params.b.size, np.inf), float(length - 1)
+    lo = ModelParams(-free, np.zeros(k), np.zeros(k), np.zeros(params.M.shape)).flat
+    hi = ModelParams(free, np.full(k, last), np.full(k, last), np.ones(params.M.shape)).flat
+    return lo, hi
+
+
+def project_params(params: ModelParams, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Clamp parameters in place to their feasible box [lo, hi] (see
+    `_feasible_box`) after a step; crossed window ends meet in the middle."""
+    np.clip(params.flat, lo, hi, out=params.flat)
     swapped = params.t1 > params.t2
-    if np.any(swapped):
+    if swapped.any():
         mid = 0.5 * (params.t1[swapped] + params.t2[swapped])
         params.t1[swapped] = params.t2[swapped] = mid
 
@@ -426,6 +434,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     params = init_params(data, shape, length, rng)
     rate = np.full(shape.k, cfg.lr)
     opt = _Optimizer(ModelParams(rate, rate, rate, np.full(params.M.shape, LR_GATES)).flat)
+    box = _feasible_box(params, length)
 
     n, X, y = len(data), data.X, data.y
     losses: List[float] = []
@@ -466,7 +475,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
             loss_sum += batch_loss * len(batch)
             wrong += batch_wrong
             opt.step(params, grads)
-            project_params(params, length)
+            project_params(params, *box)
         losses.append(loss_sum / n)
         train_mcr.append(wrong / n)
         epoch_seconds.append(time.perf_counter() - started)

@@ -8,8 +8,9 @@ gradient to the first maximal entry times the sign of the max, binary
 gates pass their gradient on unchanged, unused slots get zero gradient,
 and values agree with central differences at smooth points.  Failure
 modes name the non-finite quantity.  Passes that reuse one workspace give
-the bytes of passes on fresh arrays, and the forward's saved first maxima
-route the normalizer's gradient to the bytes a fresh argmax gave.
+the bytes of passes on fresh arrays, the forward's saved first maxima
+route the normalizer's gradient to the bytes a fresh argmax gave, and a
+pass with its backward gives the bytes of the arithmetic it replaced.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from stlinfer.network import (
     ModelParams,
     NetworkShape,
     NonFiniteError,
+    SlotSpec,
     _softmax_rows,
     _softmax_vjp,
     _window_rows,
@@ -29,8 +31,9 @@ from stlinfer.network import (
     network_outputs,
     network_pass,
 )
+from stlinfer.stl import TemporalOp
 from stlinfer.trainer import TrainConfig, _batch_gradients, train
-from util import softmax_vjp_oracle, time_indicator_values
+from util import network_pass_oracle, softmax_rows_oracle, softmax_vjp_oracle, time_indicator_values
 
 P = ActivationParams()  # beta 25, h 1
 
@@ -230,6 +233,110 @@ def test_first_maximum_route_equals_argmax_route():
             seen.add(("+0 max", bool((zero & ~sign).any())))
             seen.add(("-0 max", bool((zero & sign).any())))
     assert {case for case, hit in seen if hit} == {"single", "tie", "all negative", "+0 max", "-0 max"}
+
+
+def test_shift_at_the_masked_argmax_equals_the_masked_max():
+    # read at the first maximum of the exponents with unselected lanes at
+    # -inf (or at the first maximum of r' when every lane is selected),
+    # the shift gives the exponentials and values of the masked max
+    rng = np.random.default_rng(47)
+    for layer in ("temporal", "conjunction", "disjunction"):
+        for _ in range(150):
+            r, w = softmax_layer_draw(rng, layer)
+            p = ActivationParams(beta=float(rng.choice([0.5, 25.0])), h=float(rng.choice([1.0, 2.0])))
+            value, saved = _softmax_rows(r, w, p)
+            want, want_saved = softmax_rows_oracle(r, w, p)
+            assert value.tobytes() == want.tobytes(), layer
+            assert saved[4].tobytes() == want_saved[4].tobytes(), layer
+
+
+def previous_arithmetic_draw(rng):
+    """Signals, parameters, activation and output gradients of one pass.
+    Signals and offsets come from a small grid with signed zeros half the
+    time, so rows tie at their maximum, peak at +0.0 or -0.0 or lie below
+    zero; windows are fractional or integral, some full; gate columns are
+    closed in every row at random.  One draw in six has a single slot
+    whose integral window ends at the last step, so that one lane moves
+    with a window end."""
+    n = int(rng.integers(1, 30))
+    grid = rng.random() < 0.5
+    if rng.random() < 1 / 6:
+        op = TemporalOp.ALWAYS if rng.random() < 0.5 else TemporalOp.EVENTUALLY
+        shape = NetworkShape((SlotSpec(0, int(rng.choice([-1, 1])), op),), m=1)
+        length = int(rng.integers(2, 12))
+        t1 = rng.integers(0, length, 1).astype(np.float64)
+        t2 = np.array([length - 1.0])
+        M = np.ones((1, 1))
+    else:
+        shape = NetworkShape.cycled(int(rng.integers(1, 3)), m=int(rng.integers(1, 4)))
+        k, length = shape.k, int(rng.integers(1, 25))
+        if rng.random() < 0.5:
+            t1 = rng.integers(0, length, k).astype(np.float64)
+            t2 = np.minimum(t1 + rng.integers(0, length, k), length - 1.0)
+        else:
+            t1 = rng.uniform(0.0, length - 1.0, k)
+            t2 = np.minimum(t1 + rng.uniform(0.0, length, k), length - 1.0)
+        full = rng.random(k) < 0.2
+        t1[full], t2[full] = 0.0, length - 1.0
+        M = rng.choice([0.1, 0.9], (shape.m, k))
+        closed = int(rng.integers(k))
+        if rng.random() < 0.5:
+            M[:, closed] = 0.1
+        M[int(rng.integers(shape.m)), (closed + 1) % k] = 0.9
+    dim = 1 + max(slot.axis for slot in shape.slots)
+    if grid:
+        X = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (n, length, dim))
+        b = rng.choice([-1.0, -0.0, 0.0, 1.0], shape.k)
+    else:
+        X, b = rng.normal(size=(n, length, dim)), rng.normal(size=shape.k)
+    p = ActivationParams(
+        beta=float(rng.choice([0.5, 3.0, 25.0])),
+        h=float(rng.choice([1.0, 0.5, 2.0])),
+        slope=float(rng.choice([1.0, 0.5, 3.0])),
+    )
+    dout = rng.normal(size=n)
+    dout[rng.random(n) < 0.2] = 0.0
+    return X, ModelParams(b, t1, t2, M), shape, p, dout
+
+
+def test_pass_equals_the_previous_arithmetic():
+    # the shift read at a masked argmax, the weight gradient formed only
+    # at the lanes that move a window end, and predicate rows in two
+    # passes give the bytes of the masked max, the full weight gradient
+    # and the three-pass rows, on fresh arrays and in a workspace
+    rng = np.random.default_rng(46)
+    ws = {}
+    seen = set()
+    for _ in range(300):
+        X, params, shape, p, dout = previous_arithmetic_draw(rng)
+        want_out, want_grads = network_pass_oracle(X, params, shape, p, dout)
+        for w in (ws, None):
+            fwd = network_pass(X, params, shape, p, ws=w)
+            assert fwd.out.tobytes() == want_out.tobytes()
+            assert fwd.vjp(dout).flat.tobytes() == want_grads.flat.tobytes()
+        gates = params.gates()
+        seen.add(("closed slot", bool((gates[fwd.live] == 0.0).all(axis=0).any())))
+        windows = fwd.temporal[1]
+        seen.add(("partial window", bool((windows == 0.0).any())))
+        seen.add(("slope != 1", p.slope != 1.0))
+        seen.add(("h != 1", p.h != 1.0))
+        lanes = np.count_nonzero(fwd.window_ends[0] | fwd.window_ends[1])
+        seen.add(("one lane, n >= 8", lanes == 1 and len(X) >= 8))
+        for saved in (fwd.temporal, fwd.conjunction, fwd.disjunction):
+            if saved is None:
+                continue
+            w, rp, top = saved[1], saved[2], saved[9]
+            selected = np.broadcast_to(w > 0.0, rp.shape)
+            best = np.where(selected, rp, -np.inf).max(axis=-1)
+            seen.add(("tie", bool(((rp == best[..., None]) & selected).sum(axis=-1).max() > 1)))
+            seen.add(("+0 max", bool(((top == 0.0) & ~np.signbit(top)).any())))
+            seen.add(("-0 max", bool(((top == 0.0) & np.signbit(top)).any())))
+            partial = ~selected.all(axis=-1)
+            seen.add(("all negative, partial", bool(((best < 0.0) & partial).any())))
+    assert {case for case, hit in seen if hit} == {
+        "closed slot", "partial window", "slope != 1", "h != 1", "one lane, n >= 8",
+        "tie", "+0 max", "-0 max", "all negative, partial",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,21 @@ def test_eval_names_an_axis_beyond_the_data(cli_env, tmp_path, capsys):
     assert capsys.readouterr().err == "error: slot 1 reads axis 5, but the data has dim 2\n"
 
 
+def test_eval_refuses_a_window_past_the_data_before_printing(tmp_path, capsys):
+    # slot 1's window ends at ceil(5.5) = 6, past the last step of length-4
+    # data: the network would pool a truncated window, so no score is printed
+    model, csv = tmp_path / "report.json", tmp_path / "data.csv"
+    write_model(model, [[0, 1, "G"], [0, -1, "F"]], [0.0, 0.0], [0.0, 1.0], [3.0, 5.5], [[1.0, 1.0]])
+    write_data(csv, [np.full((4, 1), -1.0), np.full((4, 1), 1.0)], [1, -1])
+    rc = main(["eval", "--data", str(csv), "--model", str(model)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: slot 1: window end ceil(t2) = 6 lies past the last step 3 of data of length 4\n"
+    )
+
+
 def test_eval_needs_formula_or_model(cli_env, capsys):
     csv, _, _ = cli_env
     rc = main(["eval", "--data", str(csv)])

@@ -66,6 +66,26 @@ def test_eval_rejects_empty_datasets():
         sign_agreement(params, shape, p, extract_formula(params, shape), empty)
 
 
+def test_eval_refuses_windows_past_the_data():
+    # checked before any network pass, for raw and snapped parameters
+    rng = np.random.default_rng(10)
+    params, shape, length, data = random_snapped_model(rng)
+    p = ActivationParams()
+    formula = extract_formula(params, shape)
+    params.t2[1] = length - 1 + 0.25
+    message = (
+        f"slot 1: window end ceil(t2) = {length} lies past the last step {length - 1} "
+        f"of data of length {length}"
+    )
+    for model in (params, params.snapped()):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network_mcr(model, shape, p, data)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sign_agreement(model, shape, p, formula, data)
+    params.t2[1] = length - 1
+    assert 0.0 <= network_mcr(params, shape, p, data) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # report files
 

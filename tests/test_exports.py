@@ -37,13 +37,18 @@ def test_package_reexports_only_listed_names():
     assert unlisted == []
 
 
-# what perfbench/layers.py wraps in the trainer, as "module.qualname"
+# what perfbench/layers.py wraps in the trainer and, for score-naval, in
+# the evaluator, as "module.qualname"
 TRACED = [
     "stlinfer.trainer.train",
     "stlinfer.trainer._Optimizer.step",
     "stlinfer.trainer.project_params",
     "stlinfer.trainer.extract_formula",
     "stlinfer.trainer.simplify",
+    "stlinfer.evaluate.load_model",
+    "stlinfer.evaluate.network_mcr",
+    "stlinfer.evaluate.sign_agreement",
+    "stlinfer.evaluate.emit_report",
 ]
 
 

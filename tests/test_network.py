@@ -10,6 +10,7 @@ against central differences.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -573,6 +574,17 @@ def test_forward_names_a_slot_axis_beyond_the_data():
     params = ModelParams(np.zeros(8), np.zeros(8), np.full(8, 5.0), np.ones((1, 8)))
     with pytest.raises(ValueError, match=r"^slot 2 reads axis 1, but the data has dim 1$"):
         network_outputs(np.zeros((3, 6, 1)), params, shape, P)
+
+
+def test_forward_refuses_signals_that_are_not_3d():
+    shape = NetworkShape.cycled(1, m=1)
+    params = ModelParams(np.zeros(4), np.zeros(4), np.full(4, 2.0), np.ones((1, 4)))
+    for bad in (np.zeros((3, 4)), np.zeros(4), np.zeros((2, 3, 4, 1))):
+        message = rf"^signals must have shape \(n, length, dim\), got shape {re.escape(str(bad.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            network_outputs(bad, params, shape, P)
+        with pytest.raises(ValueError, match=message):
+            network_pass(bad, params, shape, P)
 
 
 def test_time_indicator_matches_explicit_trapezoid():

@@ -29,6 +29,7 @@ from stlinfer.trainer import (
     TrainConfig,
     UnsoundConfigError,
     _batch_gradients,
+    _feasible_box,
     extract_formula,
     formula_from_gates,
     init_params,
@@ -99,12 +100,13 @@ def test_batch_loss_gradient_matches_central_differences():
 
 def test_project_params_clips_everything():
     params = ModelParams(
-        b=np.zeros(3),
+        b=np.array([-1e300, 0.0, 1e300]),
         t1=np.array([-2.0, 5.0, 3.0]),
         t2=np.array([4.0, 2.0, 10.0]),
         M=np.array([[1.3, -0.2, 0.4]]),
     )
-    project_params(params, length=8)
+    project_params(params, *_feasible_box(params, length=8))
+    assert params.b.tolist() == [-1e300, 0.0, 1e300]
     assert params.M.tolist() == [[1.0, 0.0, 0.4]]
     assert params.t1.tolist() == [0.0, 3.5, 3.0]
     assert params.t2.tolist() == [4.0, 3.5, 7.0]
@@ -122,6 +124,7 @@ def test_flat_adam_equals_adam_by_group():
     rates.flat[:] = lr
     rates.M[:] = LR_GATES
     opt = trainer._Optimizer(rates.flat)
+    box = _feasible_box(params, 10)
     ref = start.copy()
     oracle = FourGroupAdam({"b": lr, "t1": lr, "t2": lr, "M": LR_GATES})
     clipped = []
@@ -135,8 +138,8 @@ def test_flat_adam_equals_adam_by_group():
         opt.step(params, grads)
         # the step leaves grads as it was, so the oracle reads the same
         oracle.step({name: getattr(ref, name) for name in GROUPS}, by_group)
-        project_params(params, 10)
-        project_params(ref, 10)
+        project_params(params, *box)
+        project_params(ref, *box)
         for name in GROUPS:
             assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), (step, name)
             assert np.shares_memory(getattr(params, name), params.flat)

@@ -10,10 +10,14 @@ the per-sample pruning loop the batched `simplify` replaced, kept as its
 reference.  `softmax_vjp_oracle` and `FourGroupAdam` are the backward
 routing and the optimizer as they were before the forward saved its
 first maxima and the parameters became one flat vector; the library
-versions must keep their bytes.  The `*_value` helpers run the batched
-layers on one row.  The random builders produce formulas whose
-connectives alternate, so printing and reparsing reproduces the tree
-node for node.
+versions must keep their bytes.  `softmax_rows_oracle` and
+`network_pass_oracle` are the forward and backward as they were before
+the pass dropped the arithmetic nothing reads: a masked max for the
+shift, predicate rows in three passes, and the full selection-weight
+gradient summed over the batch before `_window_vjp` picks its lanes.
+The `*_value` helpers run the batched layers on one row.  The random
+builders produce formulas whose connectives alternate, so printing and
+reparsing reproduces the tree node for node.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ import math
 
 import numpy as np
 
-from stlinfer.network import ActivationParams, ModelParams, NetworkShape, _softmax_rows, _window_rows
+from stlinfer.network import (
+    ActivationParams,
+    ModelParams,
+    NetworkShape,
+    _softmax_rows,
+    _window_rows,
+    _window_vjp,
+)
 from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
 from stlinfer.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP, formula_from_gates
 
@@ -61,6 +72,52 @@ def softmax_vjp_oracle(g, saved, p: ActivationParams):
     g_rp = g_rp + 0.0
     np.put_along_axis(g_rp, first, at_first, axis=-1)
     return g_num * u + g_rp * w, g_u * ez + g_rp * r
+
+
+def softmax_rows_oracle(r, w, p: ActivationParams):
+    """`_softmax_rows` on fresh arrays, shifting by the maximum over the
+    selected lanes (a masked max) and saving the eight entries
+    `softmax_vjp_oracle` reads."""
+    rp = r * w
+    den = np.abs(rp.max(axis=-1, keepdims=True)) + p.eps
+    zs = rp * p.h / den * p.beta
+    zs = zs - np.max(zs, axis=-1, keepdims=True, where=w > 0.0, initial=-np.inf)
+    ez = np.exp(np.minimum(zs, 0.0))
+    u = w * ez
+    num = (r * u).sum(axis=-1)
+    den2 = u.sum(axis=-1)
+    return num / den2, (r, w, rp, den, ez, u, num, den2)
+
+
+def network_pass_oracle(X, params: ModelParams, shape: NetworkShape, p: ActivationParams, dout):
+    """`network_pass` and its `vjp` for output gradients dout, as
+    (out, gradients as a ModelParams): predicate rows as sign * x, minus
+    b, times flip; every layer through the oracles above; the temporal
+    layer's weight gradient over every lane, summed over the batch, then
+    `_window_vjp`."""
+    gates = params.gates()
+    windows, ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
+    flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots])
+    rows = np.take(X.transpose(0, 2, 1), [slot.axis for slot in shape.slots], axis=1)
+    rows = flip[:, None] * (signs * rows - params.b[:, None])
+    g, temporal = softmax_rows_oracle(rows, windows, p)
+    g = flip * g
+    live = np.flatnonzero((gates > 0.0).any(axis=1))
+    h, conjunction = softmax_rows_oracle(-g[:, None, :], gates[live], p)
+    h = -h
+    if len(live) == 1:
+        out, g_h = h[:, 0], dout[:, None]
+    else:
+        out, disjunction = softmax_rows_oracle(h, np.ones(len(live)), p)
+        g_h = softmax_vjp_oracle(dout, disjunction, p)[0]
+    g_neg, g_gates = softmax_vjp_oracle(-g_h, conjunction, p)
+    g_in, g_windows = softmax_vjp_oracle(-g_neg.sum(axis=1) * flip, temporal, p)
+    grads = params.zeros()
+    grads.t1[:], grads.t2[:] = _window_vjp(g_windows.sum(axis=0), ends, p.slope)
+    grads.M[live] = g_gates.sum(axis=0)
+    grads.b[:] = -flip * g_in.sum(axis=(0, 2))
+    return out, grads
 
 
 class FourGroupAdam:
