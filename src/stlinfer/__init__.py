@@ -12,14 +12,12 @@ from .stl import (
     And,
     Formula,
     IntervalError,
-    Not,
     Or,
     ParseError,
     Predicate,
     Signal,
     TemporalAtom,
     TemporalOp,
-    count_atoms,
     dnf,
     dnf_clauses,
     format_formula,
@@ -41,9 +39,7 @@ from .network import (
 )
 from .datasets import (
     DrivingBehavior,
-    DrivingConfig,
     LabeledDataset,
-    NavalConfig,
     gen_driving,
     gen_driving_pair,
     gen_naval,

@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(GoForward, StopAndGo, LeftTurnLane1, LeftTurnLane2, SwitchLane, Overtake)",
     )
     g.add_argument("--count", type=int, default=1000, help="samples per class for pairs/naval")
-    g.add_argument("--length", type=int, default=40, help="driving trajectory length")
+    g.add_argument("--length", type=int, help="driving only: trajectory length (default 40)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output CSV path")
 
@@ -71,21 +71,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     if args.scenario == "naval":
+        # naval tracks have one fixed length and two kinds of anomaly
+        for flag in ("behaviors", "length"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to the driving scenario only")
         data = gen_naval(2 * args.count, seed=args.seed)
     else:
         if not args.behaviors:
             raise ValueError("driving scenario needs --behaviors")
         names = [b.strip() for b in args.behaviors.split(",") if b.strip()]
+        length = 40 if args.length is None else args.length
         if len(names) == 1:
             data = gen_driving(
-                DrivingBehavior.from_name(names[0]), args.count, args.length, args.seed
+                DrivingBehavior.from_name(names[0]), args.count, length, args.seed
             )
         elif len(names) == 2:
             data = gen_driving_pair(
                 DrivingBehavior.from_name(names[0]),
                 DrivingBehavior.from_name(names[1]),
                 args.count,
-                args.length,
+                length,
                 args.seed,
             )
         else:

@@ -16,6 +16,8 @@ Two scenario families ship with the package:
   to open sea.  The classes are separable by construction with wide
   margins.
 
+The geometry of both scenarios is fixed: module constants hold it.
+
 A dataset is dense: an (N, L, D) float64 array of signals, which the
 generators fill directly, and an (N,) vector of labels in {-1, +1}.
 
@@ -27,9 +29,9 @@ round trip through save_csv/load_csv is lossless for float64 values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
@@ -37,8 +39,6 @@ from .stl import Signal
 
 __all__ = [
     "DrivingBehavior",
-    "DrivingConfig",
-    "NavalConfig",
     "LabeledDataset",
     "gen_driving",
     "gen_driving_pair",
@@ -68,13 +68,12 @@ class DrivingBehavior(enum.Enum):
 @dataclass(eq=False)
 class LabeledDataset:
     """Signals X (N, L, D) float64, time-major, with labels y (N,) int64
-    in {-1, +1}, plus generation metadata.  Iterating yields (Signal,
-    label) pairs built lazily from the rows of X.
+    in {-1, +1}.  Iterating yields (Signal, label) pairs built lazily
+    from the rows of X.
     """
 
     X: np.ndarray
     y: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -87,17 +86,6 @@ class LabeledDataset:
         if not np.isfinite(self.X).all():
             raise ValueError("signal values must be finite")
         self.y = y.astype(np.int64)
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[Tuple[Signal, int]], metadata=None) -> "LabeledDataset":
-        """Stack (Signal, label) pairs of one length and one dimension."""
-        samples = list(samples)
-        for name, axis in (("length", 0), ("dimension", 1)):
-            sizes = sorted({sig.values.shape[axis] for sig, _ in samples})
-            if len(sizes) > 1:
-                raise ValueError(f"signals disagree on {name}: {sizes}")
-        X = np.stack([sig.values for sig, _ in samples]) if samples else np.empty((0, 0, 0))
-        return cls(X, [label for _, label in samples], metadata or {})
 
     def __iter__(self) -> Iterator[Tuple[Signal, int]]:
         for x, label in zip(self.X, self.y.tolist()):
@@ -117,44 +105,37 @@ class LabeledDataset:
 
 # ---------------------------------------------------------------------------
 # Driving scenario
+#
+# Lane centers sit at 0 (lane 1) and -4 (lane 2).  _LATERAL_NOISE is the
+# per-step Gaussian sigma in lane units; _FORWARD_NOISE perturbs the
+# longitudinal velocity per step.  The stop line sits at _STOP_FRACTION of
+# the longitudinal range reachable at maximum velocity, and a stopped
+# vehicle holds for exactly _STOP_HOLD samples.
 
-
-@dataclass(frozen=True)
-class DrivingConfig:
-    """Generator knobs for the driving scenario.
-
-    lane centers sit at 0 (lane 1) and -4 (lane 2).  lateral_noise is the
-    per-step Gaussian sigma in lane units; forward_noise perturbs the
-    longitudinal velocity per step.  The stop line sits at stop_fraction
-    of the longitudinal range reachable at maximum velocity, and a
-    stopped vehicle holds for exactly stop_hold samples.
-    """
-
-    lane1_center: float = 0.0
-    lane2_center: float = -4.0
-    lateral_noise: float = 0.1
-    lateral_pull: float = 0.5
-    x0_half_range: float = 1.0
-    v_min: float = 1.0
-    v_max: float = 1.01
-    y0_max: float = 0.5
-    forward_noise: float = 0.02
-    stop_fraction: float = 0.4
-    stop_hold: int = 3
-    turn_y_lane1: float = 24.0
-    turn_y_lane2: float = 28.0
+_LANE1_CENTER = 0.0
+_LANE2_CENTER = -4.0
+_LATERAL_NOISE = 0.1
+_LATERAL_PULL = 0.5
+_X0_HALF_RANGE = 1.0
+_V_MIN = 1.0
+_V_MAX = 1.01
+_Y0_MAX = 0.5
+_FORWARD_NOISE = 0.02
+_STOP_FRACTION = 0.4
+_STOP_HOLD = 3
+_TURN_Y_LANE1 = 24.0
+_TURN_Y_LANE2 = 28.0
 
 
 def _drive_one(
     behavior: DrivingBehavior,
     length: int,
     rng: np.random.Generator,
-    cfg: DrivingConfig,
 ) -> np.ndarray:
-    x0 = cfg.lane1_center + rng.uniform(-cfg.x0_half_range, cfg.x0_half_range)
-    y0 = rng.uniform(0.0, cfg.y0_max)
-    v = rng.uniform(cfg.v_min, cfg.v_max)
-    stop_line = cfg.stop_fraction * (cfg.y0_max + cfg.v_max * (length - 1))
+    x0 = _LANE1_CENTER + rng.uniform(-_X0_HALF_RANGE, _X0_HALF_RANGE)
+    y0 = rng.uniform(0.0, _Y0_MAX)
+    v = rng.uniform(_V_MIN, _V_MAX)
+    stop_line = _STOP_FRACTION * (_Y0_MAX + _V_MAX * (length - 1))
 
     if behavior is DrivingBehavior.SWITCH_LANE:
         t_switch = int(rng.integers(12, 21))
@@ -173,27 +154,27 @@ def _drive_one(
 
         # lateral target for the next step
         if behavior is DrivingBehavior.SWITCH_LANE:
-            target = cfg.lane2_center if t >= t_switch else x0
+            target = _LANE2_CENTER if t >= t_switch else x0
         elif behavior is DrivingBehavior.OVERTAKE:
-            target = cfg.lane2_center if t_out <= t < t_back else x0
+            target = _LANE2_CENTER if t_out <= t < t_back else x0
         else:
             target = x0
 
         if behavior in (DrivingBehavior.LEFT_TURN_LANE1, DrivingBehavior.LEFT_TURN_LANE2):
             y_turn = (
-                cfg.turn_y_lane1
+                _TURN_Y_LANE1
                 if behavior is DrivingBehavior.LEFT_TURN_LANE1
-                else cfg.turn_y_lane2
+                else _TURN_Y_LANE2
             )
             if not turned and y + v >= y_turn:
                 turned = True
             if turned:
                 # heading left along the cross street: x runs, y is pinned
-                x = x - v + rng.normal(0.0, cfg.lateral_noise)
-                y = y_turn + rng.normal(0.0, cfg.forward_noise)
+                x = x - v + rng.normal(0.0, _LATERAL_NOISE)
+                y = y_turn + rng.normal(0.0, _FORWARD_NOISE)
                 continue
 
-        x = x + cfg.lateral_pull * (target - x) + rng.normal(0.0, cfg.lateral_noise)
+        x = x + _LATERAL_PULL * (target - x) + rng.normal(0.0, _LATERAL_NOISE)
 
         if behavior is DrivingBehavior.STOP_AND_GO and not stopped_already:
             if hold_left > 0:
@@ -203,12 +184,12 @@ def _drive_one(
                 continue  # y unchanged while holding at the line
             if y + v >= stop_line:
                 y = stop_line
-                hold_left = cfg.stop_hold - 1  # the arrival sample counts
+                hold_left = _STOP_HOLD - 1  # the arrival sample counts
                 if hold_left == 0:
                     stopped_already = True
                 continue
 
-        y = y + v + rng.normal(0.0, cfg.forward_noise)
+        y = y + v + rng.normal(0.0, _FORWARD_NOISE)
     return out
 
 
@@ -219,7 +200,6 @@ def gen_driving(
     seed: int = 0,
     *,
     label: int = 1,
-    cfg: DrivingConfig = DrivingConfig(),
 ) -> LabeledDataset:
     """Generate `count` trajectories of one behavior, all with `label`."""
     if count < 1:
@@ -229,10 +209,8 @@ def gen_driving(
     rng = np.random.default_rng([seed, list(DrivingBehavior).index(behavior)])
     X = np.empty((count, length, 2))
     for i in range(count):
-        X[i] = _drive_one(behavior, length, rng, cfg)
-    meta = dict(scenario="driving", behaviors=[behavior.value], count=count, length=length,
-                seed=seed, config=asdict(cfg))
-    return LabeledDataset(X, np.full(count, label), meta)
+        X[i] = _drive_one(behavior, length, rng)
+    return LabeledDataset(X, np.full(count, label))
 
 
 def gen_driving_pair(
@@ -241,44 +219,36 @@ def gen_driving_pair(
     count_per_class: int,
     length: int = 40,
     seed: int = 0,
-    *,
-    cfg: DrivingConfig = DrivingConfig(),
 ) -> LabeledDataset:
     """Two-behavior classification set: `positive` labeled +1, `negative` -1."""
-    pos = gen_driving(positive, count_per_class, length, seed, label=1, cfg=cfg)
-    neg = gen_driving(negative, count_per_class, length, seed, label=-1, cfg=cfg)
-    meta = dict(pos.metadata, behaviors=[positive.value, negative.value], count=2 * count_per_class)
-    return LabeledDataset(np.concatenate([pos.X, neg.X]), np.concatenate([pos.y, neg.y]), meta)
+    pos = gen_driving(positive, count_per_class, length, seed, label=1)
+    neg = gen_driving(negative, count_per_class, length, seed, label=-1)
+    return LabeledDataset(np.concatenate([pos.X, neg.X]), np.concatenate([pos.y, neg.y]))
 
 
 # ---------------------------------------------------------------------------
 # Naval scenario
+#
+# Geometry of the harbor-approach facsimile (eastings x, northings y).
+# Tracks start in open sea (large x), and normal traffic reaches the
+# harbor while staying north of the island band.  The margins between the
+# three track families are several noise sigmas wide, so the classes are
+# separable by construction.
 
-
-@dataclass(frozen=True)
-class NavalConfig:
-    """Geometry of the harbor-approach facsimile (eastings x, northings y).
-
-    Tracks start in open sea (large x), and normal traffic reaches the
-    harbor while staying north of the island band.  The margins between
-    the three track families are several noise sigmas wide, so the classes
-    are separable by construction.
-    """
-
-    length: int = 61
-    start_x: Tuple[float, float] = (48.0, 55.0)
-    start_y: Tuple[float, float] = (28.0, 36.0)
-    harbor: Tuple[float, float] = (22.0, 30.0)
-    harbor_time: int = 45
-    island_y: float = 21.0
-    island_x: float = 40.0
-    island_arrive: int = 8
-    island_leave: int = 16
-    abort_x: float = 42.0
-    abort_turn: int = 22
-    open_sea: Tuple[float, float] = (58.0, 33.0)
-    abort_home: int = 40
-    noise: float = 0.3
+_NAVAL_LENGTH = 61
+_START_X = (48.0, 55.0)
+_START_Y = (28.0, 36.0)
+_HARBOR = (22.0, 30.0)
+_HARBOR_TIME = 45
+_ISLAND_Y = 21.0
+_ISLAND_X = 40.0
+_ISLAND_ARRIVE = 8
+_ISLAND_LEAVE = 16
+_ABORT_X = 42.0
+_ABORT_TURN = 22
+_OPEN_SEA = (58.0, 33.0)
+_ABORT_HOME = 40
+_NAVAL_NOISE = 0.3
 
 
 def _interp_path(times, xs, ys, length, rng, sigma):
@@ -290,32 +260,32 @@ def _interp_path(times, xs, ys, length, rng, sigma):
     return path
 
 
-def _naval_one(kind: str, rng: np.random.Generator, cfg: NavalConfig) -> np.ndarray:
-    x0 = rng.uniform(*cfg.start_x)
-    y0 = rng.uniform(*cfg.start_y)
-    hx, hy = cfg.harbor
-    last = cfg.length - 1
+def _naval_one(kind: str, rng: np.random.Generator) -> np.ndarray:
+    x0 = rng.uniform(*_START_X)
+    y0 = rng.uniform(*_START_Y)
+    hx, hy = _HARBOR
+    last = _NAVAL_LENGTH - 1
     if kind == "normal":
-        times = [0, cfg.harbor_time, last]
+        times = [0, _HARBOR_TIME, last]
         xs = [x0, hx, hx]
         ys = [y0, hy, hy]
     elif kind == "island":
         # dip into the island band early, recover, still make the harbor
-        times = [0, cfg.island_arrive, cfg.island_leave, cfg.harbor_time + 5, last]
-        xs = [x0, cfg.island_x, cfg.island_x - 4.0, hx, hx]
-        ys = [y0, cfg.island_y, cfg.island_y, hy, hy]
+        times = [0, _ISLAND_ARRIVE, _ISLAND_LEAVE, _HARBOR_TIME + 5, last]
+        xs = [x0, _ISLAND_X, _ISLAND_X - 4.0, hx, hx]
+        ys = [y0, _ISLAND_Y, _ISLAND_Y, hy, hy]
     elif kind == "abort":
         # turn back to open sea; never enters the harbor
-        ox, oy = cfg.open_sea
-        times = [0, cfg.abort_turn, cfg.abort_home, last]
-        xs = [x0, cfg.abort_x, ox, ox]
+        ox, oy = _OPEN_SEA
+        times = [0, _ABORT_TURN, _ABORT_HOME, last]
+        xs = [x0, _ABORT_X, ox, ox]
         ys = [y0, y0 + rng.uniform(-1.0, 2.0), oy, oy]
     else:
         raise ValueError(f"unknown naval track kind '{kind}'")
-    return _interp_path(times, xs, ys, cfg.length, rng, cfg.noise)
+    return _interp_path(times, xs, ys, _NAVAL_LENGTH, rng, _NAVAL_NOISE)
 
 
-def gen_naval(count: int, seed: int = 0, *, cfg: NavalConfig = NavalConfig()) -> LabeledDataset:
+def gen_naval(count: int, seed: int = 0) -> LabeledDataset:
     """Balanced harbor-approach set: count/2 normal (+1) and count/2
     anomalous (-1, alternating island dips and aborted approaches)."""
     if count < 2 or count % 2 != 0:
@@ -323,11 +293,10 @@ def gen_naval(count: int, seed: int = 0, *, cfg: NavalConfig = NavalConfig()) ->
     rng = np.random.default_rng([seed, 97])
     half = count // 2
     kinds = ["normal"] * half + ["island" if i % 2 == 0 else "abort" for i in range(half)]
-    X = np.empty((count, cfg.length, 2))
+    X = np.empty((count, _NAVAL_LENGTH, 2))
     for i, kind in enumerate(kinds):
-        X[i] = _naval_one(kind, rng, cfg)
-    meta = dict(scenario="naval", count=count, length=cfg.length, seed=seed, config=asdict(cfg))
-    return LabeledDataset(X, np.repeat([1, -1], half), meta)
+        X[i] = _naval_one(kind, rng)
+    return LabeledDataset(X, np.repeat([1, -1], half))
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +345,16 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
     rows = lines[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    meta = {"scenario": "csv", "source": str(path)}
     body = [ln for _, ln in rows]
     try:
         table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         if table.shape[1] == 1 + dim * length:
             labels = [int(ln.partition(",")[0]) for ln in body]
-            return LabeledDataset(table[:, 1:].reshape(-1, length, dim), labels, meta)
+            return LabeledDataset(table[:, 1:].reshape(-1, length, dim), labels)
     except (ValueError, OverflowError):
         pass
     labels, values = _parse_rows(path, rows, 1 + dim * length)
-    return LabeledDataset(np.array(values).reshape(-1, length, dim), labels, meta)
+    return LabeledDataset(np.array(values).reshape(-1, length, dim), labels)
 
 
 def _parse_rows(path, rows, width: int):

@@ -103,22 +103,29 @@ def emit_report(report: TrainReport, outdir: Union[str, Path]) -> dict:
     return {"report": report_path, "curves": curves_path, "formula": formula_path}
 
 
+def _integer(path, field: str, value) -> int:
+    """A JSON integer, or an integral float, as an int; anything else is
+    refused with the field named."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{path}: {field} must be an integer, got {value!r}")
+
+
 def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, ActivationParams]:
     """Read back the parameters, shape and activation from a report.json.
 
-    A parameter whose shape disagrees with the network shape, a
+    A shape field that is not an integer (int() would truncate 0.9 to 0),
+    a parameter whose shape disagrees with the network shape, a
     non-finite parameter or activation value (JSON as Python reads it
     admits NaN and Infinity), and a window outside 0 <= t1 <= t2 (which
     training never leaves) are refused with the field named.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        shape = NetworkShape(
-            slots=tuple(
-                SlotSpec(int(a), int(s), TemporalOp(op)) for a, s, op in payload["shape"]["slots"]
-            ),
-            m=int(payload["shape"]["m"]),
-        )
+        slots = [(a, s, TemporalOp(op)) for a, s, op in payload["shape"]["slots"]]
+        m = payload["shape"]["m"]
         arrays = {
             name: np.array(payload["params"][name], dtype=np.float64)
             for name in ("b", "t1", "t2", "M")
@@ -126,7 +133,16 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
         act = {name: float(payload["activation"][name]) for name in ("beta", "h", "eps", "slope")}
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: not a valid model report: {e}") from None
-    k, m = shape.k, shape.m
+    slots = [
+        (_integer(path, f"shape.slots[{j}]: axis", a), _integer(path, f"shape.slots[{j}]: sign", s), op)
+        for j, (a, s, op) in enumerate(slots)
+    ]
+    m = _integer(path, "shape.m", m)
+    try:
+        shape = NetworkShape(slots=tuple(SlotSpec(*slot) for slot in slots), m=m)
+    except ValueError as e:
+        raise ValueError(f"{path}: not a valid model report: {e}") from None
+    k = shape.k
     want = {"b": (k,), "t1": (k,), "t2": (k,), "M": (m, k)}
     for name, array in arrays.items():
         if array.shape != want[name]:

@@ -520,15 +520,14 @@ def network_pass(
     params: ModelParams,
     shape: NetworkShape,
     p: ActivationParams,
-    gates: Optional[np.ndarray] = None,
     ws: Optional[dict] = None,
 ) -> NetworkPass:
     """Network forward over every signal of X (n, length, dim).
 
     Predicate rows sign * x[:, axis] - b (n, k, length) are pooled over
     each slot's soft window: sparse softmin for always-slots, softmax for
-    eventually-slots.  Each live row of the binary gate matrix (by default
-    `params.gates()`) pools the slot outputs with a softmin, and a
+    eventually-slots.  Each live row of the binary gate matrix
+    `params.gates()` pools the slot outputs with a softmin, and a
     softmax over the live rows gives the output.  Raises NonFiniteError
     naming a non-finite parameter, ValueError naming a slot whose axis the
     data lacks, EmptySelectionError for an empty window and
@@ -542,8 +541,7 @@ def network_pass(
     bad = params.non_finite_entry()
     if bad is not None:
         raise NonFiniteError(f"non-finite parameter {bad}")
-    if gates is None:
-        gates = params.gates()
+    gates = params.gates()
     axes, flip_sign, flip = shape.constants
     if axes.max() >= X.shape[2]:
         j = int(np.argmax(axes >= X.shape[2]))

@@ -7,14 +7,16 @@ connectives, and the bounded temporal operators "always" and "eventually".
 Temporal operators never nest: a temporal atom wraps a propositional
 formula over predicates only.  The learned formulas produced elsewhere in
 this package are disjunctions of conjunctions of temporal atoms, but the
-evaluator accepts any tree in that fragment, including explicit negation.
+evaluator accepts any tree in that fragment.  The parser folds negation
+into the predicates and temporal operators, so no tree holds a negation
+node.
 
 Quantitative semantics (robustness) follows the usual recursive
-definition: predicates measure signed margin, negation flips sign,
-conjunction takes the minimum, disjunction the maximum, and the temporal
-operators take the extremum of the child robustness over the shifted
-window.  A signal satisfies a formula iff its robustness at time 0 is
-strictly positive; robustness exactly 0 counts as a violation.
+definition: predicates measure signed margin, conjunction takes the
+minimum, disjunction the maximum, and the temporal operators take the
+extremum of the child robustness over the shifted window.  A signal
+satisfies a formula iff its robustness at time 0 is strictly positive;
+robustness exactly 0 counts as a violation.
 
 `robustness` is the recursive reference on one signal.  `satisfied` is
 the batched verdict (robustness > 0) on signals (n, length, dim): a DNF
@@ -26,6 +28,7 @@ through `satisfies` one signal at a time.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
@@ -35,7 +38,6 @@ import numpy as np
 __all__ = [
     "Signal",
     "Predicate",
-    "Not",
     "And",
     "Or",
     "TemporalOp",
@@ -53,7 +55,6 @@ __all__ = [
     "parse_formula",
     "dnf",
     "dnf_clauses",
-    "count_atoms",
 ]
 
 
@@ -92,7 +93,7 @@ class Predicate:
 
     Robustness at time t is sign * s[t, axis] - offset.  A negated
     predicate is represented by flipping sign and negating offset, so
-    negation never needs its own node at the predicate level.
+    negation never needs its own node.  The offset must be finite.
     """
 
     axis: int
@@ -104,14 +105,11 @@ class Predicate:
             raise ValueError(f"predicate sign must be +1 or -1, got {self.sign}")
         if self.axis < 0:
             raise ValueError(f"predicate axis must be nonnegative, got {self.axis}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"predicate offset must be finite, got {self.offset}")
 
     def negate(self) -> "Predicate":
         return Predicate(self.axis, -self.sign, -self.offset)
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
 
 
 @dataclass(frozen=True)
@@ -160,14 +158,12 @@ class TemporalAtom:
             raise ValueError("temporal operators must not nest")
 
 
-Formula = Union[Predicate, Not, And, Or, TemporalAtom]
+Formula = Union[Predicate, And, Or, TemporalAtom]
 
 
 def _has_temporal(f: Formula) -> bool:
     if isinstance(f, TemporalAtom):
         return True
-    if isinstance(f, Not):
-        return _has_temporal(f.child)
     if isinstance(f, (And, Or)):
         return any(_has_temporal(i) for i in f.items)
     return False
@@ -189,8 +185,6 @@ def robustness(signal: Signal, formula: Formula, t: int = 0) -> float:
         if formula.axis >= dim:
             raise IntervalError(_axis_outside(formula, formula.axis, dim))
         return float(formula.sign * v[t, formula.axis] - formula.offset)
-    if isinstance(formula, Not):
-        return -robustness(signal, formula.child, t)
     if isinstance(formula, And):
         return min(robustness(signal, i, t) for i in formula.items)
     if isinstance(formula, Or):
@@ -332,16 +326,6 @@ def dnf_clauses(f: Formula) -> Tuple[Tuple[TemporalAtom, ...], ...]:
     return (as_clause(f),)
 
 
-def count_atoms(f: Formula) -> int:
-    if isinstance(f, TemporalAtom):
-        return 1
-    if isinstance(f, Not):
-        return count_atoms(f.child)
-    if isinstance(f, (And, Or)):
-        return sum(count_atoms(i) for i in f.items)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -367,8 +351,6 @@ def format_formula(f: Formula) -> str:
     """
     if isinstance(f, Predicate):
         return _fmt_predicate(f)
-    if isinstance(f, Not):
-        return f"!({format_formula(f.child)})"
     if isinstance(f, And):
         return " & ".join(_wrap_in_and(i) for i in f.items)
     if isinstance(f, Or):
@@ -399,8 +381,9 @@ class _Parser:
 
     Negation is folded away during parsing: over predicates it flips the
     comparison, over temporal atoms it dualizes the operator, and over
-    boolean nodes it distributes.  Parsed trees therefore contain no Not
-    nodes.  Temporal operators inside a temporal body are rejected.
+    boolean nodes it distributes.  A constant that overflows a float is
+    refused at its position.  Temporal operators inside a temporal body
+    are rejected.
     """
 
     def __init__(self, text: str):
@@ -507,17 +490,20 @@ class _Parser:
             raise self.error("expected '<' or '>'")
         cmp = self.text[self.pos]
         self.pos += 1
+        self.skip_ws()
+        at = self.pos
         c = self.number()
-        if cmp == ">":
-            return Predicate(axis, 1, c)
-        return Predicate(axis, -1, -c)
+        try:
+            if cmp == ">":
+                return Predicate(axis, 1, c)
+            return Predicate(axis, -1, -c)
+        except ValueError as e:
+            raise ParseError(str(e), at) from None
 
 
 def _negate(f: Formula) -> Formula:
     if isinstance(f, Predicate):
         return f.negate()
-    if isinstance(f, Not):
-        return f.child
     if isinstance(f, And):
         return Or(tuple(_negate(i) for i in f.items))
     if isinstance(f, Or):

@@ -32,7 +32,6 @@ from stlinfer.stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
-    count_atoms,
     format_formula,
     mcr,
     parse_formula,
@@ -41,6 +40,7 @@ from stlinfer.stl import (
 from stlinfer.trainer import TrainConfig, train
 
 from util import (
+    count_atoms,
     random_dnf,
     random_signal,
     time_indicator_values,

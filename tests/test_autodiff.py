@@ -33,7 +33,13 @@ from stlinfer.network import (
 )
 from stlinfer.stl import TemporalOp
 from stlinfer.trainer import TrainConfig, _batch_gradients, train
-from util import network_pass_oracle, softmax_rows_oracle, softmax_vjp_oracle, time_indicator_values
+from util import (
+    GatedParams,
+    network_pass_oracle,
+    softmax_rows_oracle,
+    softmax_vjp_oracle,
+    time_indicator_values,
+)
 
 P = ActivationParams()  # beta 25, h 1
 
@@ -350,7 +356,7 @@ def test_ste_thresholds_at_half():
     fwd = network_pass(X, params, shape, P)
     assert fwd.live.tolist() == [0]
     binary = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    assert fwd.out.tobytes() == network_pass(X, params, shape, P, binary).out.tobytes()
+    assert fwd.out.tobytes() == network_pass(X, GatedParams(params, binary), shape, P).out.tobytes()
 
 
 def test_ste_backward_is_identity():
@@ -366,7 +372,7 @@ def test_ste_backward_is_identity():
     assert network_pass(X, nudged, shape, p).out.tobytes() == network_pass(X, params, shape, p).out.tobytes()
 
     def f(g):
-        return dout @ network_pass(X, params, shape, p, g.reshape(gates.shape)).out
+        return dout @ network_pass(X, GatedParams(params, g.reshape(gates.shape)), shape, p).out
 
     fd = central_differences(f, gates.ravel()).reshape(gates.shape)
     open_ = gates > 0.0
@@ -439,7 +445,7 @@ def test_unused_leaf_gets_zero_gradient():
     # slots 2 and 3 feed no live row: their offsets and windows get zero
     X, params, shape = one_slot_gates_case(np.random.default_rng(35))
     gates = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    grads = network_pass(X, params, shape, P, gates).vjp(np.ones(len(X)))
+    grads = network_pass(X, GatedParams(params, gates), shape, P).vjp(np.ones(len(X)))
     for group in ("b", "t1", "t2"):
         assert getattr(grads, group)[2:].tolist() == [0.0, 0.0]
     assert np.abs(grads.b[:2]).min() > 0.0
@@ -545,9 +551,9 @@ def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
     # train and network_outputs each pass one workspace to all their passes
     seen = []
 
-    def record(X, params, shape, p, gates=None, ws=None):
+    def record(X, params, shape, p, ws=None):
         seen.append(ws)
-        return real(X, params, shape, p, gates, ws)
+        return real(X, params, shape, p, ws)
 
     real = network.network_pass
     monkeypatch.setattr(network, "network_pass", record)

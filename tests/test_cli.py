@@ -50,6 +50,7 @@ def test_generate_single_behavior(tmp_path, capsys):
     assert "wrote 5 samples" in capsys.readouterr().out
     data = load_csv(out)
     assert data.y.tolist() == [1] * 5
+    assert data.length == 40
 
 
 def test_generate_naval_counts_per_class(tmp_path, capsys):
@@ -58,6 +59,15 @@ def test_generate_naval_counts_per_class(tmp_path, capsys):
     assert rc == 0
     assert "wrote 20 samples" in capsys.readouterr().out
     assert out.read_text(encoding="utf-8").split("\n", 1)[0] == "label,2,61"
+
+
+@pytest.mark.parametrize("flag, value", [("--behaviors", "Overtake"), ("--length", "7")])
+def test_generate_naval_refuses_driving_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "naval.csv"
+    rc = main(["generate", "--scenario", "naval", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag} applies to the driving scenario only\n"
+    assert not out.exists()
 
 
 def test_generate_driving_needs_behaviors(tmp_path, capsys):
@@ -277,6 +287,15 @@ def test_eval_bad_formula_text(cli_env, capsys):
     rc = main(["eval", "--data", str(csv), "--formula", "G[2,1](x0 > 0)"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_names_the_position_of_an_overflowing_constant(cli_env, capsys):
+    csv, _, _ = cli_env
+    rc = main(["eval", "--data", str(csv), "--formula", "G[0,99](x0 > 1e999)"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: predicate offset must be finite, got inf at position 13\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from stlinfer import datasets
 from stlinfer.datasets import (
     DrivingBehavior,
-    DrivingConfig,
     LabeledDataset,
     gen_driving,
     gen_driving_pair,
@@ -17,6 +16,7 @@ from stlinfer.datasets import (
     save_csv,
 )
 from stlinfer.stl import Signal, mcr, parse_formula, satisfies
+from util import dataset_from_samples
 
 LANE_REF = parse_formula("G[0,39](x0 > -1.97)")
 
@@ -36,12 +36,11 @@ def test_go_forward_always_advances():
 
 
 def test_stop_and_go_holds_exactly_at_the_line():
-    cfg = DrivingConfig()
-    stop_line = cfg.stop_fraction * (cfg.y0_max + cfg.v_max * 39)
-    sg = gen_driving(DrivingBehavior.STOP_AND_GO, 100, 40, seed=5, cfg=cfg)
+    stop_line = datasets._STOP_FRACTION * (datasets._Y0_MAX + datasets._V_MAX * 39)
+    sg = gen_driving(DrivingBehavior.STOP_AND_GO, 100, 40, seed=5)
     for sig, _ in sg:
         hits = np.flatnonzero(sig.values[:, 1] == stop_line)
-        assert len(hits) == cfg.stop_hold
+        assert len(hits) == datasets._STOP_HOLD
         assert np.all(np.diff(hits) == 1)
 
 
@@ -76,8 +75,6 @@ def test_gen_driving_pair_layout():
     labels = data.y
     assert labels[:30].tolist() == [1] * 30
     assert labels[30:].tolist() == [-1] * 30
-    assert data.metadata["behaviors"] == ["GoForward", "Overtake"]
-    assert data.metadata["count"] == 60
 
 
 def test_gen_driving_validations():
@@ -132,11 +129,11 @@ def test_naval_determinism_and_validation():
 def test_labeled_dataset_validation():
     sig = Signal(np.zeros((4, 1)))
     with pytest.raises(ValueError, match="label"):
-        LabeledDataset.from_samples([(sig, 0)])
+        dataset_from_samples([(sig, 0)])
     with pytest.raises(ValueError, match="disagree on length"):
-        LabeledDataset.from_samples([(sig, 1), (Signal(np.zeros((5, 1))), -1)])
+        dataset_from_samples([(sig, 1), (Signal(np.zeros((5, 1))), -1)])
     with pytest.raises(ValueError, match="disagree on dimension"):
-        LabeledDataset.from_samples([(sig, 1), (Signal(np.zeros((4, 2))), -1)])
+        dataset_from_samples([(sig, 1), (Signal(np.zeros((4, 2))), -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,7 @@ def test_csv_round_trip_is_lossless(tmp_path, tiny_naval):
 
 def test_csv_save_refuses_empty(tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        save_csv(LabeledDataset.from_samples([]), tmp_path / "x.csv")
+        save_csv(dataset_from_samples([]), tmp_path / "x.csv")
 
 
 def test_csv_load_errors_carry_line_numbers(tmp_path):
@@ -323,7 +320,7 @@ def test_iteration_yields_signals_and_int_labels(tiny_naval):
         assert isinstance(sig, Signal) and type(label) is int
         assert sig.values.tobytes() == tiny_naval.X[i].tobytes()
         assert label == tiny_naval.y[i]
-    again = LabeledDataset.from_samples(pairs)
+    again = dataset_from_samples(pairs)
     assert again.X.tobytes() == tiny_naval.X.tobytes()
     assert again.y.tolist() == tiny_naval.y.tolist()
 
@@ -345,7 +342,7 @@ def test_empty_dataset_errors_keep_their_messages(tmp_path):
     from stlinfer.network import NetworkShape, ModelParams
     from stlinfer.trainer import TrainConfig, simplify, train
 
-    empty = LabeledDataset.from_samples([])
+    empty = dataset_from_samples([])
     assert len(empty) == 0
     with pytest.raises(ValueError) as err:
         save_csv(empty, tmp_path / "x.csv")

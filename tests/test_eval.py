@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-from stlinfer.datasets import LabeledDataset
 from stlinfer.evaluate import emit_report, load_model, network_mcr, sign_agreement
 from stlinfer.network import (
     ActivationParams,
@@ -17,6 +16,7 @@ from stlinfer.network import (
 )
 from stlinfer.stl import Signal, mcr, robustness
 from stlinfer.trainer import TrainConfig, extract_formula, train
+from util import dataset_from_samples
 
 
 def random_snapped_model(rng):
@@ -33,7 +33,7 @@ def random_snapped_model(rng):
         (Signal(rng.uniform(-4, 4, (length, dim))), int(rng.choice([-1, 1])))
         for _ in range(15)
     ]
-    return params, shape, length, LabeledDataset.from_samples(samples)
+    return params, shape, length, dataset_from_samples(samples)
 
 
 def test_snapped_network_matches_formula_mcr():
@@ -59,7 +59,7 @@ def test_eval_rejects_empty_datasets():
     rng = np.random.default_rng(9)
     params, shape, _, _ = random_snapped_model(rng)
     p = ActivationParams()
-    empty = LabeledDataset.from_samples([])
+    empty = dataset_from_samples([])
     with pytest.raises(ValueError, match="empty dataset"):
         network_mcr(params, shape, p, empty)
     with pytest.raises(ValueError, match="empty dataset"):
@@ -189,6 +189,21 @@ def test_load_model_rejects_non_finite_values(tmp_path, trained, group, name, va
             "slot axis must be nonnegative, got -1",
             id="slot.axis",
         ),
+        # int() would truncate these, and the model would load with another shape
+        pytest.param(
+            lambda d: d["shape"]["slots"][0].__setitem__(0, 0.9),
+            "shape.slots[0]: axis must be an integer, got 0.9",
+            id="slot.axis.fraction",
+        ),
+        pytest.param(
+            lambda d: d["shape"]["slots"][1].__setitem__(1, -1.5),
+            "shape.slots[1]: sign must be an integer, got -1.5",
+            id="slot.sign.fraction",
+        ),
+        pytest.param(lambda d: d["shape"].update(m=2.5), "shape.m must be an integer, got 2.5", id="m.fraction"),
+        pytest.param(lambda d: d["shape"].update(m=float("inf")), "shape.m must be an integer, got inf", id="m.inf"),
+        pytest.param(lambda d: d["shape"].update(m="2"), "shape.m must be an integer, got '2'", id="m.text"),
+        pytest.param(lambda d: d["shape"].update(m=True), "shape.m must be an integer, got True", id="m.bool"),
     ],
 )
 def test_load_model_refuses_parameters_that_disagree_with_the_shape(
@@ -202,6 +217,17 @@ def test_load_model_refuses_parameters_that_disagree_with_the_shape(
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load_model(path)
+
+
+def test_load_model_accepts_integral_floats_in_the_shape(tmp_path, trained):
+    _, report = trained
+    path = emit_report(report, tmp_path / "run")["report"]
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["shape"]["m"] = float(payload["shape"]["m"])
+    payload["shape"]["slots"][0][:2] = [float(v) for v in payload["shape"]["slots"][0][:2]]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _, shape, _ = load_model(path)
+    assert shape == report.shape
 
 
 @pytest.mark.parametrize(

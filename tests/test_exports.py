@@ -2,7 +2,8 @@
 name the package re-exports is listed in its module's `__all__`, so that
 deleting code cannot leave a stale export behind.  The functions the
 benchmark's tracer wraps by name still exist, so that a refactor cannot
-silently turn their per-layer metrics into absent ones."""
+silently turn their per-layer metrics into absent ones, and every
+`st.<name>` the benchmark scripts read resolves on the package."""
 
 import ast
 import functools
@@ -63,3 +64,21 @@ def test_perfbench_targets_resolve():
         module, qualname = targets[name]
         target = functools.reduce(getattr, qualname.split("."), importlib.import_module(module))
         assert callable(target), name
+
+
+def test_perfbench_reads_only_package_names():
+    # the scripts name the package `st`: make_fixture imports it so, and
+    # the workloads receive it as a parameter of that name
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    read = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {
+            (path.name, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "st"
+        }
+    # the scan must see the calls the workloads make, or it checks nothing
+    assert {"gen_naval", "gen_driving_pair", "train", "load_model"} <= {name for _, name in read}
+    missing = sorted(f"{script}: st.{name}" for script, name in read if not hasattr(stlinfer, name))
+    assert missing == []

@@ -31,6 +31,7 @@ from stlinfer.network import (
 )
 from stlinfer.stl import Predicate, Signal, TemporalAtom, TemporalOp, robustness
 from util import (
+    GatedParams,
     naive_network_output,
     selected_softmax_oracle,
     selected_softmin_oracle,
@@ -458,25 +459,6 @@ def test_forward_invariant_to_slot_permutation():
     assert abs(network_outputs(values[None], params_p, shape_p, P)[0] - base) <= 1e-12
 
 
-def test_network_pass_accepts_explicit_gates():
-    rng = np.random.default_rng(8)
-    X = rng.uniform(-3, 3, (5, 8, 1))
-    shape = NetworkShape.cycled(1)
-    params = ModelParams(
-        b=rng.uniform(-1, 1, 4),
-        t1=np.zeros(4),
-        t2=np.full(4, 7.0),
-        M=np.full((2, 4), 0.8),
-    )
-    default = network_outputs(X, params, shape, P)
-    assert network_pass(X, params, shape, P, gates=np.ones((2, 4))).out.tobytes() == default.tobytes()
-    # the gates given replace M's thresholding
-    closed = ModelParams(params.b, params.t1, params.t2, np.full((2, 4), 0.1))
-    with pytest.raises(EmptyFormulaError):
-        network_outputs(X, closed, shape, P)
-    assert network_pass(X, closed, shape, P, gates=np.ones((2, 4))).out.tobytes() == default.tobytes()
-
-
 def test_wide_slope_breaks_sign_agreement():
     # the snapped network for F[4,8](x0 > 0): a shoulder wider than one
     # step gives weight to x[3], which the formula never reads
@@ -613,13 +595,13 @@ def test_gate_gradient_matches_central_differences():
         gates = np.where(rng.random(params.M.shape) < 0.6, rng.uniform(0.3, 1.0, params.M.shape), 0.0)
         gates[0, 0] = 0.7
         dout = rng.normal(size=len(X))
-        grad = network_pass(X, params, shape, p, gates).vjp(dout).M
+        grad = network_pass(X, GatedParams(params, gates), shape, p).vjp(dout).M
         for i, j in np.argwhere(gates > 0.0):
             hi, lo = gates.copy(), gates.copy()
             hi[i, j] += step
             lo[i, j] -= step
-            up = dout @ network_pass(X, params, shape, p, hi).out
-            down = dout @ network_pass(X, params, shape, p, lo).out
+            up = dout @ network_pass(X, GatedParams(params, hi), shape, p).out
+            down = dout @ network_pass(X, GatedParams(params, lo), shape, p).out
             fd = (up - down) / (2.0 * step)
             worst = max(worst, abs(fd - grad[i, j]) / max(1.0, abs(fd), abs(grad[i, j])))
             checked += 1

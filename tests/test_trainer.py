@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from stlinfer import trainer
-from stlinfer.datasets import LabeledDataset
 from stlinfer.evaluate import emit_report, load_model
 from stlinfer.network import (
     ActivationParams,
@@ -21,7 +20,7 @@ from stlinfer.network import (
     NetworkShape,
     network_outputs,
 )
-from stlinfer.stl import Signal, count_atoms, dnf_clauses, format_formula, mcr, parse_formula
+from stlinfer.stl import Signal, dnf_clauses, format_formula, mcr, parse_formula
 from stlinfer.trainer import (
     GRAD_CLIP,
     LR_GATES,
@@ -38,7 +37,7 @@ from stlinfer.trainer import (
     train,
 )
 from test_acceptance import DRIVING_SETUPS, NAVAL_CONFIG
-from util import FourGroupAdam, simplify_oracle
+from util import FourGroupAdam, count_atoms, dataset_from_samples, simplify_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GROUPS = ("b", "t1", "t2", "M")
@@ -48,7 +47,7 @@ def const_set(values_and_labels, length=3):
     samples = [
         (Signal(np.full((length, 1), float(v))), label) for v, label in values_and_labels
     ]
-    return LabeledDataset.from_samples(samples)
+    return dataset_from_samples(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,7 @@ def test_simplify_never_increases_training_mcr():
             (Signal(rng.uniform(-4, 4, (length, dim))), int(rng.choice([-1, 1])))
             for _ in range(12)
         ]
-        data = LabeledDataset.from_samples(samples)
+        data = dataset_from_samples(samples)
         before = mcr(data, extract_formula(params, shape))
         after = mcr(data, formula_from_gates(params, shape, simplify(params, shape, data)))
         assert after <= before
@@ -355,7 +354,7 @@ def test_simplify_matches_the_per_sample_oracle(tiny_driving_pair):
         if checked % 2:  # integral values and offsets: robustness exactly 0 occurs
             b, values = np.round(b), np.round(values)
         params = ModelParams(b, t1, t2, M)
-        data = LabeledDataset.from_samples([(Signal(v), int(rng.choice([-1, 1]))) for v in values])
+        data = dataset_from_samples([(Signal(v), int(rng.choice([-1, 1]))) for v in values])
         assert simplify(params, shape, data).tolist() == simplify_oracle(params, shape, data).tolist()
         checked += 1
     report = train(tiny_driving_pair, small_cfg(epochs=2))
@@ -367,7 +366,7 @@ def test_simplify_rejects_empty_inputs():
     shape = NetworkShape.cycled(1, m=1)
     params = _params_for_extraction(np.array([[0.1, 0.1, 0.1, 0.1]]))
     with pytest.raises(ValueError, match="empty dataset"):
-        simplify(params, shape, LabeledDataset.from_samples([]))
+        simplify(params, shape, dataset_from_samples([]))
     with pytest.raises(EmptyFormulaError):
         simplify(params, shape, const_set([(1.0, 1), (0.0, -1)]))
 
@@ -417,8 +416,8 @@ def test_train_reports_are_byte_identical_in_one_process(tiny_driving_pair, tmp_
 
 def test_train_validations(tiny_driving_pair):
     with pytest.raises(ValueError, match="empty"):
-        train(LabeledDataset.from_samples([]), small_cfg())
-    pos_only = LabeledDataset.from_samples([(sig, 1) for sig, _ in list(tiny_driving_pair)[:4]])
+        train(dataset_from_samples([]), small_cfg())
+    pos_only = dataset_from_samples([(sig, 1) for sig, _ in list(tiny_driving_pair)[:4]])
     with pytest.raises(ValueError, match="both classes"):
         train(pos_only, small_cfg())
     with pytest.raises(ValueError, match="epochs"):
@@ -474,7 +473,7 @@ def test_slope_end_above_one_is_refused(tiny_driving_pair):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_aborts_with_epoch(tiny_driving_pair):
     samples = list(tiny_driving_pair)
-    data = LabeledDataset.from_samples(samples[:5] + samples[-5:])
+    data = dataset_from_samples(samples[:5] + samples[-5:])
     cfg = small_cfg(epochs=3, batch_size=64, lr=1e120)
     with pytest.raises(DivergenceError, match="diverged at epoch 1, batch 0: non-finite loss of sample"):
         train(data, cfg)

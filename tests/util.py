@@ -17,7 +17,11 @@ shift, predicate rows in three passes, and the full selection-weight
 gradient summed over the batch before `_window_vjp` picks its lanes.
 The `*_value` helpers run the batched layers on one row.  The random
 builders produce formulas whose connectives alternate, so printing and
-reparsing reproduces the tree node for node.
+reparsing reproduces the tree node for node.  `dataset_from_samples`
+stacks (Signal, label) pairs into a `LabeledDataset`, `count_atoms`
+counts the temporal atoms of a formula, and `GatedParams` makes
+`network_pass` pool with a given gate matrix, such as continuous weights
+for central differences, in place of M thresholded at 0.5.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 
 import numpy as np
 
+from stlinfer.datasets import LabeledDataset
 from stlinfer.network import (
     ActivationParams,
     ModelParams,
@@ -36,6 +41,39 @@ from stlinfer.network import (
 )
 from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
 from stlinfer.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP, formula_from_gates
+
+
+def dataset_from_samples(samples) -> LabeledDataset:
+    """Stack (Signal, label) pairs of one length and one dimension."""
+    samples = list(samples)
+    for name, axis in (("length", 0), ("dimension", 1)):
+        sizes = sorted({sig.values.shape[axis] for sig, _ in samples})
+        if len(sizes) > 1:
+            raise ValueError(f"signals disagree on {name}: {sizes}")
+    X = np.stack([sig.values for sig, _ in samples]) if samples else np.empty((0, 0, 0))
+    return LabeledDataset(X, [label for _, label in samples])
+
+
+def count_atoms(f) -> int:
+    """Number of temporal atoms in a formula tree."""
+    if isinstance(f, TemporalAtom):
+        return 1
+    if isinstance(f, (And, Or)):
+        return sum(count_atoms(i) for i in f.items)
+    return 0
+
+
+class GatedParams(ModelParams):
+    """`params` whose gates() is the given (m, k) matrix."""
+
+    __slots__ = ("_given",)
+
+    def __init__(self, params: ModelParams, gates):
+        super().__init__(params.b, params.t1, params.t2, params.M)
+        self._given = np.asarray(gates, dtype=np.float64)
+
+    def gates(self) -> np.ndarray:
+        return self._given
 
 
 def sparse_softmax_value(r, w, p: ActivationParams) -> float:
