@@ -70,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count is samples per class and must be at least 1, got {args.count}")
     if args.scenario == "naval":
         # naval tracks have one fixed length and two kinds of anomaly
         for flag in ("behaviors", "length"):

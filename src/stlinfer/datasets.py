@@ -103,6 +103,14 @@ class LabeledDataset:
         return self.X.shape[2]
 
 
+def _int_arg(name: str, value) -> int:
+    """`value` as an int; a bool, a float or anything else is refused with
+    the argument named."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Driving scenario
 #
@@ -127,70 +135,72 @@ _TURN_Y_LANE1 = 24.0
 _TURN_Y_LANE2 = 28.0
 
 
-def _drive_one(
-    behavior: DrivingBehavior,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    x0 = _LANE1_CENTER + rng.uniform(-_X0_HALF_RANGE, _X0_HALF_RANGE)
-    y0 = rng.uniform(0.0, _Y0_MAX)
-    v = rng.uniform(_V_MIN, _V_MAX)
-    stop_line = _STOP_FRACTION * (_Y0_MAX + _V_MAX * (length - 1))
+def _stop_line(length: int) -> float:
+    return _STOP_FRACTION * (_Y0_MAX + _V_MAX * (length - 1))
 
-    if behavior is DrivingBehavior.SWITCH_LANE:
-        t_switch = int(rng.integers(12, 21))
-    elif behavior is DrivingBehavior.OVERTAKE:
-        t_out = int(rng.integers(8, 13))
-        t_back = t_out + int(rng.integers(10, 15))
 
-    out = np.empty((length, 2), dtype=np.float64)
-    x, y = x0, y0
-    turned = False
-    hold_left = 0
-    stopped_already = False
-    for t in range(length):
-        out[t, 0] = x
-        out[t, 1] = y
+def _stop_and_go_noise(z: np.ndarray, y0: float, v: float, stop_line: float, rng) -> int:
+    """Draw one StopAndGo sample's per-step noise into the front of z
+    (2L slots) and return its arrival step at the stop line (L if none).
 
-        # lateral target for the next step
+    x and y draws alternate until the arrival step, whose y draw and the
+    next _STOP_HOLD - 1 are skipped.  The first call draws the fewest any
+    arrival leaves, which fixes y up to step L - 2 and so every earlier
+    arrival; a later arrival or none tops up by at most _STOP_HOLD draws.
+    """
+    length = z.size // 2
+    drawn = 2 * length - min(_STOP_HOLD, length)
+    rng.standard_normal(out=z[:drawn])
+    while True:
+        steps = drawn // 2  # y draws known for steps [0, steps)
+        # y0, v, n0, v, n1, ... summed left to right: y_t + v at odd places
+        path = np.empty(2 * steps + 2)
+        path[0] = y0
+        path[1::2] = v
+        path[2::2] = 0.0 + _FORWARD_NOISE * z[1 : 2 * steps : 2]
+        reached = np.add.accumulate(path)[1::2] >= stop_line
+        arrive = int(reached.argmax())
+        if reached[arrive] or steps == length - 1:
+            arrive = arrive if reached[arrive] else length
+            total = 2 * length - min(_STOP_HOLD, length - arrive)
+            rng.standard_normal(out=z[drawn:total])
+            return arrive
+        rng.standard_normal(out=z[drawn : drawn + 1])  # the y draw of step `steps`
+        drawn += 1
+
+
+def _driving_draws(behavior: DrivingBehavior, count: int, length: int, seed: int):
+    """Each sample's random numbers, drawn sample after sample in the
+    order the step loop of one trajectory consumes them.
+
+    Returns per sample: x0 - lane 1 center, y0 and v (count, 3); the steps
+    [from, to) steered to lane 2 (count, 2); the arrival step at the stop
+    line, L if none (count,); and the standard normals its steps use,
+    x and y alternating (count, 2L).
+    """
+    start = np.empty((count, 3))
+    lane2 = np.full((count, 2), length)
+    arrive = np.full(count, length)
+    z = np.zeros((count, 2 * length))
+    rng = np.random.default_rng([seed, list(DrivingBehavior).index(behavior)])
+    stop_line = _stop_line(length)
+    for i in range(count):
+        # scalar calls: with array bounds, uniform and integers cost twice as much
+        start[i] = (
+            rng.uniform(-_X0_HALF_RANGE, _X0_HALF_RANGE),
+            rng.uniform(0.0, _Y0_MAX),
+            rng.uniform(_V_MIN, _V_MAX),
+        )
         if behavior is DrivingBehavior.SWITCH_LANE:
-            target = _LANE2_CENTER if t >= t_switch else x0
+            lane2[i, 0] = rng.integers(12, 21)
         elif behavior is DrivingBehavior.OVERTAKE:
-            target = _LANE2_CENTER if t_out <= t < t_back else x0
+            t_out = rng.integers(8, 13)
+            lane2[i] = t_out, t_out + rng.integers(10, 15)
+        if behavior is DrivingBehavior.STOP_AND_GO:
+            arrive[i] = _stop_and_go_noise(z[i], start[i, 1], start[i, 2], stop_line, rng)
         else:
-            target = x0
-
-        if behavior in (DrivingBehavior.LEFT_TURN_LANE1, DrivingBehavior.LEFT_TURN_LANE2):
-            y_turn = (
-                _TURN_Y_LANE1
-                if behavior is DrivingBehavior.LEFT_TURN_LANE1
-                else _TURN_Y_LANE2
-            )
-            if not turned and y + v >= y_turn:
-                turned = True
-            if turned:
-                # heading left along the cross street: x runs, y is pinned
-                x = x - v + rng.normal(0.0, _LATERAL_NOISE)
-                y = y_turn + rng.normal(0.0, _FORWARD_NOISE)
-                continue
-
-        x = x + _LATERAL_PULL * (target - x) + rng.normal(0.0, _LATERAL_NOISE)
-
-        if behavior is DrivingBehavior.STOP_AND_GO and not stopped_already:
-            if hold_left > 0:
-                hold_left -= 1
-                if hold_left == 0:
-                    stopped_already = True
-                continue  # y unchanged while holding at the line
-            if y + v >= stop_line:
-                y = stop_line
-                hold_left = _STOP_HOLD - 1  # the arrival sample counts
-                if hold_left == 0:
-                    stopped_already = True
-                continue
-
-        y = y + v + rng.normal(0.0, _FORWARD_NOISE)
-    return out
+            rng.standard_normal(out=z[i])
+    return start, lane2, arrive, z
 
 
 def gen_driving(
@@ -201,15 +211,58 @@ def gen_driving(
     *,
     label: int = 1,
 ) -> LabeledDataset:
-    """Generate `count` trajectories of one behavior, all with `label`."""
+    """Generate `count` trajectories of one behavior, all with `label`.
+
+    Each sample draws its start point and velocity, its lane change steps
+    (SwitchLane, Overtake) and one x and one y noise per step; then all
+    samples step through time together, with per-sample masks for lane
+    changes, turns and holds at the stop line.
+    """
+    count, length = _int_arg("count", count), _int_arg("length", length)
     if count < 1:
         raise ValueError("count must be positive")
     if length < 2:
         raise ValueError("length must be at least 2")
-    rng = np.random.default_rng([seed, list(DrivingBehavior).index(behavior)])
+    start, lane2, arrive, z = _driving_draws(behavior, count, length, seed)
+
+    # step-major (L, N) masks and noise; the y draws skipped while held
+    # at the stop line shift a sample's later draws forward
+    step = np.arange(length)[:, None]
+    at_x = 2 * step - np.clip(step - arrive, 0, _STOP_HOLD)
+    noise_x = 0.0 + _LATERAL_NOISE * np.take_along_axis(z.T, at_x, 0)
+    noise_y = 0.0 + _FORWARD_NOISE * np.take_along_axis(z.T, at_x + 1, 0)
+    moving = (step < arrive) | (step >= arrive + _STOP_HOLD)
+    at_line = step == arrive
+    stop_line = _stop_line(length)
+    x0 = _LANE1_CENTER + start[:, 0]
+    steer = (lane2[:, 0] <= step) & (step < lane2[:, 1])
+    target = np.where(steer, _LANE2_CENTER, x0)
+    y_turn = {
+        DrivingBehavior.LEFT_TURN_LANE1: _TURN_Y_LANE1,
+        DrivingBehavior.LEFT_TURN_LANE2: _TURN_Y_LANE2,
+    }.get(behavior, np.inf)
+
+    v = start[:, 2]
+    xs = np.empty((length, count))
+    ys = np.empty((length, count))
+    xs[0], ys[0] = x0, start[:, 1]
+    turned = np.zeros(count, dtype=bool)
+    for t in range(length - 1):
+        x, y = xs[t], ys[t]
+        # a turned vehicle heads left along the cross street: x runs, y is pinned
+        turned |= y + v >= y_turn
+        xs[t + 1] = np.where(
+            turned,
+            x - v + noise_x[t],
+            x + _LATERAL_PULL * (target[t] - x) + noise_x[t],
+        )
+        held_y = np.where(at_line[t], stop_line, y)
+        ys[t + 1] = np.where(
+            turned, y_turn + noise_y[t], np.where(moving[t], y + v + noise_y[t], held_y)
+        )
     X = np.empty((count, length, 2))
-    for i in range(count):
-        X[i] = _drive_one(behavior, length, rng)
+    X[:, :, 0] = xs.T
+    X[:, :, 1] = ys.T
     return LabeledDataset(X, np.full(count, label))
 
 
@@ -221,6 +274,7 @@ def gen_driving_pair(
     seed: int = 0,
 ) -> LabeledDataset:
     """Two-behavior classification set: `positive` labeled +1, `negative` -1."""
+    count_per_class = _int_arg("count_per_class", count_per_class)
     pos = gen_driving(positive, count_per_class, length, seed, label=1)
     neg = gen_driving(negative, count_per_class, length, seed, label=-1)
     return LabeledDataset(np.concatenate([pos.X, neg.X]), np.concatenate([pos.y, neg.y]))
@@ -251,51 +305,45 @@ _ABORT_HOME = 40
 _NAVAL_NOISE = 0.3
 
 
-def _interp_path(times, xs, ys, length, rng, sigma):
-    t = np.arange(length, dtype=np.float64)
-    px = np.interp(t, times, xs)
-    py = np.interp(t, times, ys)
-    path = np.stack([px, py], axis=1)
-    path += rng.normal(0.0, sigma, size=path.shape)
-    return path
-
-
-def _naval_one(kind: str, rng: np.random.Generator) -> np.ndarray:
-    x0 = rng.uniform(*_START_X)
-    y0 = rng.uniform(*_START_Y)
+def _naval_knots(kind: str, x0: float, y0: float, rng: np.random.Generator):
+    """Times and (x, y) positions a track of `kind` interpolates."""
     hx, hy = _HARBOR
     last = _NAVAL_LENGTH - 1
     if kind == "normal":
-        times = [0, _HARBOR_TIME, last]
-        xs = [x0, hx, hx]
-        ys = [y0, hy, hy]
-    elif kind == "island":
+        return [0, _HARBOR_TIME, last], [x0, hx, hx], [y0, hy, hy]
+    if kind == "island":
         # dip into the island band early, recover, still make the harbor
         times = [0, _ISLAND_ARRIVE, _ISLAND_LEAVE, _HARBOR_TIME + 5, last]
-        xs = [x0, _ISLAND_X, _ISLAND_X - 4.0, hx, hx]
-        ys = [y0, _ISLAND_Y, _ISLAND_Y, hy, hy]
-    elif kind == "abort":
+        return times, [x0, _ISLAND_X, _ISLAND_X - 4.0, hx, hx], [y0, _ISLAND_Y, _ISLAND_Y, hy, hy]
+    if kind == "abort":
         # turn back to open sea; never enters the harbor
         ox, oy = _OPEN_SEA
         times = [0, _ABORT_TURN, _ABORT_HOME, last]
-        xs = [x0, _ABORT_X, ox, ox]
-        ys = [y0, y0 + rng.uniform(-1.0, 2.0), oy, oy]
-    else:
-        raise ValueError(f"unknown naval track kind '{kind}'")
-    return _interp_path(times, xs, ys, _NAVAL_LENGTH, rng, _NAVAL_NOISE)
+        return times, [x0, _ABORT_X, ox, ox], [y0, y0 + rng.uniform(-1.0, 2.0), oy, oy]
+    raise ValueError(f"unknown naval track kind '{kind}'")
 
 
 def gen_naval(count: int, seed: int = 0) -> LabeledDataset:
     """Balanced harbor-approach set: count/2 normal (+1) and count/2
-    anomalous (-1, alternating island dips and aborted approaches)."""
+    anomalous (-1, alternating island dips and aborted approaches).
+
+    Each track draws its start point, an abort its turn northing, then
+    one x and one y noise per step."""
+    count = _int_arg("count", count)
     if count < 2 or count % 2 != 0:
         raise ValueError("count must be an even number of samples >= 2")
     rng = np.random.default_rng([seed, 97])
     half = count // 2
     kinds = ["normal"] * half + ["island" if i % 2 == 0 else "abort" for i in range(half)]
+    t = np.arange(_NAVAL_LENGTH, dtype=np.float64)
     X = np.empty((count, _NAVAL_LENGTH, 2))
     for i, kind in enumerate(kinds):
-        X[i] = _naval_one(kind, rng)
+        x0 = rng.uniform(*_START_X)  # two scalar calls beat one with array bounds
+        y0 = rng.uniform(*_START_Y)
+        times, xs, ys = _naval_knots(kind, x0, y0, rng)
+        X[i, :, 0] = np.interp(t, times, xs)
+        X[i, :, 1] = np.interp(t, times, ys)
+        X[i] += rng.normal(0.0, _NAVAL_NOISE, size=(_NAVAL_LENGTH, 2))
     return LabeledDataset(X, np.repeat([1, -1], half))
 
 

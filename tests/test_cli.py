@@ -70,6 +70,24 @@ def test_generate_naval_refuses_driving_flags(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, count",
+    [
+        (["--scenario", "naval"], "0"),
+        (["--scenario", "naval"], "-3"),
+        (["--scenario", "driving", "--behaviors", "GoForward,StopAndGo"], "0"),
+    ],
+)
+def test_generate_refuses_a_count_below_one(tmp_path, capsys, scenario, count):
+    out = tmp_path / "x.csv"
+    rc = main(["generate", *scenario, "--count", count, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --count is samples per class and must be at least 1, got {count}\n"
+    )
+    assert not out.exists()
+
+
 def test_generate_driving_needs_behaviors(tmp_path, capsys):
     rc = main(["generate", "--scenario", "driving", "--out", str(tmp_path / "x.csv")])
     assert rc == 1

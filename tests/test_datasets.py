@@ -16,7 +16,8 @@ from stlinfer.datasets import (
     save_csv,
 )
 from stlinfer.stl import Signal, mcr, parse_formula, satisfies
-from util import dataset_from_samples
+from util import dataset_from_samples, gen_driving_oracle, gen_naval_oracle
+import util
 
 LANE_REF = parse_formula("G[0,39](x0 > -1.97)")
 
@@ -120,6 +121,111 @@ def test_naval_determinism_and_validation():
         gen_naval(7)
     with pytest.raises(ValueError, match="even"):
         gen_naval(0)
+
+
+# ---------------------------------------------------------------------------
+# the generators against their one-sample-at-a-time oracles
+
+ORACLE_SEEDS = (0, 1, 7, 101)
+ORACLE_LENGTHS = (2, 3, 4, 5, 13, 40, 61)
+ORACLE_COUNT = 12
+
+
+def assert_equals_the_oracle(behavior, length, seed):
+    want = gen_driving_oracle(behavior, ORACLE_COUNT, length, seed)
+    for label in (1, -1):
+        data = gen_driving(behavior, ORACLE_COUNT, length, seed, label=label)
+        assert data.X.tobytes() == want.tobytes(), (behavior, length, seed)
+        assert data.y.tolist() == [label] * ORACLE_COUNT
+
+
+@pytest.mark.parametrize("behavior", list(DrivingBehavior), ids=lambda b: b.value)
+def test_gen_driving_equals_the_per_sample_oracle(behavior):
+    for length in ORACLE_LENGTHS:
+        for seed in ORACLE_SEEDS:
+            assert_equals_the_oracle(behavior, length, seed)
+
+
+STOP_FRACTIONS = (1.0, 1.2)  # stop lines at or past the reachable range
+
+
+def stop_and_go_arrivals(*fractions) -> set:
+    """Arrival steps minus L over the oracle grid, 0 for no arrival."""
+    seen = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for fraction in fractions:
+            mp.setattr(datasets, "_STOP_FRACTION", fraction)
+            for length in ORACLE_LENGTHS:
+                for seed in ORACLE_SEEDS:
+                    args = (DrivingBehavior.STOP_AND_GO, ORACLE_COUNT, length, seed)
+                    seen.update((datasets._driving_draws(*args)[2] - length).tolist())
+    return seen
+
+
+def test_the_oracle_grid_reaches_the_edge_cases():
+    """Lane changes past the last step and left turns that never turn
+    happen at the shipped geometry; StopAndGo arrives at L - 3 and L - 2
+    there, and at L - 1 and never once the stop line moves out."""
+    seen = set()
+    turn = DrivingBehavior.LEFT_TURN_LANE1
+    for length in ORACLE_LENGTHS:
+        for seed in ORACLE_SEEDS:
+            draws = lambda b: datasets._driving_draws(b, ORACLE_COUNT, length, seed)
+            if (draws(DrivingBehavior.SWITCH_LANE)[1][:, 0] >= length).any():
+                seen.add("switch never")
+            t_out, t_back = draws(DrivingBehavior.OVERTAKE)[1].T
+            if (t_out >= length).any():
+                seen.add("overtake never")
+            if ((t_out < length) & (t_back >= length)).any():
+                seen.add("overtake ends in lane 2")
+            v = draws(turn)[0][:, 2:]
+            y = gen_driving_oracle(turn, ORACLE_COUNT, length, seed)[:, :, 1]
+            if not (y + v >= datasets._TURN_Y_LANE1).any(axis=1).all():
+                seen.add("no left turn")
+    assert seen == {"switch never", "overtake never", "overtake ends in lane 2", "no left turn"}
+    assert stop_and_go_arrivals(datasets._STOP_FRACTION) >= {-3, -2}
+    assert stop_and_go_arrivals(*STOP_FRACTIONS) >= {-1, 0}
+
+
+@pytest.mark.parametrize("fraction", STOP_FRACTIONS)
+def test_stop_and_go_equals_the_oracle_for_late_or_no_arrival(monkeypatch, fraction):
+    monkeypatch.setattr(datasets, "_STOP_FRACTION", fraction)
+    monkeypatch.setattr(util, "_STOP_FRACTION", fraction)
+    for length in ORACLE_LENGTHS:
+        for seed in ORACLE_SEEDS:
+            assert_equals_the_oracle(DrivingBehavior.STOP_AND_GO, length, seed)
+
+
+def test_gen_naval_equals_the_per_track_oracle():
+    for seed in ORACLE_SEEDS:
+        for count in (2, 4, 6, 30):
+            data = gen_naval(count, seed)
+            assert data.X.tobytes() == gen_naval_oracle(count, seed).tobytes(), (seed, count)
+
+
+GO, OVERTAKE = DrivingBehavior.GO_FORWARD, DrivingBehavior.OVERTAKE
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: gen_driving(GO, v), "count"),
+        (lambda v: gen_driving(GO, 3, length=v), "length"),
+        (lambda v: gen_driving_pair(GO, OVERTAKE, v), "count_per_class"),
+        (lambda v: gen_driving_pair(GO, OVERTAKE, 3, length=v), "length"),
+        (lambda v: gen_naval(v), "count"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+def test_generators_refuse_a_count_or_length_that_is_not_an_int(call, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {value!r}$"):
+        call(value)
+
+
+def test_generators_take_numpy_ints():
+    four = np.int64(4)
+    assert gen_driving(DrivingBehavior.GO_FORWARD, four, length=four).X.shape == (4, 4, 2)
+    assert len(gen_naval(four)) == 4
 
 
 # ---------------------------------------------------------------------------

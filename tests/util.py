@@ -22,6 +22,10 @@ stacks (Signal, label) pairs into a `LabeledDataset`, `count_atoms`
 counts the temporal atoms of a formula, and `GatedParams` makes
 `network_pass` pool with a given gate matrix, such as continuous weights
 for central differences, in place of M thresholded at 0.5.
+`gen_driving_oracle` and `gen_naval_oracle` are the generators as they
+were before all samples stepped through time together: one trajectory at
+a time, drawn one scalar at a time (driving) or stacked track by track
+(naval).  The library generators must keep their bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,37 @@ import math
 
 import numpy as np
 
-from stlinfer.datasets import LabeledDataset
+from stlinfer.datasets import (
+    _ABORT_HOME,
+    _ABORT_TURN,
+    _ABORT_X,
+    _FORWARD_NOISE,
+    _HARBOR,
+    _HARBOR_TIME,
+    _ISLAND_ARRIVE,
+    _ISLAND_LEAVE,
+    _ISLAND_X,
+    _ISLAND_Y,
+    _LANE1_CENTER,
+    _LANE2_CENTER,
+    _LATERAL_NOISE,
+    _LATERAL_PULL,
+    _NAVAL_LENGTH,
+    _NAVAL_NOISE,
+    _OPEN_SEA,
+    _START_X,
+    _START_Y,
+    _STOP_FRACTION,
+    _STOP_HOLD,
+    _TURN_Y_LANE1,
+    _TURN_Y_LANE2,
+    _V_MAX,
+    _V_MIN,
+    _X0_HALF_RANGE,
+    _Y0_MAX,
+    DrivingBehavior,
+    LabeledDataset,
+)
 from stlinfer.network import (
     ActivationParams,
     ModelParams,
@@ -304,3 +338,120 @@ def simplify_oracle(params, shape, data) -> np.ndarray:
         row[i, :] = True
         try_zero(row)
     return gates
+
+
+def drive_one_oracle(behavior, length: int, rng: np.random.Generator) -> np.ndarray:
+    """One driving trajectory, stepped and drawn one scalar at a time."""
+    x0 = _LANE1_CENTER + rng.uniform(-_X0_HALF_RANGE, _X0_HALF_RANGE)
+    y0 = rng.uniform(0.0, _Y0_MAX)
+    v = rng.uniform(_V_MIN, _V_MAX)
+    stop_line = _STOP_FRACTION * (_Y0_MAX + _V_MAX * (length - 1))
+
+    if behavior is DrivingBehavior.SWITCH_LANE:
+        t_switch = int(rng.integers(12, 21))
+    elif behavior is DrivingBehavior.OVERTAKE:
+        t_out = int(rng.integers(8, 13))
+        t_back = t_out + int(rng.integers(10, 15))
+
+    out = np.empty((length, 2), dtype=np.float64)
+    x, y = x0, y0
+    turned = False
+    hold_left = 0
+    stopped_already = False
+    for t in range(length):
+        out[t, 0] = x
+        out[t, 1] = y
+
+        # lateral target for the next step
+        if behavior is DrivingBehavior.SWITCH_LANE:
+            target = _LANE2_CENTER if t >= t_switch else x0
+        elif behavior is DrivingBehavior.OVERTAKE:
+            target = _LANE2_CENTER if t_out <= t < t_back else x0
+        else:
+            target = x0
+
+        if behavior in (DrivingBehavior.LEFT_TURN_LANE1, DrivingBehavior.LEFT_TURN_LANE2):
+            y_turn = (
+                _TURN_Y_LANE1
+                if behavior is DrivingBehavior.LEFT_TURN_LANE1
+                else _TURN_Y_LANE2
+            )
+            if not turned and y + v >= y_turn:
+                turned = True
+            if turned:
+                # heading left along the cross street: x runs, y is pinned
+                x = x - v + rng.normal(0.0, _LATERAL_NOISE)
+                y = y_turn + rng.normal(0.0, _FORWARD_NOISE)
+                continue
+
+        x = x + _LATERAL_PULL * (target - x) + rng.normal(0.0, _LATERAL_NOISE)
+
+        if behavior is DrivingBehavior.STOP_AND_GO and not stopped_already:
+            if hold_left > 0:
+                hold_left -= 1
+                if hold_left == 0:
+                    stopped_already = True
+                continue  # y unchanged while holding at the line
+            if y + v >= stop_line:
+                y = stop_line
+                hold_left = _STOP_HOLD - 1  # the arrival sample counts
+                if hold_left == 0:
+                    stopped_already = True
+                continue
+
+        y = y + v + rng.normal(0.0, _FORWARD_NOISE)
+    return out
+
+
+def gen_driving_oracle(behavior, count: int, length: int, seed: int) -> np.ndarray:
+    """The (count, length, 2) signals of `gen_driving`, one sample after another."""
+    rng = np.random.default_rng([seed, list(DrivingBehavior).index(behavior)])
+    X = np.empty((count, length, 2))
+    for i in range(count):
+        X[i] = drive_one_oracle(behavior, length, rng)
+    return X
+
+
+def _interp_path_oracle(times, xs, ys, length, rng, sigma):
+    t = np.arange(length, dtype=np.float64)
+    px = np.interp(t, times, xs)
+    py = np.interp(t, times, ys)
+    path = np.stack([px, py], axis=1)
+    path += rng.normal(0.0, sigma, size=path.shape)
+    return path
+
+
+def _naval_one_oracle(kind: str, rng: np.random.Generator) -> np.ndarray:
+    x0 = rng.uniform(*_START_X)
+    y0 = rng.uniform(*_START_Y)
+    hx, hy = _HARBOR
+    last = _NAVAL_LENGTH - 1
+    if kind == "normal":
+        times = [0, _HARBOR_TIME, last]
+        xs = [x0, hx, hx]
+        ys = [y0, hy, hy]
+    elif kind == "island":
+        # dip into the island band early, recover, still make the harbor
+        times = [0, _ISLAND_ARRIVE, _ISLAND_LEAVE, _HARBOR_TIME + 5, last]
+        xs = [x0, _ISLAND_X, _ISLAND_X - 4.0, hx, hx]
+        ys = [y0, _ISLAND_Y, _ISLAND_Y, hy, hy]
+    elif kind == "abort":
+        # turn back to open sea; never enters the harbor
+        ox, oy = _OPEN_SEA
+        times = [0, _ABORT_TURN, _ABORT_HOME, last]
+        xs = [x0, _ABORT_X, ox, ox]
+        ys = [y0, y0 + rng.uniform(-1.0, 2.0), oy, oy]
+    else:
+        raise ValueError(f"unknown naval track kind '{kind}'")
+    return _interp_path_oracle(times, xs, ys, _NAVAL_LENGTH, rng, _NAVAL_NOISE)
+
+
+def gen_naval_oracle(count: int, seed: int) -> np.ndarray:
+    """The (count, 61, 2) signals of `gen_naval`, each track stacked on its own."""
+    rng = np.random.default_rng([seed, 97])
+    half = count // 2
+    kinds = ["normal"] * half + ["island" if i % 2 == 0 else "abort" for i in range(half)]
+    X = np.empty((count, _NAVAL_LENGTH, 2))
+    for i, kind in enumerate(kinds):
+        X[i] = _naval_one_oracle(kind, rng)
+    return X
