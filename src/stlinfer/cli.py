@@ -72,6 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count is samples per class and must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.scenario == "naval":
         # naval tracks have one fixed length and two kinds of anomaly
         for flag in ("behaviors", "length"):
@@ -88,13 +90,12 @@ def _cmd_generate(args) -> int:
                 DrivingBehavior.from_name(names[0]), args.count, length, args.seed
             )
         elif len(names) == 2:
-            data = gen_driving_pair(
-                DrivingBehavior.from_name(names[0]),
-                DrivingBehavior.from_name(names[1]),
-                args.count,
-                length,
-                args.seed,
-            )
+            positive, negative = (DrivingBehavior.from_name(name) for name in names)
+            if positive is negative:
+                raise ValueError(
+                    f"--behaviors names {positive.value} twice; a pair needs two behaviors"
+                )
+            data = gen_driving_pair(positive, negative, args.count, length, args.seed)
         else:
             raise ValueError("--behaviors takes one name or 'Positive,Negative'")
     save_csv(data, args.out)

@@ -44,13 +44,17 @@ Predicate rows take two passes, (flip * sign) * x - flip * b.  Each of
 these gives the output and gradient bits of the arithmetic it replaced.
 
 A pass writes its (n, k, length)-sized intermediates into a workspace
-the caller owns: a dict of float64 arrays keyed by layer, name and
-shape, filled on first use and reused by every later pass of that shape.
-One such array of a naval training batch (50 x 8 x 61) takes 195 kB, and
-a pass with its backward needs about twenty; reuse spares the allocator
-that work on every batch.  `train` and `network_outputs` each keep one
-workspace per call; `ws=None` gives fresh arrays.  The arithmetic is the
-same ufunc sequence either way, so the bits are too.
+the caller owns: a dict of float64 arrays keyed by layer, name and the
+shape past the leading (sample) axis.  Each array is made for the largest
+n asked for, and a smaller batch or chunk gets its leading slice, so the
+last partial batch of `train` and the last partial chunk of
+`network_outputs` reuse the full one's memory (1.8 MB on 1500 naval
+tracks) instead of allocating a second set.  One such array of a naval
+training batch (50 x 8 x 61) takes 195 kB, and a pass with its backward
+needs about twenty; reuse spares the allocator that work on every batch.
+`train` and `network_outputs` each keep one workspace per call;
+`ws=None` gives fresh arrays.  The arithmetic is the same ufunc sequence
+either way, so the bits are too.
 The arrays a `NetworkPass` saves are valid only until the next pass on
 the same workspace, so call its `vjp` before then.
 """
@@ -306,15 +310,16 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 def _buffer(ws: Optional[dict], layer: str, name: str, shape: tuple) -> np.ndarray:
     """An uninitialized float64 array of the given shape: a fresh one when
-    ws is None, else the workspace's array under (layer, name, shape),
-    made on first use."""
+    ws is None, else the leading slice of the workspace's array under
+    (layer, name, trailing shape), made for the largest leading size yet
+    asked for.  An exact fit is the array itself, not a view."""
     if ws is None:
         return np.empty(shape)
-    key = (layer, name, shape)
+    key = (layer, name, shape[1:])
     buf = ws.get(key)
-    if buf is None:
+    if buf is None or len(buf) < shape[0]:
         buf = ws[key] = np.empty(shape)
-    return buf
+    return buf if len(buf) == shape[0] else buf[: shape[0]]
 
 
 def _softmax_rows(

@@ -24,6 +24,7 @@ from stlinfer.network import (
     NetworkShape,
     NonFiniteError,
     SlotSpec,
+    _buffer,
     _softmax_rows,
     _softmax_vjp,
     _window_rows,
@@ -547,6 +548,47 @@ def test_second_pass_reuses_the_workspace():
             assert np.shares_memory(getattr(first, layer)[i], getattr(second, layer)[i]), (layer, i)
 
 
+def test_buffer_slices_the_largest_array_of_a_trailing_shape():
+    ws = {}
+    full = _buffer(ws, "temporal", "rp", (5, 3))
+    assert _buffer(ws, "temporal", "rp", (5, 3)) is full  # an exact fit is no view
+    part = _buffer(ws, "temporal", "rp", (2, 3))
+    assert part.shape == (2, 3) and part.base is full and part.flags.c_contiguous
+    grown = _buffer(ws, "temporal", "rp", (7, 3))
+    assert ws == {("temporal", "rp", (3,)): grown} and grown.shape == (7, 3)
+    assert _buffer(ws, "temporal", "rp", (5, 3)).base is grown
+    _buffer(ws, "temporal", "rp", (5, 4))
+    _buffer(ws, "conjunction", "rp", (5, 3))
+    assert len(ws) == 3
+    assert _buffer(None, "temporal", "rp", (5, 3)).shape == (5, 3)
+
+
+def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypatch):
+    passes = []
+
+    def record(X, params, shape, p, ws=None):
+        passes.append((real(X, params, shape, p, ws), ws))
+        return passes[-1][0]
+
+    real = network.network_pass
+    monkeypatch.setattr(network, "network_pass", record)
+    n = 3 * CHUNK + 1
+    X, params, shape = random_network_case(np.random.default_rng(45), n, 10, 1, 2, False)
+    out = network_outputs(X, params, shape, P)
+    fresh = [real(X[lo : lo + CHUNK], params, shape, P).out for lo in range(0, n, CHUNK)]
+    assert out.tobytes() == np.concatenate(fresh).tobytes()
+    ws = passes[0][1]
+    assert len(passes) == 4 and all(w is ws for _, w in passes)
+    # one array per layer and name, of the full chunk's size
+    assert len({key[:2] for key in ws}) == len(ws)
+    assert all(len(array) == CHUNK for array in ws.values())
+    first, last = passes[0][0], passes[-1][0]
+    assert len(last.out) == 1
+    for layer in ("temporal", "conjunction", "disjunction"):
+        for i in (0, 2, 4, 5) if layer == "temporal" else (2, 4, 5):
+            assert np.shares_memory(getattr(first, layer)[i], getattr(last, layer)[i]), (layer, i)
+
+
 def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
     # train and network_outputs each pass one workspace to all their passes
     seen = []
@@ -564,3 +606,7 @@ def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
     assert len(seen) == 3 + 2 * 3
     for calls in (seen[:3], seen[3:]):
         assert isinstance(calls[0], dict) and all(ws is calls[0] for ws in calls)
+        # the smaller last chunk or batch runs in the full one's arrays
+        assert len({key[:2] for key in calls[0]}) == len(calls[0])
+    assert {len(array) for array in seen[0].values()} == {CHUNK}
+    assert {len(array) for array in seen[3].values()} == {25}

@@ -88,6 +88,37 @@ def test_generate_refuses_a_count_below_one(tmp_path, capsys, scenario, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("behaviors", ["GoForward,GoForward", "GoForward,goforward"])
+def test_generate_refuses_one_behavior_twice(tmp_path, capsys, behaviors):
+    # the two classes of such a pair would be the same trajectories
+    out = tmp_path / "x.csv"
+    rc = main([
+        "generate", "--scenario", "driving", "--behaviors", behaviors,
+        "--count", "2", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --behaviors names GoForward twice; a pair needs two behaviors\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        ["--scenario", "naval"],
+        ["--scenario", "driving", "--behaviors", "StopAndGo"],
+        ["--scenario", "driving", "--behaviors", "GoForward,StopAndGo"],
+    ],
+)
+def test_generate_names_a_negative_seed(tmp_path, capsys, scenario):
+    out = tmp_path / "x.csv"
+    rc = main(["generate", *scenario, "--count", "2", "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_generate_driving_needs_behaviors(tmp_path, capsys):
     rc = main(["generate", "--scenario", "driving", "--out", str(tmp_path / "x.csv")])
     assert rc == 1

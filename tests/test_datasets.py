@@ -16,7 +16,13 @@ from stlinfer.datasets import (
     save_csv,
 )
 from stlinfer.stl import Signal, mcr, parse_formula, satisfies
-from util import dataset_from_samples, gen_driving_oracle, gen_naval_oracle
+from util import (
+    dataset_from_samples,
+    gen_driving_oracle,
+    gen_naval_oracle,
+    save_csv_oracle,
+    traced_peak,
+)
 import util
 
 LANE_REF = parse_formula("G[0,39](x0 > -1.97)")
@@ -214,6 +220,9 @@ GO, OVERTAKE = DrivingBehavior.GO_FORWARD, DrivingBehavior.OVERTAKE
         (lambda v: gen_driving_pair(GO, OVERTAKE, v), "count_per_class"),
         (lambda v: gen_driving_pair(GO, OVERTAKE, 3, length=v), "length"),
         (lambda v: gen_naval(v), "count"),
+        (lambda v: gen_driving(GO, 3, seed=v), "seed"),
+        (lambda v: gen_driving_pair(GO, OVERTAKE, 3, seed=v), "seed"),
+        (lambda v: gen_naval(4, seed=v), "seed"),
     ],
 )
 @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
@@ -222,10 +231,35 @@ def test_generators_refuse_a_count_or_length_that_is_not_an_int(call, name, valu
         call(value)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: gen_driving(GO, 3, seed=seed),
+        lambda seed: gen_driving_pair(GO, OVERTAKE, 3, seed=seed),
+        lambda seed: gen_naval(4, seed=seed),
+    ],
+)
+@pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+def test_generators_refuse_a_negative_seed(call, seed):
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        call(seed)
+
+
+@pytest.mark.parametrize("behavior", list(DrivingBehavior))
+def test_gen_driving_pair_refuses_one_behavior_twice(behavior):
+    # both classes draw from one seed: the two halves would be equal
+    with pytest.raises(
+        ValueError, match=f"^positive and negative behaviors must differ, got {behavior.value} twice$"
+    ):
+        gen_driving_pair(behavior, behavior, 3)
+
+
 def test_generators_take_numpy_ints():
     four = np.int64(4)
     assert gen_driving(DrivingBehavior.GO_FORWARD, four, length=four).X.shape == (4, 4, 2)
     assert len(gen_naval(four)) == 4
+    assert gen_naval(4, seed=four).X.tobytes() == gen_naval(4, seed=4).X.tobytes()
+    assert gen_driving(GO, 3, seed=four).X.tobytes() == gen_driving(GO, 3, seed=4).X.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +380,12 @@ def test_csv_bit_patterns_round_trip(tmp_path, monkeypatch):
                2.5e-310, -0.0, 0.0, 1.0 / 3.0]
     X[0].flat[: len(special)] = special
     data = LabeledDataset(X, np.where(rng.random(40) < 0.5, 1, -1))
+    monkeypatch.setattr(datasets, "_CSV_ROWS", 16)  # two full chunks and a partial one
     path = tmp_path / "bits.csv"
     save_csv(data, path)
-    monkeypatch.setattr(datasets, "_parse_rows", None)  # the one-call parse reads it all
+    save_csv_oracle(data, tmp_path / "whole.csv")
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    monkeypatch.setattr(datasets, "_parse_rows", None)  # each chunk's one-call parse reads it
     back = load_csv(path)
     assert back.X.tobytes() == data.X.tobytes()
     assert back.y.tolist() == data.y.tolist()
@@ -399,6 +436,108 @@ def test_csv_errors_keep_their_text(tmp_path, row, message):
     with pytest.raises(ValueError) as err:
         load_csv(path)
     assert str(err.value) == f"{path}{message}"
+
+
+# ---------------------------------------------------------------------------
+# chunked reading and writing
+
+CSV_ROWS = datasets._CSV_ROWS
+
+
+@pytest.mark.parametrize("n", [1, CSV_ROWS - 1, CSV_ROWS, CSV_ROWS + 1, 2 * CSV_ROWS + 3])
+def test_chunked_save_writes_the_whole_text_bytes(tmp_path, n):
+    rng = np.random.default_rng(n)
+    data = LabeledDataset(rng.normal(size=(n, 7, 2)), np.where(rng.random(n) < 0.5, 1, -1))
+    save_csv(data, tmp_path / "chunked.csv")
+    save_csv_oracle(data, tmp_path / "whole.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    back = load_csv(tmp_path / "chunked.csv")
+    assert back.X.tobytes() == data.X.tobytes() and back.y.tolist() == data.y.tolist()
+
+
+def csv_lines(path, lines) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+GOOD_ROW = "1,0.5,0.5"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("-1,0.5", "expected 3 fields, got 2"),
+        ("-1,0.5,0.5,", "expected 3 fields, got 4"),
+        ("3,0.5,0.5", "label must be +1 or -1, got 3"),
+        ("1.0,0.5,0.5", "invalid literal for int() with base 10: '1.0'"),
+        ("-1,nan,0.5", "signal values must be finite"),
+        ("-1,0.5,oops", "could not convert string to float: 'oops'"),
+    ],
+)
+@pytest.mark.parametrize("at", [0, 1, CSV_ROWS - 1])
+def test_csv_errors_in_a_later_chunk_name_their_line(tmp_path, row, message, at):
+    # `at` places the bad row in the second chunk: first, second or last
+    lines = ["label,1,2"] + [GOOD_ROW] * (CSV_ROWS + at) + [row, GOOD_ROW, row]
+    path = tmp_path / "bad.csv"
+    csv_lines(path, lines)
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:{lines.index(row) + 1}: {message}"
+
+
+def test_csv_per_line_pass_of_a_later_chunk_reads_and_names_like_the_whole_file(tmp_path):
+    lines = ["label,1,2"] + [GOOD_ROW] * (CSV_ROWS + 2) + ["-1,1_0,0.5", GOOD_ROW]
+    path = tmp_path / "x.csv"
+    csv_lines(path, lines)
+    text = path.read_text(encoding="utf-8")
+    assert_loads_like_per_line(path, text, 2, 1)
+    assert load_csv(path).X[CSV_ROWS + 2, 0, 0] == 10.0
+    # an error after the `1_0` row in its chunk still names its own line
+    csv_lines(path, lines + [GOOD_ROW, "-1,0.5"])
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:{len(lines) + 2}: expected 3 fields, got 2"
+
+
+@pytest.mark.parametrize("blanks", [1, 3, CSV_ROWS + 1])
+def test_csv_blank_lines_across_a_chunk_boundary_are_counted(tmp_path, blanks):
+    # blank lines before and after the last row of the first chunk
+    gap = [""] * blanks
+    body = [GOOD_ROW] * (CSV_ROWS - 1) + gap + ["-1,0.25,0.75"] + gap + ["  "]
+    lines = ["label,1,2"] + body + ["-1,0.5", GOOD_ROW]
+    path = tmp_path / "bad.csv"
+    csv_lines(path, lines)
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:{len(lines) - 1}: expected 3 fields, got 2"
+    csv_lines(path, lines[:-2] + [GOOD_ROW])
+    data = load_csv(path)
+    assert len(data) == CSV_ROWS + 1 and data.y[CSV_ROWS - 1] == -1
+    assert data.X[CSV_ROWS - 1].ravel().tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("rows", [CSV_ROWS, 2 * CSV_ROWS])
+def test_csv_last_chunk_of_only_blank_lines_loads(tmp_path, rows):
+    # np.loadtxt warns on an empty input, and warnings are errors here
+    path = tmp_path / "x.csv"
+    csv_lines(path, ["label,1,2"] + [GOOD_ROW] * rows + [""] * (CSV_ROWS + 2))
+    data = load_csv(path)
+    assert data.X.shape == (rows, 2, 1)
+    csv_lines(path, ["", "label,1,2"] + [" "] * (2 * CSV_ROWS))
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: no data rows"
+
+
+def test_csv_memory_does_not_grow_with_the_file_text(tmp_path):
+    data = gen_naval(4800, seed=5)
+    path = tmp_path / "big.csv"
+    saved = traced_peak(lambda: save_csv(data, path))
+    assert path.stat().st_size >= 10 * 2**20
+    assert saved < 2**20, f"save_csv allocated {saved} bytes"
+    back = []
+    loaded = traced_peak(lambda: back.append(load_csv(path)))
+    assert loaded < 2 * data.X.nbytes + 2**20, f"load_csv allocated {loaded} bytes"
+    assert back[0].X.tobytes() == data.X.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,16 @@ for central differences, in place of M thresholded at 0.5.
 were before all samples stepped through time together: one trajectory at
 a time, drawn one scalar at a time (driving) or stacked track by track
 (naval).  The library generators must keep their bytes.
+`save_csv_oracle` is the CSV writer as it was before rows went out in
+chunks: the whole file as one string.  `traced_peak` measures the memory
+one call allocates at its peak, numpy buffers included.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -455,3 +460,28 @@ def gen_naval_oracle(count: int, seed: int) -> np.ndarray:
     for i, kind in enumerate(kinds):
         X[i] = _naval_one_oracle(kind, rng)
     return X
+
+
+def save_csv_oracle(dataset: LabeledDataset, path) -> None:
+    """`save_csv`'s bytes, written as one whole-file string."""
+    n, length, dim = dataset.X.shape
+    lines = [f"label,{dim},{length}"]
+    for row, label in zip(dataset.X.reshape(n, -1), dataset.y.tolist()):
+        lines.append(str(label) + "," + ",".join(map(repr, row.tolist())))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory `fn()` allocates, in bytes, as tracemalloc
+    sees it (numpy reports its array buffers to it)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
