@@ -83,7 +83,9 @@ def _cmd_generate(args) -> int:
     else:
         if not args.behaviors:
             raise ValueError("driving scenario needs --behaviors")
-        names = [b.strip() for b in args.behaviors.split(",") if b.strip()]
+        names = [b.strip() for b in args.behaviors.split(",")]
+        if "" in names:
+            raise ValueError(f"--behaviors has an empty name in '{args.behaviors}'")
         length = 40 if args.length is None else args.length
         if len(names) == 1:
             data = gen_driving(

@@ -30,15 +30,28 @@ tracks) save_csv allocates 0.6 MB at its peak, where a whole-file string
 took 3.0 times the file size, and load_csv allocates twice the 4.7 MB
 array it returns (the chunks, then their concatenation), where the whole
 text and its lines took 1.6 times the file size on top of the array.
+
+Parsing the decimal text is most of load_csv's time, so save_csv also
+writes a binary twin beside the CSV: `data.csv` gets `data.csv.npy`,
+which holds the sha256 of the CSV bytes just written, then X and y, as
+three consecutive .npy arrays.  load_csv reads the twin instead of the
+text only when the twin reads cleanly and its digest equals the sha256 of
+the CSV's current bytes; a missing, stale, truncated or unreadable twin,
+or a CSV that save_csv did not write, is parsed.  Both paths give the
+same bits, so deleting a twin is always safe: it costs one parse.
+load_csv never writes a file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import hashlib
 import itertools
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -375,25 +388,82 @@ def gen_naval(count: int, seed: int = 0) -> LabeledDataset:
 # rows per write and per parse: the CSV text in memory at any time is a
 # few hundred kB (128 naval rows hold 0.3 MB), whatever the file size
 _CSV_ROWS = 128
+# bytes per read when load_csv hashes a CSV to check its twin
+_HASH_BLOCK = 2**16
 
 
 def save_csv(dataset: LabeledDataset, path: Union[str, Path]) -> None:
     """Write `label,<dim>,<len>` header plus one time-major row per sample,
-    _CSV_ROWS rows at a time."""
+    _CSV_ROWS rows at a time, then the binary twin of the bytes written."""
     if not len(dataset):
         raise ValueError("refusing to save an empty dataset")
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for text in _csv_text(dataset):
+            data = text.encode("utf-8")
+            f.write(data)
+            digest.update(data)
+            del text, data  # freed before the next piece is built
+    _write_twin(path, digest.digest(), dataset)
+
+
+def _csv_text(dataset: LabeledDataset) -> Iterator[str]:
+    """The CSV text in pieces: the header, then _CSV_ROWS rows at a time."""
     n, length, dim = dataset.X.shape
     rows, labels = dataset.X.reshape(n, -1), dataset.y.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"label,{dim},{length}\n")
-        for lo in range(0, n, _CSV_ROWS):
-            # time-major: all axes of t=0 first; repr keeps every float64 bit
-            f.write(
-                "".join(
-                    str(label) + "," + ",".join(map(repr, row.tolist())) + "\n"
-                    for row, label in zip(rows[lo : lo + _CSV_ROWS], labels[lo : lo + _CSV_ROWS])
-                )
-            )
+    yield f"label,{dim},{length}\n"
+    for lo in range(0, n, _CSV_ROWS):
+        # time-major: all axes of t=0 first; repr keeps every float64 bit
+        yield "".join(
+            str(label) + "," + ",".join(map(repr, row.tolist())) + "\n"
+            for row, label in zip(rows[lo : lo + _CSV_ROWS], labels[lo : lo + _CSV_ROWS])
+        )
+
+
+def _twin_path(path: Union[str, Path]) -> str:
+    return os.fspath(path) + ".npy"
+
+
+def _write_twin(path, digest: bytes, dataset: LabeledDataset) -> None:
+    """The twin of the CSV at `path`, written under a temporary name and
+    renamed into place.  A twin is only a cache: if writing it fails, no
+    twin and no temporary file is left, and load_csv parses the text."""
+    twin = _twin_path(path)
+    tmp = f"{twin}.{os.getpid()}.tmp"
+    try:
+        # np.save on a real file writes each array without a copy
+        with open(tmp, "wb") as f:
+            np.save(f, np.frombuffer(digest, dtype=np.uint8))
+            np.save(f, dataset.X)
+            np.save(f, dataset.y)
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _read_twin(path) -> Optional[LabeledDataset]:
+    """The dataset in the twin of `path` if the twin reads cleanly, its
+    digest is that of the CSV's current bytes and LabeledDataset accepts
+    its arrays, else None."""
+    try:
+        with open(_twin_path(path), "rb") as f:
+            digest = np.load(f, allow_pickle=False)
+            if digest.tobytes() != _file_sha256(path):
+                return None
+            X = np.load(f, allow_pickle=False)
+            y = np.load(f, allow_pickle=False)
+        return LabeledDataset(X, y)
+    except (OSError, ValueError, EOFError):
+        return None
+
+
+def _file_sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.digest()
 
 
 def load_csv(path: Union[str, Path]) -> LabeledDataset:
@@ -404,9 +474,16 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
     call parses each chunk, and its labels and values are checked.  If that
     fails, a per-line pass with int() and float() names the bad line, or
     reads what float() reads and np.loadtxt does not (such as `1_0`).  Both
-    give the same bits for every value.
+    give the same bits for every value.  A leading UTF-8 byte-order mark
+    is skipped.
+
+    The twin that save_csv wrote is read instead when its digest matches
+    the CSV's bytes; it holds the same bits the parse gives.
     """
-    with open(path, encoding="utf-8", newline="\n") as f:
+    twin = _read_twin(path)
+    if twin is not None:
+        return twin
+    with open(path, encoding="utf-8-sig", newline="\n") as f:
         numbered = enumerate((ln.rstrip("\n") for ln in f), start=1)
         lines = ((n, ln) for n, ln in numbered if ln.strip() != "")
         head_no, head_line = next(lines, (0, None))

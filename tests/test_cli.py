@@ -125,6 +125,19 @@ def test_generate_driving_needs_behaviors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: driving scenario needs --behaviors")
 
 
+@pytest.mark.parametrize("behaviors", ["GoForward,", ",StopAndGo", "GoForward,,StopAndGo", " "])
+def test_generate_refuses_an_empty_behavior_name(tmp_path, capsys, behaviors):
+    # a trailing comma once wrote a single-class set with exit 0
+    out = tmp_path / "x.csv"
+    rc = main([
+        "generate", "--scenario", "driving", "--behaviors", behaviors,
+        "--count", "1", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --behaviors has an empty name in '{behaviors}'\n"
+    assert not out.exists()
+
+
 def test_generate_rejects_three_behaviors(tmp_path, capsys):
     rc = main([
         "generate", "--scenario", "driving", "--behaviors", "GoForward,Overtake,SwitchLane",

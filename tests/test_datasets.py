@@ -1,6 +1,10 @@
 """Generator tests pin the behavioral geometry each scenario promises:
 which reference formulas separate which behaviors, where the stop line
-sits, and that the CSV round trip is lossless."""
+sits, and that the CSV round trip is lossless, through the parse and
+through the binary twin alike."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,12 +284,22 @@ def test_labeled_dataset_validation():
 # CSV round trip
 
 
+def twin_of(path) -> Path:
+    return Path(f"{path}.npy")
+
+
+def load_parsed(path) -> LabeledDataset:
+    """load_csv through the parse: the twin save_csv wrote is deleted first."""
+    twin_of(path).unlink()
+    return load_csv(path)
+
+
 def test_csv_round_trip_is_lossless(tmp_path, tiny_naval):
     path = tmp_path / "naval.csv"
     save_csv(tiny_naval, path)
     head = path.read_text(encoding="utf-8").split("\n", 1)[0]
     assert head == "label,2,61"
-    back = load_csv(path)
+    back = load_parsed(path)
     assert back.y.tolist() == tiny_naval.y.tolist()
     for (a, _), (b, _) in zip(tiny_naval, back):
         assert np.array_equal(a.values, b.values)
@@ -350,6 +364,37 @@ def test_csv_load_counts_blank_lines(tmp_path):
         load_csv(path)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_csv_load_skips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    for text in ["label,1,2\n1,0.5,0.25\n-1,1,2\n", "\nlabel,2,1\r\n-1,-0.0,1e-310\r\n"]:
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(BOM + text.encode("utf-8"))
+        a, b = load_csv(plain), load_csv(marked)
+        assert a.X.tobytes() == b.X.tobytes() and a.y.tolist() == b.y.tolist()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", ": empty file"),
+        ("time,2,4\n", ":1: expected header 'label,<dim>,<len>', got 'time,2,4'"),
+        ("label,two,4\n", ":1: header dim and len must be integers, got 'label,two,4'"),
+        ("\nlabel,0,4\n", ":2: dim and len must be positive"),
+        ("label,1,2\n", ": no data rows"),
+    ],
+)
+def test_csv_header_errors_read_the_same_after_a_byte_order_mark(tmp_path, text, message):
+    for name, mark in (("plain.csv", b""), ("marked.csv", BOM)):
+        path = tmp_path / name
+        path.write_bytes(mark + text.encode("utf-8"))
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}{message}"
+
+
 # ---------------------------------------------------------------------------
 # the one-call parse against the per-line parse
 
@@ -370,7 +415,8 @@ def assert_loads_like_per_line(path, text: str, length: int, dim: int):
     assert data.y.tolist() == labels.tolist()
 
 
-def test_csv_bit_patterns_round_trip(tmp_path, monkeypatch):
+def bit_pattern_set() -> LabeledDataset:
+    """40 samples of random float64 bit patterns, -0.0, subnormals and +-max."""
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**64, size=(40, 6, 2), dtype=np.uint64, endpoint=False)
     X = bits.view(np.float64).copy()
@@ -379,14 +425,18 @@ def test_csv_bit_patterns_round_trip(tmp_path, monkeypatch):
     special = [fi.max, -fi.max, fi.tiny, -fi.tiny, fi.smallest_subnormal, -fi.smallest_subnormal,
                2.5e-310, -0.0, 0.0, 1.0 / 3.0]
     X[0].flat[: len(special)] = special
-    data = LabeledDataset(X, np.where(rng.random(40) < 0.5, 1, -1))
+    return LabeledDataset(X, np.where(rng.random(40) < 0.5, 1, -1))
+
+
+def test_csv_bit_patterns_round_trip(tmp_path, monkeypatch):
+    data = bit_pattern_set()
     monkeypatch.setattr(datasets, "_CSV_ROWS", 16)  # two full chunks and a partial one
     path = tmp_path / "bits.csv"
     save_csv(data, path)
     save_csv_oracle(data, tmp_path / "whole.csv")
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
     monkeypatch.setattr(datasets, "_parse_rows", None)  # each chunk's one-call parse reads it
-    back = load_csv(path)
+    back = load_parsed(path)
     assert back.X.tobytes() == data.X.tobytes()
     assert back.y.tolist() == data.y.tolist()
     assert_loads_like_per_line(path, path.read_text(encoding="utf-8"), 6, 2)
@@ -451,7 +501,7 @@ def test_chunked_save_writes_the_whole_text_bytes(tmp_path, n):
     save_csv(data, tmp_path / "chunked.csv")
     save_csv_oracle(data, tmp_path / "whole.csv")
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    back = load_csv(tmp_path / "chunked.csv")
+    back = load_parsed(tmp_path / "chunked.csv")
     assert back.X.tobytes() == data.X.tobytes() and back.y.tolist() == data.y.tolist()
 
 
@@ -534,10 +584,166 @@ def test_csv_memory_does_not_grow_with_the_file_text(tmp_path):
     saved = traced_peak(lambda: save_csv(data, path))
     assert path.stat().st_size >= 10 * 2**20
     assert saved < 2**20, f"save_csv allocated {saved} bytes"
+    # the twin holds X once; the parse allocates its chunks, then their concatenation
     back = []
     loaded = traced_peak(lambda: back.append(load_csv(path)))
+    assert loaded < data.X.nbytes + 2**20, f"load_csv allocated {loaded} bytes from the twin"
+    twin_of(path).unlink()
+    loaded = traced_peak(lambda: back.append(load_csv(path)))
     assert loaded < 2 * data.X.nbytes + 2**20, f"load_csv allocated {loaded} bytes"
-    assert back[0].X.tobytes() == data.X.tobytes()
+    assert back[0].X.tobytes() == back[1].X.tobytes() == data.X.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the binary twin save_csv writes beside the CSV
+
+
+def count_parses(monkeypatch) -> list:
+    """A list that grows by one per chunk load_csv parses from here on."""
+    calls = []
+    read_chunk = datasets._read_chunk
+
+    def counted(*args):
+        calls.append(1)
+        return read_chunk(*args)
+
+    monkeypatch.setattr(datasets, "_read_chunk", counted)
+    return calls
+
+
+def assert_same(a: LabeledDataset, b: LabeledDataset) -> None:
+    assert a.X.dtype == b.X.dtype == np.float64 and a.y.dtype == b.y.dtype == np.int64
+    assert a.X.shape == b.X.shape and a.X.tobytes() == b.X.tobytes()
+    assert a.y.tolist() == b.y.tolist()
+
+
+@pytest.mark.parametrize("kind", ["naval", "driving", "bits"])
+def test_twin_and_parse_read_the_same_bits(tmp_path, monkeypatch, kind):
+    data = {
+        "naval": lambda: gen_naval(300, seed=4),
+        "driving": lambda: gen_driving_pair(
+            DrivingBehavior.SWITCH_LANE, DrivingBehavior.STOP_AND_GO, 150, seed=4
+        ),
+        "bits": bit_pattern_set,
+    }[kind]()
+    path = tmp_path / "x.csv"
+    save_csv(data, path)
+    parses = count_parses(monkeypatch)
+    twin = load_csv(path)
+    assert parses == []
+    parsed = load_parsed(path)
+    assert parses
+    assert_same(twin, parsed)
+    assert_same(twin, data)
+
+
+def test_an_edited_csv_loads_its_edit(tmp_path, tiny_naval):
+    path = tmp_path / "x.csv"
+    save_csv(tiny_naval, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    fields = lines[3].split(",")  # sample 2: its label, then its values
+    fields[1 + 3] = "12.5"
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    back = load_csv(path)
+    assert back.X[2].ravel()[3] == 12.5
+    expected = tiny_naval.X.copy()
+    expected[2].reshape(-1)[3] = 12.5
+    assert back.X.tobytes() == expected.tobytes()
+
+
+def failing_replace(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+def test_a_csv_saved_over_loads_the_new_data(tmp_path, monkeypatch, tiny_naval):
+    path = tmp_path / "x.csv"
+    save_csv(tiny_naval, path)
+    other = gen_naval(len(tiny_naval), seed=9)
+    save_csv(other, path)
+    assert_same(load_csv(path), other)
+    # the stale twin left when a new twin cannot be written is not read
+    save_csv(tiny_naval, path)
+    monkeypatch.setattr(datasets.os, "replace", failing_replace)
+    save_csv(other, path)
+    parses = count_parses(monkeypatch)
+    assert_same(load_csv(path), other)
+    assert parses
+
+
+@pytest.mark.parametrize("cut", [0, 40, 200, -8])
+def test_a_truncated_twin_is_parsed(tmp_path, monkeypatch, tiny_naval, cut):
+    # cut inside the digest's header, after the digest, inside X, inside y
+    path = tmp_path / "x.csv"
+    save_csv(tiny_naval, path)
+    twin = twin_of(path)
+    twin.write_bytes(twin.read_bytes()[:cut])
+    parses = count_parses(monkeypatch)
+    assert_same(load_csv(path), tiny_naval)
+    assert parses
+
+
+@pytest.mark.parametrize("garbage", ["random", "magic", "pickle", "labels"])
+def test_a_garbage_twin_is_parsed(tmp_path, monkeypatch, tiny_naval, garbage):
+    path = tmp_path / "x.csv"
+    save_csv(tiny_naval, path)
+    twin = twin_of(path)
+    good = twin.read_bytes()
+    rng = np.random.default_rng(3)
+    if garbage == "random":
+        twin.write_bytes(rng.bytes(len(good)))
+    elif garbage == "magic":
+        twin.write_bytes(good[:8] + rng.bytes(len(good) - 8))
+    elif garbage == "pickle":
+        with open(twin, "wb") as f:
+            np.save(f, np.array([b"x"], dtype=object), allow_pickle=True)
+    else:
+        # the CSV's digest, then arrays LabeledDataset refuses
+        with open(twin, "rb") as f:
+            digest = np.load(f)
+        with open(twin, "wb") as f:
+            for array in (digest, tiny_naval.X, np.full(len(tiny_naval), 3)):
+                np.save(f, array)
+    parses = count_parses(monkeypatch)
+    assert_same(load_csv(path), tiny_naval)
+    assert parses
+
+
+def test_a_directory_in_the_twins_place_leaves_the_csv_to_the_parse(tmp_path, monkeypatch, tiny_naval):
+    path = tmp_path / "x.csv"
+    twin_of(path).mkdir()
+    save_csv(tiny_naval, path)
+    assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.csv.npy"]
+    assert twin_of(path).is_dir()
+    parses = count_parses(monkeypatch)
+    assert_same(load_csv(path), tiny_naval)
+    assert parses
+
+
+def test_a_failed_twin_write_leaves_no_file(tmp_path, monkeypatch, tiny_naval):
+    def failing_save(f, array, **kwargs):
+        f.write(b"\x93NUMPY")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(datasets.np, "save", failing_save)
+    path = tmp_path / "x.csv"
+    save_csv(tiny_naval, path)
+    assert os.listdir(tmp_path) == ["x.csv"]
+    monkeypatch.undo()
+    assert_same(load_csv(path), tiny_naval)
+
+
+@pytest.mark.parametrize("twin", ["fresh", "stale", "none"])
+def test_load_csv_writes_no_file(tmp_path, tiny_naval, twin):
+    path = tmp_path / "x.csv"
+    save_csv(tiny_naval, path)
+    if twin == "stale":
+        path.write_bytes(path.read_bytes() + b"\n")
+    elif twin == "none":
+        twin_of(path).unlink()
+    listing = sorted((p.name, p.stat().st_mtime_ns) for p in tmp_path.iterdir())
+    load_csv(path)
+    assert sorted((p.name, p.stat().st_mtime_ns) for p in tmp_path.iterdir()) == listing
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +758,10 @@ def test_csv_round_trip_keeps_the_dense_arrays(tmp_path, scenario):
         data = gen_driving_pair(DrivingBehavior.GO_FORWARD, DrivingBehavior.STOP_AND_GO, 20, seed=3)
     path = tmp_path / "x.csv"
     save_csv(data, path)
-    back = load_csv(path)
-    assert back.X.dtype == np.float64 and back.X.shape == data.X.shape
-    assert back.X.tobytes() == data.X.tobytes()
-    assert back.y.dtype == np.int64 and back.y.tolist() == data.y.tolist()
+    for back in (load_csv(path), load_parsed(path)):
+        assert back.X.dtype == np.float64 and back.X.shape == data.X.shape
+        assert back.X.tobytes() == data.X.tobytes()
+        assert back.y.dtype == np.int64 and back.y.tolist() == data.y.tolist()
 
 
 def test_iteration_yields_signals_and_int_labels(tiny_naval):
