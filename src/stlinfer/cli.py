@@ -123,18 +123,32 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _read_formula(text: str):
+    """Parse --formula: formula text, or a path to a file holding one.  An
+    error in a file's formula names the file."""
+    if not Path(text).is_file():
+        return parse_formula(text)
+    path, text = text, Path(text).read_text(encoding="utf-8").strip()
+    if not text:
+        raise ValueError(f"{path}: formula file is empty")
+    try:
+        return parse_formula(text)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _cmd_eval(args) -> int:
-    if not args.formula and not args.model:
+    if args.formula is None and args.model is None:
         raise ValueError("eval needs --formula and/or --model")
+    for flag, value in (("--formula", args.formula), ("--model", args.model)):
+        if value is not None and not value.strip():
+            raise ValueError(f"{flag} is empty")
     data = load_csv(args.data)
     formula = None
-    if args.formula:
-        text = args.formula
-        if Path(text).is_file():
-            text = Path(text).read_text(encoding="utf-8").strip()
-        formula = parse_formula(text)
+    if args.formula is not None:
+        formula = _read_formula(args.formula)
         print(f"formula_mcr={mcr(data, formula)!r}")
-    if args.model:
+    if args.model is not None:
         params, shape, p = load_model(args.model)
         print(f"network_mcr={network_mcr(params, shape, p, data)!r}")
         if formula is not None:

@@ -106,6 +106,8 @@ class LabeledDataset:
         if not np.isfinite(self.X).all():
             raise ValueError("signal values must be finite")
         self.y = y.astype(np.int64)
+        # the last network sign vector evaluate computed on X, with its key
+        self._signs = None
 
     def __iter__(self) -> Iterator[Tuple[Signal, int]]:
         for x, label in zip(self.X, self.y.tolist()):

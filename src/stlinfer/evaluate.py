@@ -5,10 +5,18 @@ predicts the positive class when its output is strictly positive; an
 output of exactly 0 counts as a negative prediction, the same convention
 exact robustness uses for satisfaction.  The formula's verdicts come from
 `stl.satisfied`, the one exact evaluator.
+
+`network_mcr` and `sign_agreement` read the network's signs through one
+helper that keeps the last sign vector on the dataset, so `eval` with a
+model and a formula runs the network once per model and dataset rather
+than once per score.  The kept entry lives and dies with the dataset
+object, and its key holds the sha256 of the signals the network reads:
+an in-place edit or a rebinding of `X`, or another model, recomputes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -42,6 +50,32 @@ def _check_windows(params: ModelParams, data: LabeledDataset) -> None:
         )
 
 
+def _network_signs(
+    params: ModelParams,
+    shape: NetworkShape,
+    p: ActivationParams,
+    data: LabeledDataset,
+) -> np.ndarray:
+    """The network's output sign (> 0) on every signal of `data`.
+
+    The result is kept on the dataset, one entry, keyed on the sha256 and
+    shape of the X it read and on the parameter bytes, gate shape, network
+    shape and activation.  A later call with an equal key returns it; any
+    other recomputes.  The windows are checked on every call, and only a
+    finished pass is kept, so an error is raised again on every call.
+    """
+    _check_windows(params, data)
+    X = np.ascontiguousarray(data.X, dtype=np.float64)
+    key = (hashlib.sha256(X).digest(), X.shape, params.flat.tobytes(), params.M.shape, shape, p)
+    kept = data._signs
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    signs = network_outputs(X, params, shape, p) > 0.0
+    signs.flags.writeable = False
+    data._signs = (key, signs)
+    return signs
+
+
 def network_mcr(
     params: ModelParams,
     shape: NetworkShape,
@@ -52,8 +86,7 @@ def network_mcr(
     ValueError for a window that ends past the data's last step."""
     if not len(data):
         raise ValueError("cannot compute a misclassification rate on an empty dataset")
-    _check_windows(params, data)
-    net = network_outputs(data.X, params, shape, p) > 0.0
+    net = _network_signs(params, shape, p, data)
     return int(np.count_nonzero(net != (data.y == 1))) / len(data)
 
 
@@ -73,8 +106,7 @@ def sign_agreement(
     """
     if not len(data):
         raise ValueError("cannot compute sign agreement on an empty dataset")
-    _check_windows(params, data)
-    net = network_outputs(data.X, params, shape, p) > 0.0
+    net = _network_signs(params, shape, p, data)
     return int(np.count_nonzero(net == satisfied(data.X, formula))) / len(data)
 
 
@@ -116,13 +148,17 @@ def _integer(path, field: str, value) -> int:
 def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, ActivationParams]:
     """Read back the parameters, shape and activation from a report.json.
 
-    A shape field that is not an integer (int() would truncate 0.9 to 0),
+    A file that is not UTF-8 JSON is refused with its path named.  A
+    shape field that is not an integer (int() would truncate 0.9 to 0),
     a parameter whose shape disagrees with the network shape, a
     non-finite parameter or activation value (JSON as Python reads it
     admits NaN and Infinity), and a window outside 0 <= t1 <= t2 (which
     training never leaves) are refused with the field named.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: not a valid model report: {e}") from None
     try:
         slots = [(a, s, TemporalOp(op)) for a, s, op in payload["shape"]["slots"]]
         m = payload["shape"]["m"]

@@ -25,10 +25,10 @@ The network is computed one way: `network_pass` runs it on numpy arrays
 over a batch of signals X (n, length, dim) and keeps the intermediates
 that `NetworkPass.vjp` turns into gradients of the four parameter groups
 in closed form.  Training calls the pair once per batch; every value-only
-use (`network_outputs`, hence evaluation and sign agreement) runs the
-same forward over signals taken CHUNK at a time.  `guarantee_failure`
-names the precondition of sign agreement that a set of activation
-parameters fails, if any.
+use (`network_outputs`, hence evaluation and sign agreement, which share
+one sign vector per model and dataset) runs the same forward over signals
+taken CHUNK at a time.  `guarantee_failure` names the precondition of
+sign agreement that a set of activation parameters fails, if any.
 
 The pass does only the arithmetic its outputs and gradients read, and
 the backward recomputes nothing the forward found.  Each softmax layer

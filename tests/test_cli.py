@@ -2,10 +2,15 @@
 printed lines, and the files left behind."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stlinfer
 from stlinfer.cli import main
 from stlinfer.datasets import LabeledDataset, load_csv, save_csv
 
@@ -344,6 +349,49 @@ def test_eval_needs_formula_or_model(cli_env, capsys):
     assert "eval needs --formula and/or --model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--formula", "--model"])
+@pytest.mark.parametrize("value", ["", "  "])
+def test_eval_refuses_an_empty_formula_or_model(cli_env, capsys, flag, value):
+    # refused before anything is read, also next to a valid other flag
+    csv, _, run = cli_env
+    other = {
+        "--formula": ["--model", str(run / "report.json")],
+        "--model": ["--formula", "F[0,3](x0 > 0)"],
+    }
+    for extra in ([], other[flag]):
+        rc = main(["eval", "--data", str(csv), flag, value, *extra])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {flag} is empty\n")
+
+
+def test_eval_names_the_formula_file_at_fault(cli_env, tmp_path, capsys):
+    csv, _, _ = cli_env
+    path = tmp_path / "bad.txt"
+    path.write_text("G[0,3](x0 > )\n", encoding="utf-8")
+    rc = main(["eval", "--data", str(csv), "--formula", str(path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {path}: expected a number at position 12\n")
+    rc = main(["eval", "--data", str(csv), "--formula", "G[0,3](x0 > )"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: expected a number at position 12\n")
+    path.write_text(" \n\n", encoding="utf-8")
+    rc = main(["eval", "--data", str(csv), "--formula", str(path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {path}: formula file is empty\n")
+
+
+@pytest.mark.parametrize("content", [b"not json\n", b"", b"\xff\xfe{}"])
+def test_eval_names_a_model_file_that_is_not_json(cli_env, tmp_path, capsys, content):
+    csv, _, _ = cli_env
+    path = tmp_path / "notjson.txt"
+    path.write_bytes(content)
+    rc = main(["eval", "--data", str(csv), "--model", str(path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: not a valid model report: ")
+
+
 def test_eval_bad_formula_text(cli_env, capsys):
     csv, _, _ = cli_env
     rc = main(["eval", "--data", str(csv), "--formula", "G[2,1](x0 > 0)"])
@@ -386,6 +434,21 @@ def test_check_soundness_rejects_bad_length(capsys):
 
 # ---------------------------------------------------------------------------
 # argparse plumbing
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(stlinfer.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "stlinfer", "check-soundness", "--length", "40"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("sound: ")
+    done = subprocess.run(
+        [sys.executable, "-m", "stlinfer", "check-soundness", "--length", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1 and done.stderr.startswith("error:")
 
 
 def test_unknown_subcommand_exits_two():

@@ -3,18 +3,25 @@ agreement on snapped models, and report emission/reload."""
 
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stlinfer import evaluate
+from stlinfer.cli import main
+from stlinfer.datasets import DrivingBehavior, LabeledDataset, gen_driving_pair, gen_naval, save_csv
 from stlinfer.evaluate import emit_report, load_model, network_mcr, sign_agreement
 from stlinfer.network import (
     ActivationParams,
     ModelParams,
     NetworkShape,
+    NonFiniteError,
+    network_outputs,
     soundness_bound_check,
 )
-from stlinfer.stl import Signal, mcr, robustness
+from stlinfer.stl import Signal, mcr, robustness, satisfied
 from stlinfer.trainer import TrainConfig, extract_formula, train
 from util import dataset_from_samples
 
@@ -257,3 +264,149 @@ def test_load_model_accepts_point_windows(tmp_path, trained):
     path.write_text(json.dumps(payload), encoding="utf-8")
     params, _, _ = load_model(path)
     assert params.t1[:2].tolist() == params.t2[:2].tolist() == [0.0, 2.5]
+
+
+# ---------------------------------------------------------------------------
+# the network's sign vector, kept on the dataset
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Count the network passes evaluate runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return network_outputs(*args)
+
+    monkeypatch.setattr(evaluate, "network_outputs", counted)
+    return calls
+
+
+def uncached_signs(params, shape, p, data):
+    """The reference for the kept vector: a fresh pass on every call."""
+    evaluate._check_windows(params, data)
+    return evaluate.network_outputs(data.X, params, shape, p) > 0.0
+
+
+def test_kept_signs_equal_a_fresh_pass(passes):
+    rng = np.random.default_rng(11)
+    p = ActivationParams(beta=25.0, slope=1.0)
+    for _ in range(10):
+        params, shape, _, data = random_snapped_model(rng)
+        params.b[:] += rng.uniform(-0.5, 0.5, shape.k)
+        formula = extract_formula(params.snapped(), shape)
+        fresh = network_outputs(data.X, params, shape, p) > 0.0
+        del passes[:]
+        assert network_mcr(params, shape, p, data) == np.mean(fresh != (data.y == 1))
+        assert sign_agreement(params, shape, p, formula, data) == np.mean(
+            fresh == satisfied(data.X, formula)
+        )
+        kept = evaluate._network_signs(params, shape, p, data)
+        assert len(passes) == 1
+        assert kept.dtype == bool and np.array_equal(kept, fresh)
+        assert not kept.flags.writeable
+
+
+def test_signs_are_recomputed_when_the_signals_or_the_model_change(passes):
+    rng = np.random.default_rng(12)
+    params, shape, _, data = random_snapped_model(rng)
+    p = ActivationParams(beta=25.0, slope=1.0)
+
+    def check(expect_passes, *model):
+        model = model or (params, shape, p)
+        signs = evaluate._network_signs(*model, data)
+        assert len(passes) == expect_passes
+        assert np.array_equal(signs, network_outputs(data.X, *model) > 0.0)
+
+    check(1)
+    check(1)
+    data.X[3, 0, 0] += 1.0  # in place
+    check(2)
+    data.X = data.X.copy()  # rebound, same values
+    check(2)
+    data.X = data.X + 0.25  # rebound, new values
+    check(3)
+    data.X = data.X[:-1]  # rebound, fewer signals
+    check(4)
+    params.b[0] += 0.5
+    check(5)
+    params.M[0, 0] = 1.0 - params.M[0, 0]
+    check(6)
+    check(7, params, shape, ActivationParams(beta=20.0, slope=1.0))
+    flipped = NetworkShape(
+        slots=tuple(replace(s, sign=-s.sign) for s in shape.slots), m=shape.m
+    )
+    check(8, params, flipped, p)
+    check(9)
+
+
+def test_equal_datasets_keep_their_own_signs(passes):
+    rng = np.random.default_rng(13)
+    params, shape, _, data = random_snapped_model(rng)
+    p = ActivationParams()
+    twin = LabeledDataset(data.X.copy(), data.y.copy())
+    first = evaluate._network_signs(params, shape, p, data)
+    second = evaluate._network_signs(params, shape, p, twin)
+    assert len(passes) == 2
+    assert second is not first and np.array_equal(first, second)
+    assert twin._signs is not data._signs
+
+
+def test_a_failed_pass_is_not_kept(passes):
+    rng = np.random.default_rng(14)
+    params, shape, _, data = random_snapped_model(rng)
+    p = ActivationParams()
+    network_mcr(params, shape, p, data)
+    params.b[0] = np.nan
+    for calls in (2, 3):
+        with pytest.raises(NonFiniteError, match=r"parameter b\[0\]$"):
+            network_mcr(params, shape, p, data)
+        assert len(passes) == calls
+    params.b[0] = 0.0
+    params.t2[0] = data.length - 1 + 0.5
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lies past the last step"):
+            sign_agreement(params, shape, p, extract_formula(params.snapped(), shape), data)
+    assert len(passes) == 3
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture(scope="module")
+def config_models(tmp_path_factory):
+    """The three config models, trained on seed-0 data as the config files
+    describe, with their data CSVs and report directories."""
+    root = tmp_path_factory.mktemp("configs")
+    go = DrivingBehavior.GO_FORWARD
+    datasets = {
+        "overtake": gen_driving_pair(go, DrivingBehavior.OVERTAKE, 500, seed=0),
+        "stopgo": gen_driving_pair(go, DrivingBehavior.STOP_AND_GO, 500, seed=0),
+        "naval": gen_naval(1000, seed=0),
+    }
+    runs = {}
+    for name, data in datasets.items():
+        csv = root / f"{name}.csv"
+        save_csv(data, csv)
+        report = train(data, TrainConfig.from_file(CONFIGS / f"{name}.cfg"))
+        runs[name] = (csv, emit_report(report, root / name))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["overtake", "stopgo", "naval"])
+def test_eval_runs_the_network_once_per_model(config_models, name, passes, capsys, monkeypatch):
+    csv, paths = config_models[name]
+    argv = ["eval", "--data", str(csv), "--model", str(paths["report"])]
+    argv += ["--formula", str(paths["formula"])]
+    rc = main(argv)
+    kept = capsys.readouterr()
+    # once for the trained parameters, once for the snapped ones
+    assert len(passes) == 2
+    assert not np.array_equal(passes[0][1].flat, passes[1][1].flat)
+    monkeypatch.setattr(evaluate, "_network_signs", uncached_signs)
+    assert main(argv) == rc
+    fresh = capsys.readouterr()
+    assert len(passes) == 5
+    assert (kept.out, kept.err) == (fresh.out, fresh.err)
+    assert kept.out.endswith("extracted_sign_agreement=1.0\n")
