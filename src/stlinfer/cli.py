@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -125,16 +126,19 @@ def _cmd_train(args) -> int:
 
 def _read_formula(text: str):
     """Parse --formula: formula text, or a path to a file holding one.  An
-    error in a file's formula names the file."""
-    if not Path(text).is_file():
+    error in a file's formula, or in reading it, names the file."""
+    # os.path, unlike Path, answers False for text too long to be a file name
+    if os.path.isdir(text):
+        raise ValueError(f"--formula {text} is a directory, not a formula file")
+    if not os.path.isfile(text):
         return parse_formula(text)
-    path, text = text, Path(text).read_text(encoding="utf-8").strip()
-    if not text:
-        raise ValueError(f"{path}: formula file is empty")
     try:
-        return parse_formula(text)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        body = Path(text).read_text(encoding="utf-8").strip()
+        if not body:
+            raise ValueError("formula file is empty")
+        return parse_formula(body)
+    except ValueError as e:  # UnicodeDecodeError included
+        raise ValueError(f"{text}: {e}") from None
 
 
 def _cmd_eval(args) -> int:

@@ -19,10 +19,10 @@ satisfies a formula iff its robustness at time 0 is strictly positive;
 robustness exactly 0 counts as a violation.
 
 `robustness` is the recursive reference on one signal.  `satisfied` is
-the batched verdict (robustness > 0) on signals (n, length, dim): a DNF
-over windowed predicate atoms holds iff some clause has all its atoms
-positive (`atom_matrix` > 0 fed into `clauses_hold`); any other tree goes
-through `satisfies` one signal at a time.
+the batched verdict (robustness > 0) on signals (n, length, dim), for
+every tree: since min > 0 means all > 0 and max > 0 means any > 0, it
+evaluates the tree once over boolean (n, steps) arrays of where each
+predicate holds.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "ParseError",
     "robustness",
     "satisfies",
-    "atom_matrix",
     "clauses_hold",
     "satisfied",
     "mcr",
@@ -222,28 +221,6 @@ def satisfies(signal: Signal, formula: Formula) -> bool:
     return robustness(signal, formula, 0) > 0.0
 
 
-def atom_matrix(X: np.ndarray, atoms: Sequence[TemporalAtom]) -> np.ndarray:
-    """Exact robustness at time 0 of windowed predicate atoms on a batch.
-
-    X has shape (n, length, dim); column j of the (n, len(atoms)) result
-    holds atom j, whose child must be a Predicate.  The arithmetic is
-    robustness()'s own, so every entry equals it bit for bit.  All windows
-    and axes are checked before any atom is evaluated.
-    """
-    _, length, dim = X.shape
-    for atom in atoms:
-        if atom.t2 > length - 1:
-            raise IntervalError(_window_outside(atom, 0, length))
-        if atom.child.axis >= dim:
-            raise IntervalError(_axis_outside(atom, atom.child.axis, dim))
-    A = np.empty((X.shape[0], len(atoms)), dtype=np.float64)
-    for j, atom in enumerate(atoms):
-        pred = atom.child
-        row = pred.sign * X[:, atom.t1 : atom.t2 + 1, pred.axis] - pred.offset
-        A[:, j] = row.min(axis=1) if atom.op is TemporalOp.ALWAYS else row.max(axis=1)
-    return A
-
-
 def clauses_hold(holds: np.ndarray, use: np.ndarray) -> np.ndarray:
     """Verdict of a DNF on each sample, from which atoms hold.
 
@@ -258,24 +235,33 @@ def clauses_hold(holds: np.ndarray, use: np.ndarray) -> np.ndarray:
 
 def satisfied(X: np.ndarray, formula: Formula) -> np.ndarray:
     """Strict satisfaction of `formula` by every signal of X (n, length,
-    dim); equals satisfies() on each signal.
-
-    A DNF over windowed predicate atoms, which is what training extracts
-    and the text grammar prints, runs on the atom matrix.  Any other tree,
-    such as G[0,5](x0 > 1 & x1 < 2), falls back to satisfies() on each
-    signal.
+    dim); equals satisfies() on each signal, and raises the IntervalError
+    robustness() would raise first.
     """
-    try:
-        clauses = dnf_clauses(formula)
-    except ValueError:
-        clauses = ()
-    atoms = [atom for clause in clauses for atom in clause]
-    if not atoms or not all(isinstance(atom.child, Predicate) for atom in atoms):
-        return np.array([satisfies(Signal(x), formula) for x in X], dtype=bool)
-    # use[c, j]: atom j belongs to clause c
-    owner = np.repeat(np.arange(len(clauses)), [len(clause) for clause in clauses])
-    use = owner == np.arange(len(clauses))[:, None]
-    return clauses_hold(atom_matrix(X, atoms) > 0.0, use)
+    return _holds(X, formula, 0, 1)[:, 0]
+
+
+def _holds(X: np.ndarray, f: Formula, lo: int, hi: int) -> np.ndarray:
+    """Where f is strictly satisfied at steps lo..hi-1, as (n, hi - lo)
+    booleans.  The walk is robustness()'s pre-order and checks each window
+    and axis before it reads them, so it meets the reference's first
+    error.  Temporal atoms never nest, so they only see lo = 0, hi = 1.
+    """
+    if isinstance(f, Predicate):
+        if f.axis >= X.shape[2]:
+            raise IntervalError(_axis_outside(f, f.axis, X.shape[2]))
+        return f.sign * X[:, lo:hi, f.axis] - f.offset > 0.0
+    if isinstance(f, TemporalAtom):
+        if f.t2 > X.shape[1] - 1:
+            raise IntervalError(_window_outside(f, 0, X.shape[1]))
+        window = _holds(X, f.child, f.t1, f.t2 + 1)
+        if f.op is TemporalOp.ALWAYS:
+            return window.all(axis=1, keepdims=True)
+        return window.any(axis=1, keepdims=True)
+    if isinstance(f, (And, Or)):
+        items = [_holds(X, i, lo, hi) for i in f.items]
+        return (np.logical_and if isinstance(f, And) else np.logical_or).reduce(items)
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 def mcr(data, formula: Formula) -> float:

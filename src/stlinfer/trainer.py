@@ -45,10 +45,10 @@ from .stl import (
     Formula,
     Predicate,
     TemporalAtom,
-    atom_matrix,
     clauses_hold,
     dnf,
     format_formula,
+    satisfied,
 )
 
 __all__ = [
@@ -319,8 +319,8 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     reach.  A removal that would close every gate is skipped, since an
     empty matrix encodes no formula.  Returns the pruned binary matrix.
 
-    The exact robustness of each slot atom is computed once, and every
-    trial is `clauses_hold` over the matrix of holding atoms (one row per
+    Each slot atom's verdicts come from `satisfied` once, and every trial
+    is `clauses_hold` over the matrix of holding atoms (one row per
     sample, one column per slot the extracted formula uses) with the
     trial's gate rows as clauses.
     """
@@ -333,7 +333,7 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     if not used.size:
         raise EmptyFormulaError("every gate is closed; nothing to simplify")
     atoms = _slot_atoms(params, shape)
-    holds = atom_matrix(data.X, [atoms[j] for j in used]) > 0.0
+    holds = np.stack([satisfied(data.X, atoms[j]) for j in used], axis=1)
     positive = data.y == 1
 
     def wrong_count(trial: np.ndarray) -> int:

@@ -219,6 +219,10 @@ def test_eval_formula_text(cli_env, capsys):
     rc = main(["eval", "--data", str(csv), "--formula", "G[0,39](x0 > -1.97)"])
     assert rc == 0
     assert "formula_mcr=0.0" in capsys.readouterr().out
+    # text longer than a file name may be is still formula text
+    rc = main(["eval", "--data", str(csv), "--formula", " | ".join(["(G[0,39](x0 > -1.97))"] * 20)])
+    assert rc == 0
+    assert capsys.readouterr() == ("formula_mcr=0.0\n", "")
 
 
 def test_eval_formula_from_file(cli_env, tmp_path, capsys):
@@ -315,8 +319,7 @@ def test_eval_names_an_axis_beyond_the_data(cli_env, tmp_path, capsys):
     csv, _, _ = cli_env
     rc = main(["eval", "--data", str(csv), "--formula", "G[0,3](x5 > 0)"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: G[0,3](x5 > 0) reads axis 5, but the data has dim 2\n"
-    # a tree that is no DNF is evaluated per signal, and names the predicate
+    assert capsys.readouterr().err == "error: x5 > 0 reads axis 5, but the data has dim 2\n"
     rc = main(["eval", "--data", str(csv), "--formula", "G[0,3](x5 > 0 & x1 < 2)"])
     assert rc == 1
     assert capsys.readouterr().err == "error: x5 > 0 reads axis 5, but the data has dim 2\n"
@@ -378,6 +381,20 @@ def test_eval_names_the_formula_file_at_fault(cli_env, tmp_path, capsys):
     rc = main(["eval", "--data", str(csv), "--formula", str(path)])
     assert rc == 1
     assert capsys.readouterr() == ("", f"error: {path}: formula file is empty\n")
+    path.write_bytes(b"G[0,3](x0 > \xff)\n")
+    rc = main(["eval", "--data", str(csv), "--formula", str(path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 12")
+
+
+def test_eval_refuses_a_formula_directory(cli_env, tmp_path, capsys):
+    csv, _, run = cli_env
+    for directory in (run, tmp_path):
+        rc = main(["eval", "--data", str(csv), "--formula", str(directory)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: --formula {directory} is a directory, not a formula file\n")
 
 
 @pytest.mark.parametrize("content", [b"not json\n", b"", b"\xff\xfe{}"])

@@ -16,7 +16,6 @@ from stlinfer.stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
-    atom_matrix,
     clauses_hold,
     dnf,
     dnf_clauses,
@@ -27,7 +26,7 @@ from stlinfer.stl import (
     satisfied,
     satisfies,
 )
-from util import count_atoms, dataset_from_samples, random_dnf, random_propositional, random_signal
+from util import count_atoms, dataset_from_samples, random_dnf, random_propositional, random_signal, random_tree
 
 F, G = TemporalOp.EVENTUALLY, TemporalOp.ALWAYS
 
@@ -97,10 +96,10 @@ def test_window_outside_signal_names_the_atom():
         robustness(const_signal(0.0, 20), f)
 
 
-def test_atom_matrix_names_an_axis_beyond_the_data():
-    atoms = [TemporalAtom(G, 0, 3, Predicate(0, 1, 0.0)), TemporalAtom(G, 0, 3, Predicate(5, 1, 0.0))]
-    with pytest.raises(IntervalError, match=r"^G\[0,3\]\(x5 > 0\) reads axis 5, but the data has dim 2$"):
-        atom_matrix(np.zeros((4, 6, 2)), atoms)
+def test_satisfied_names_an_axis_beyond_the_data():
+    f = Or((TemporalAtom(G, 0, 3, Predicate(0, 1, 0.0)), TemporalAtom(G, 0, 3, Predicate(5, 1, 0.0))))
+    with pytest.raises(IntervalError, match=r"^x5 > 0 reads axis 5, but the data has dim 2$"):
+        satisfied(np.zeros((4, 6, 2)), f)
 
 
 def test_robustness_names_an_axis_beyond_the_signal():
@@ -109,7 +108,6 @@ def test_robustness_names_an_axis_beyond_the_signal():
     for text in ("x5 > 0", "G[0,3](x5 > 0)", "G[0,3](x5 > 0 & x1 < 2)"):
         with pytest.raises(IntervalError, match=message):
             robustness(signal, parse_formula(text))
-    # satisfied() runs a tree that is no DNF through satisfies()
     with pytest.raises(IntervalError, match=message):
         satisfied(np.zeros((3, 4, 2)), parse_formula("F[0,3](x0 > 1 | x5 > 0)"))
 
@@ -362,20 +360,26 @@ def _coarse(f):
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    depth=st.sampled_from([0, 1]),
+    depth=st.sampled_from([0, 1, None]),
     coarse=st.booleans(),
     short=st.booleans(),
 )
 def test_satisfied_matches_per_signal_satisfies(seed, depth, coarse, short):
-    # depth 0 builds DNFs of predicate atoms (the atom-matrix path), depth
-    # 1 mostly boolean children (the fallback).  Coarse draws round every
-    # value and offset to -1, -0, 0 or 1, so robustness is often a zero
-    # of either sign, which must count as a violation.
+    # depth 0 builds DNFs of predicate atoms, as training extracts them,
+    # depth 1 DNFs of atoms with mostly boolean children, and None any
+    # tree of the grammar on integer-valued signals, some with an axis or
+    # a window past the data.  Coarse draws round every value and offset
+    # to -1, -0, 0 or 1, so robustness is often a zero of either sign,
+    # which must count as a violation.
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     length = int(rng.integers(1, 15))
-    f = random_dnf(rng, dim, length, depth)
-    X = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 6)), length, dim))
+    if depth is None:
+        f = random_tree(rng, dim, length)
+        X = rng.integers(-3, 4, (int(rng.integers(1, 6)), length, dim)).astype(np.float64)
+    else:
+        f = random_dnf(rng, dim, length, depth)
+        X = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 6)), length, dim))
     if coarse:
         f, X = _coarse(f), np.round(X / 3.0)
     if short:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlinfer import trainer
+from stlinfer import stl, trainer
 from stlinfer.evaluate import emit_report, load_model
 from stlinfer.network import (
     ActivationParams,
@@ -20,7 +20,7 @@ from stlinfer.network import (
     NetworkShape,
     network_outputs,
 )
-from stlinfer.stl import Signal, dnf_clauses, format_formula, mcr, parse_formula
+from stlinfer.stl import Signal, dnf_clauses, format_formula, mcr, parse_formula, satisfied, satisfies
 from stlinfer.trainer import (
     GRAD_CLIP,
     LR_GATES,
@@ -360,6 +360,22 @@ def test_simplify_matches_the_per_sample_oracle(tiny_driving_pair):
     report = train(tiny_driving_pair, small_cfg(epochs=2))
     got = simplify(report.params, report.shape, tiny_driving_pair)
     assert got.tolist() == simplify_oracle(report.params, report.shape, tiny_driving_pair).tolist()
+
+
+def test_exact_verdicts_do_not_run_the_recursive_reference(tiny_driving_pair, monkeypatch):
+    data = tiny_driving_pair
+    tree = parse_formula("G[0,39](x0 > -1 & x1 < 39) | F[5,30](x1 > 25 & (x0 < -2 | x1 > 39))")
+    want = [satisfies(Signal(x), tree) for x in data.X]
+    assert 0 < sum(want) < len(want)
+    report = train(data, small_cfg(epochs=2))
+    pruned = simplify_oracle(report.params, report.shape, data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursive reference ran")
+
+    monkeypatch.setattr(stl, "robustness", refuse)
+    assert satisfied(data.X, tree).tolist() == want
+    assert simplify(report.params, report.shape, data).tolist() == pruned.tolist()
 
 
 def test_simplify_rejects_empty_inputs():

@@ -314,6 +314,28 @@ def random_dnf(rng: np.random.Generator, dim: int, length: int, depth: int = 1):
     return dnf(clauses)
 
 
+def random_tree(rng: np.random.Generator, dim: int, length: int, depth: int = 3, temporal: bool = True):
+    """A formula anywhere in the grammar: predicates at the top or under
+    temporal atoms, `&` and `|` nested in any order, boolean children under
+    temporal atoms.  Offsets are small integers, so integer-valued signals
+    give robustness zeros.  One predicate in ten reads axis `dim` and one
+    window in ten ends at step `length`, one past the data, so some trees
+    do not fit it.
+    """
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        axis = dim if rng.random() < 0.1 else int(rng.integers(dim))
+        return Predicate(axis, int(rng.choice([-1, 1])), float(rng.integers(-2, 3)))
+    if temporal and roll < 0.6:
+        t1, t2 = random_window(rng, length)
+        if rng.random() < 0.1:
+            t2 = length
+        op = TemporalOp.ALWAYS if rng.random() < 0.5 else TemporalOp.EVENTUALLY
+        return TemporalAtom(op, t1, t2, random_tree(rng, dim, length, depth - 1, temporal=False))
+    kind = And if rng.random() < 0.5 else Or
+    return kind(tuple(random_tree(rng, dim, length, depth - 1, temporal) for _ in range(int(rng.integers(2, 4)))))
+
+
 def simplify_oracle(params, shape, data) -> np.ndarray:
     """Greedy pruning as one satisfies() call per sample and trial."""
     samples = list(data)
