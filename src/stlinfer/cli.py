@@ -107,6 +107,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # emit_report makes the directory only after training, so a file in
+    # its place, or in place of a directory above it, is refused before
+    # the data is read
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            if not os.path.isdir(path):
+                where = "" if path == out else f": {path}"
+                raise ValueError(f"--out {args.out}{where} is a file, not a directory")
+            break
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

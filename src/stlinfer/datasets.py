@@ -100,6 +100,11 @@ class LabeledDataset:
         y = np.asarray(self.y)
         if self.X.ndim != 3 or y.shape != self.X.shape[:1]:
             raise ValueError(f"expected X (N, L, D) and y (N,), got {self.X.shape} and {y.shape}")
+        # no sample is read, so an empty set may have any length and dim
+        if len(y) and 0 in self.X.shape[1:]:
+            raise ValueError(
+                f"signals need length and dim of at least 1, got X of shape {self.X.shape}"
+            )
         bad = np.flatnonzero((y != 1) & (y != -1))
         if bad.size:
             raise ValueError(f"sample {bad[0]}: label must be +1 or -1, got {y[bad[0]]}")

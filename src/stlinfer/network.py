@@ -35,13 +35,27 @@ the backward recomputes nothing the forward found.  Each softmax layer
 saves the flat index of every row's first maximum, its value `top` and
 r' * h, so the backward routes the normalizer's gradient with a plain
 take and put.  The exponent shift is read at the first maximum of the
-exponents with unselected lanes at -inf, not reduced by a masked max.
-The window layer saves, next to the windows, the masks of the steps
-that move with each window end, and the backward forms the temporal
-layer's selection-weight gradient only at those lanes (about two per
-slot); the disjunction's, which nothing reads, it does not form.
-Predicate rows take two passes, (flip * sign) * x - flip * b.  Each of
-these gives the output and gradient bits of the arithmetic it replaced.
+exponents with unselected lanes at -inf, not reduced by a masked max,
+and where every lane is selected it is the largest exponent, so no clamp
+follows it.  The disjunction selects every live row at weight 1, so its
+multiplications by the weights, which leave every value as it is, are
+left out.  The window layer builds its four ramps as one array and all
+its masks from one comparison, and saves, next to the windows, the
+masks of the steps that move with each window end; the backward forms
+the temporal layer's selection-weight gradient only at those lanes
+(about two per slot), and the disjunction's, which nothing reads, not
+at all.  Predicate rows take two passes, (flip * sign) * x - flip * b.
+Each of these gives the output and gradient bits of the arithmetic it
+replaced.  Only the temporal layer checks its selection (an empty window
+raises EmptySelectionError): a live conjunction row has an open gate by
+construction, and the disjunction's weights are ones.
+
+What depends only on shapes is made once, not per pass: the flat start
+of every row of each layer's (n, ..., width) arrays, the time grid and
+each slope's ramp shifts are kept per shape in small read-only caches,
+and the slot constants (axes, flip * sign, flip, -flip, the largest
+axis) once per `NetworkShape`.  A pass then runs numpy calls on the
+batch and the parameters alone.
 
 A pass writes its (n, k, length)-sized intermediates into a workspace
 the caller owns: a dict of float64 arrays keyed by layer, name and the
@@ -50,11 +64,10 @@ n asked for, and a smaller batch or chunk gets its leading slice, so the
 last partial batch of `train` and the last partial chunk of
 `network_outputs` reuse the full one's memory (1.8 MB on 1500 naval
 tracks) instead of allocating a second set.  One such array of a naval
-training batch (50 x 8 x 61) takes 195 kB, and a pass with its backward
-needs about twenty; reuse spares the allocator that work on every batch.
-`train` and `network_outputs` each keep one workspace per call;
-`ws=None` gives fresh arrays.  The arithmetic is the same ufunc sequence
-either way, so the bits are too.
+training batch (50 x 8 x 61) takes 195 kB.  `train` and
+`network_outputs` each keep one workspace per call; `ws=None` gives
+fresh arrays.  The arithmetic is the same ufunc sequence either way, so
+the bits are too.
 The arrays a `NetworkPass` saves are valid only until the next pass on
 the same workspace, so call its `vjp` before then.
 """
@@ -63,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -158,17 +171,18 @@ class NetworkShape:
         return len(self.slots)
 
     @cached_property
-    def constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """What `network_pass` reads of the slots, made once: the axes,
-        flip * sign as a (k, 1) column and flip, where flip = -1 marks an
-        always-slot (softmin(r) = -softmax(-r) flips sign on the way in
-        and out)."""
+        flip * sign as a (k, 1) column, flip and -flip, where flip = -1
+        marks an always-slot (softmin(r) = -softmax(-r) flips sign on the
+        way in and out), and the largest axis."""
         axes = np.array([slot.axis for slot in self.slots], dtype=np.intp)
         flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in self.slots])
         flip_sign = (flip * [slot.sign for slot in self.slots])[:, None]
-        for array in (axes, flip_sign, flip):
+        neg_flip = -flip
+        for array in (axes, flip_sign, flip, neg_flip):
             array.flags.writeable = False
-        return axes, flip_sign, flip
+        return axes, flip_sign, flip, neg_flip, int(axes.max())
 
     @classmethod
     def cycled(cls, dim: int, k: Optional[int] = None, m: int = 2) -> "NetworkShape":
@@ -232,7 +246,7 @@ class ModelParams:
 
     def zeros(self) -> "ModelParams":
         """Zero parameters of this shape, as gradients use."""
-        return ModelParams.__new__(ModelParams)._view(np.zeros_like(self._flat), self._M.shape)
+        return ModelParams.__new__(ModelParams)._view(np.zeros(self._flat.size), self._M.shape)
 
     def gates(self) -> np.ndarray:
         """The binary gate matrix: M thresholded at 0.5."""
@@ -247,7 +261,7 @@ class ModelParams:
     def non_finite_entry(self) -> Optional[str]:
         """The first non-finite entry ('b[j]', ..., 'M[i, j]'), or None."""
         finite = np.isfinite(self._flat)
-        if finite.all():
+        if np.count_nonzero(finite) == finite.size:
             return None
         group, j = divmod(int(finite.argmin()), self._b.size)
         return f"{('b', 't1', 't2')[group]}[{j}]" if group < 3 else f"M[{group - 3}, {j}]"
@@ -304,8 +318,32 @@ def guarantee_failure(
     return None
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, 0.0)
+@lru_cache(maxsize=64)
+def _row_starts(shape: tuple) -> np.ndarray:
+    """The flat index of the first entry of every row (last axis) of a
+    C-contiguous array of the given shape, shaped like its rows.  Made
+    once per shape, read-only, as every pass of that shape shares it."""
+    starts = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
+    starts.flags.writeable = False
+    return starts
+
+
+@lru_cache(maxsize=16)
+def _grid(length: int) -> np.ndarray:
+    """The time steps 0..length-1 as floats, made once per length, read-only."""
+    grid = np.arange(length, dtype=np.float64)
+    grid.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=16)
+def _ramp_shifts(slope: float) -> np.ndarray:
+    """What each window end moves by to give its two ramps' offsets, as a
+    (2, 2, 1) array: t1 - slope and t1 + 0.0, t2 + slope and t2 + 0.0.
+    Made once per slope, read-only."""
+    shifts = np.array([[[-slope], [0.0]], [[slope], [0.0]]])
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _buffer(ws: Optional[dict], layer: str, name: str, shape: tuple) -> np.ndarray:
@@ -323,10 +361,16 @@ def _buffer(ws: Optional[dict], layer: str, name: str, shape: tuple) -> np.ndarr
 
 
 def _softmax_rows(
-    r: np.ndarray, w: np.ndarray, p: ActivationParams, ws: Optional[dict] = None, layer: str = ""
+    r: np.ndarray,
+    w: Optional[np.ndarray],
+    p: ActivationParams,
+    ws: Optional[dict] = None,
+    layer: str = "",
 ):
-    """Sparse softmax along the last axis; `w` broadcasts against `r` and
-    must select at least one entry in each of its rows.
+    """Sparse softmax along the last axis of r * w.  `w` broadcasts
+    against r, r * w has r's leading axes and w's trailing ones, and every
+    row of w must select an entry; None selects every lane at weight 1,
+    and then r * w is r itself (x * 1.0 is x).
 
     Returns the values and the intermediates `_softmax_vjp` reads; the
     ones shaped like r * w live in workspace `ws` under `layer`.  Each
@@ -341,11 +385,9 @@ def _softmax_rows(
     the selected maximum only in the sign of a zero, which leaves every
     exp(min(zs - shift, 0)) as it is.
     """
-    if not (np.maximum.reduce(w, axis=-1) > 0.0).all():
-        raise EmptySelectionError("selection weights are all zero (empty time window)")
-    shape = np.broadcast(r, w).shape
-    rp = np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
-    starts = np.arange(0, rp.size, shape[-1]).reshape(shape[:-1])
+    shape = r.shape if w is None else r.shape[: r.ndim - w.ndim] + w.shape
+    rp = r if w is None else np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
+    starts = _row_starts(shape)
     first = rp.argmax(axis=-1)
     first += starts
     top = rp.take(first)
@@ -354,17 +396,19 @@ def _softmax_rows(
     rph = rp if p.h == 1.0 else np.multiply(rp, p.h, out=_buffer(ws, layer, "rph", shape))
     zs = np.divide(rph, den, out=_buffer(ws, layer, "ez", shape))
     np.multiply(zs, p.beta, out=zs)
-    if np.minimum.reduce(w, axis=None) > 0.0:
-        shift = zs.take(first)
+    # exp(min(zs - shift, 0)) overwrites zs, which the backward does not need
+    if w is None or np.minimum.reduce(w, axis=None) > 0.0:
+        # the shift is the largest exponent, so zs - shift <= 0 already (up
+        # to the sign of a zero, which exp does not see): no clamp
+        np.subtract(zs, zs.take(first)[..., None], out=zs)
     else:
         masked = np.add(zs, np.where(w > 0.0, 0.0, -np.inf), out=_buffer(ws, layer, "tmp", shape))
         at = masked.argmax(axis=-1)
         at += starts
-        shift = zs.take(at)
-    np.subtract(zs, shift[..., None], out=zs)
-    # exp(min(zs, 0)) overwrites zs, which the backward does not need
-    ez = np.exp(np.minimum(zs, 0.0, out=zs), out=zs)
-    u = np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
+        np.subtract(zs, zs.take(at)[..., None], out=zs)
+        np.minimum(zs, 0.0, out=zs)
+    ez = np.exp(zs, out=zs)
+    u = ez if w is None else np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
     num = np.add.reduce(np.multiply(r, u, out=_buffer(ws, layer, "tmp", shape)), axis=-1)
     den2 = np.add.reduce(u, axis=-1)
     return num / den2, (r, w, rp, den, ez, u, num, den2, first, top, rph)
@@ -388,35 +432,44 @@ def _softmax_vjp(
     `ws` under `layer`, and the gradient wrt w: also shaped like r * w
     when `lanes` is None, else only its sum over the leading axis at the
     flat indices `lanes` into the trailing axes, bit for bit (r must then
-    have the shape of r * w; empty `lanes` skip it).  The gradient of |max r'| goes to the first maximal
-    entry, times the sign of the max: the forward's saved flat index
-    `first` and value `top`.  The clamp min(zs, 0) passes no gradient:
-    zs <= 0 on every lane with w > 0, and every other lane has u = 0
-    whatever zs is.
+    have the shape of r * w; empty `lanes` skip it).  The gradient of
+    |max r'| goes to the first maximal entry, times the sign of the max:
+    the forward's saved flat index `first` and value `top`.  The clamp
+    min(zs, 0) passes no gradient: zs <= 0 on every lane with w > 0, and
+    every other lane has u = 0 whatever zs is.  With w None (weights of
+    ones) the multiplications by w are left out, as x * 1.0 is x.
     """
     r, w, rp, den, ez, u, num, den2, first, top, rph = saved
     shape = rp.shape
     g_num = (g / den2)[..., None]
     g_u = np.multiply(g_num, r, out=_buffer(ws, layer, "g_u", shape))
-    np.add((-g * num / (den2 * den2))[..., None], g_u, out=g_u)
-    g_rpp = np.multiply(g_u, w, out=_buffer(ws, layer, "g_rp", shape))
-    np.multiply(g_rpp, ez, out=g_rpp)
+    # g_u - g * num / den2^2 is g_u + (-g * num / den2^2): x - y is x + (-y)
+    np.subtract(g_u, (g * num / (den2 * den2))[..., None], out=g_u)
+    g_rpp = _buffer(ws, layer, "g_rp", shape)
+    if w is None:
+        np.multiply(g_u, ez, out=g_rpp)
+    else:
+        np.multiply(g_u, w, out=g_rpp)
+        np.multiply(g_rpp, ez, out=g_rpp)
     np.multiply(g_rpp, p.beta, out=g_rpp)
     t1 = np.multiply(g_rpp, rph, out=_buffer(ws, layer, "tmp", shape))
     np.divide(t1, den * den, out=t1)
     # the sum of the negated terms: 0 - sum is -sum, and +0.0 when zero
     g_den = 0.0 - np.add.reduce(t1, axis=-1)
-    sign = np.where(top > 0.0, 1.0, np.where(top < 0.0, -1.0, 0.0))
-    # g_rp = g_rpp / den * h + g_max, where g_max is g_den * sign at each
-    # row's first maximum and +0.0 elsewhere; adding 0.0 turns -0.0 into 0.0
+    # g_rp = g_rpp / den * h + g_max, where g_max is g_den * sign(top) at
+    # each row's first maximum and +0.0 elsewhere; adding 0.0 turns -0.0
+    # into 0.0, and sign(+-0.0) is +0.0
     g_rp = np.divide(g_rpp, den, out=g_rpp)
     if p.h != 1.0:
         np.multiply(g_rp, p.h, out=g_rp)
-    at_first = g_rp.take(first) + g_den * sign
+    at_first = g_rp.take(first) + g_den * np.sign(top)
     np.add(g_rp, 0.0, out=g_rp)
     g_rp.put(first, at_first)
     g_r = np.multiply(g_num, u, out=t1)
-    np.add(g_r, np.multiply(g_rp, w, out=_buffer(ws, layer, "tmp2", shape)), out=g_r)
+    if w is None:
+        np.add(g_r, g_rp, out=g_r)
+    else:
+        np.add(g_r, np.multiply(g_rp, w, out=_buffer(ws, layer, "tmp2", shape)), out=g_r)
     if lanes is None:
         g_w = np.multiply(g_u, ez, out=g_u)
         np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
@@ -435,7 +488,8 @@ def _softmax_vjp(
 
 def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
     """Soft indicator of [t1, t2] on the grid 0..length-1 for every slot,
-    shape (k, length), and the two masks `_window_vjp` reads.
+    shape (k, length), and the masks `_window_vjp` reads, stacked as one
+    (2, k, length) boolean array: the steps that move with t1, then t2.
 
     Trapezoid built from relu ramps: rises from 0 at t1-slope to 1 at t1,
     stays 1 through t2, and falls back to 0 at t2+slope.  For integer
@@ -444,27 +498,51 @@ def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
     t1 where the rise is lower and moving (on (t1 - slope, t1]), and with
     t2 where the fall is lower and moving (on [t2, t2 + slope)), as relu
     passes gradient only where its input is > 0; the masks mark those steps.
+
+    The four ramps grid - (t1 - slope), grid - t1, (t2 + slope) - grid
+    and t2 - grid are one (2, 2, k, length) array, the t2 pair negated
+    from grid - (t2 + slope) and grid - t2 (a - b is exactly -(b - a),
+    t + 0.0 only turns -0.0 into +0.0, and a relu or a comparison with 0
+    does not see the sign of a zero), and one comparison with 0 gives
+    every mask.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
-    grid = np.arange(length, dtype=np.float64)
-    t1 = np.asarray(t1, dtype=np.float64)[:, None]
-    t2 = np.asarray(t2, dtype=np.float64)[:, None]
-    up, up_end, down, down_end = grid - (t1 - slope), grid - t1, (t2 + slope) - grid, t2 - grid
-    rise = (_relu(up) - _relu(up_end)) * (1.0 / slope)
-    fall = (_relu(down) - _relu(down_end)) * (1.0 / slope)
+    offsets = np.array((t1, t2), dtype=np.float64)[:, None, :] + _ramp_shifts(slope)
+    ramps = np.subtract(_grid(length), offsets[..., None])
+    np.negative(ramps[1], out=ramps[1])
+    live = ramps > 0.0
+    # max(x, 0.0) may keep the sign of a zero x, which no window bit shows:
+    # zero relus meet only in differences whose other side is +0.0 or > 0
+    relu = np.maximum(ramps, 0.0)
+    # rise and fall: the outer ramp's relu minus the inner one's
+    rise_fall = relu[:, 0] - relu[:, 1]
+    # x * 1.0 is x, so slope 1 saves a pass
+    if slope != 1.0:
+        rise_fall *= 1.0 / slope
+    rise, fall = rise_fall
     excess = rise - fall
     on_fall = excess > 0.0
-    at_t1 = (up > 0.0) & (up_end <= 0.0) & ~on_fall
-    at_t2 = (down > 0.0) & (down_end <= 0.0) & on_fall
-    return rise - _relu(excess), (at_t1, at_t2)
+    windows = rise - np.maximum(excess, 0.0)
+    # a step moves with an end where its outer ramp is > 0 and its inner
+    # one is not (up > 0 and up_end <= 0, down > 0 and down_end <= 0), with
+    # t1 only off the fall and with t2 only on it (for booleans a > b is
+    # a and not b)
+    ends = live[:, 0] > live[:, 1]
+    np.greater(ends[0], on_fall, out=ends[0])
+    np.logical_and(ends[1], on_fall, out=ends[1])
+    return windows, ends
 
 
-def _window_vjp(g: np.ndarray, ends: tuple, slope: float):
-    """Gradients of sum(g * windows) wrt t1 and t2, each of shape (k,),
-    from the masks `ends` that `_window_rows` returned with the windows."""
-    at_t1, at_t2 = ends
-    return (g * at_t1).sum(axis=-1) * (-1.0 / slope), (g * at_t2).sum(axis=-1) * (1.0 / slope)
+def _window_vjp(g: np.ndarray, ends: np.ndarray, slope: float) -> np.ndarray:
+    """Gradients of sum(g * windows) wrt t1 and t2, as the rows of a (2, k)
+    array, from the masks `ends` that `_window_rows` returned with the
+    windows.  Each row sum of g * mask is scaled by -1/slope (t1) or
+    1/slope (t2); x * -c is exactly -(x * c)."""
+    grads = np.add.reduce(g * ends, axis=-1)
+    grads *= 1.0 / slope
+    np.negative(grads[0], out=grads[0])
+    return grads
 
 
 @dataclass
@@ -478,9 +556,9 @@ class NetworkPass:
     out: np.ndarray
     params: ModelParams
     p: ActivationParams
-    flip: np.ndarray
+    neg_flip: np.ndarray
     live: np.ndarray
-    window_ends: tuple
+    window_ends: np.ndarray
     temporal: tuple
     conjunction: tuple
     disjunction: Optional[tuple]
@@ -502,21 +580,23 @@ class NetworkPass:
             g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction", _NO_LANES)[0]
         # each row pools -g with a softmax: h = -softmax(-g)
         g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p, ws, "conjunction")
-        # the window gradient reads g_w only where a window end moves it
-        at_t1, at_t2 = self.window_ends
-        lanes = (at_t1 | at_t2).ravel().nonzero()[0]
+        # the window gradient reads g_w only where a window end moves it:
+        # the t1 lanes, then the t2 ones (the two masks are disjoint)
+        ends = self.window_ends
+        lanes = ends.reshape(2, -1).nonzero()[1]
+        # the slot outputs entered the rows as -flip * g, and -x * f is x * -f
         g_in, g_lanes = _softmax_vjp(
-            -np.add.reduce(g_neg, axis=1) * self.flip, self.temporal, p, ws, "temporal", lanes
+            np.add.reduce(g_neg, axis=1) * self.neg_flip, self.temporal, p, ws, "temporal", lanes
         )
         # +0.0 off the lanes: _window_vjp reads those only through sums,
         # and a numpy sum whose terms are all zeros is +0.0 whatever their signs
-        g_windows = np.zeros(at_t1.shape)
+        g_windows = np.zeros(ends.shape[1:])
         g_windows.put(lanes, g_lanes)
         grads = self.params.zeros()
-        grads.t1[:], grads.t2[:] = _window_vjp(g_windows, self.window_ends, p.slope)
+        grads.t1[:], grads.t2[:] = _window_vjp(g_windows, ends, p.slope)
         grads.M[self.live] = np.add.reduce(g_gates, axis=0)
         # rows = flip * (sign * x - b) enter the temporal softmax
-        np.multiply(-self.flip, np.add.reduce(g_in, axis=(0, 2)), out=grads.b)
+        np.multiply(self.neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=grads.b)
         return grads
 
 
@@ -546,12 +626,15 @@ def network_pass(
     bad = params.non_finite_entry()
     if bad is not None:
         raise NonFiniteError(f"non-finite parameter {bad}")
-    gates = params.gates()
-    axes, flip_sign, flip = shape.constants
-    if axes.max() >= X.shape[2]:
+    axes, flip_sign, flip, neg_flip, top_axis = shape.constants
+    if top_axis >= X.shape[2]:
         j = int(np.argmax(axes >= X.shape[2]))
         raise ValueError(f"slot {j} reads axis {axes[j]}, but the data has dim {X.shape[2]}")
     windows, window_ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    # the window layer's selection: the windows are >= 0, so each row
+    # selects a step when its largest entry is not zero
+    if np.count_nonzero(np.maximum.reduce(windows, axis=-1)) < shape.k:
+        raise EmptySelectionError("selection weights are all zero (empty time window)")
     # contiguous (n, k, length): sums over time then run along memory,
     # which trains StopAndGo about 7% faster than the strided view
     rows = _buffer(ws, "temporal", "r", (X.shape[0], shape.k, X.shape[1]))
@@ -563,18 +646,20 @@ def network_pass(
     np.multiply(flip_sign, rows, out=rows)
     np.subtract(rows, (flip * params.b)[:, None], out=rows)
     g, temporal = _softmax_rows(rows, windows, p, ws, "temporal")
-    g = flip * g
+    gates = params.gates()
     live = np.logical_or.reduce(gates > 0.0, axis=1).nonzero()[0]
     if not live.size:
         raise EmptyFormulaError("every conjunction row is gated off")
-    h, conjunction = _softmax_rows(-g[:, None, :], gates[live], p, ws, "conjunction")
-    h = -h
+    # slot outputs are flip * g, and each live row pools their negation
+    # (-(flip * g) is -flip * g) over its open gates, which select a slot
+    h, conjunction = _softmax_rows((neg_flip * g)[:, None, :], gates[live], p, ws, "conjunction")
     if len(live) == 1:
-        out, disjunction = h[:, 0], None
+        out, disjunction = -h[:, 0], None
     else:
-        out, disjunction = _softmax_rows(h, np.ones(len(live)), p, ws, "disjunction")
+        h = np.negative(h, out=_buffer(ws, "disjunction", "r", h.shape))
+        out, disjunction = _softmax_rows(h, None, p, ws, "disjunction")
     return NetworkPass(
-        out, params, p, flip, live, window_ends, temporal, conjunction, disjunction, ws
+        out, params, p, neg_flip, live, window_ends, temporal, conjunction, disjunction, ws
     )
 
 

@@ -13,6 +13,16 @@ gradient reaches M.  After every step the parameters are projected back
 into their feasible box: gates into [0, 1], window ends into [0, l-1]
 with t1 <= t2.
 
+What a training run needs once it makes once, before the first batch:
+the network shape and its slot constants, the labels as floats, the
+per-entry learning rates and feasible box, and one workspace for every
+batch's pass.  A batch then gathers its signals and labels, runs the
+pass and its backward, takes the loss with one finiteness test on its
+sum (the sample at fault is looked for only when that test fails),
+checks the gradient, and takes one Adam step (its norm from one square
+of the flat gradient, summed per group in layout order) and one
+projection (a max and a min against the box).
+
 Extraction thresholds the gate matrix at 0.5, drops rows with no open
 gate, floors t1 and ceils t2, and reads one conjunction clause per
 surviving row.  Pruning then greedily zeroes gates one at a time in
@@ -209,8 +219,13 @@ class _Optimizer:
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         """Update params in place from grads, which leaves grads as it is."""
-        # the norm sums group by group, in layout order
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in (grads.b, grads.t1, grads.t2, grads.M)))
+        # the norm sums group by group, in layout order: b, t1 and t2 as
+        # the rows of one (3, k) sum, then M (a contiguous 2-D sum is the
+        # sum of its flat run)
+        square = grads.flat * grads.flat
+        k = grads.b.size
+        s_b, s_t1, s_t2 = np.add.reduce(square[: 3 * k].reshape(3, k), axis=1).tolist()
+        norm = math.sqrt(s_b + s_t1 + s_t2 + float(np.add.reduce(square[3 * k :])))
         g = grads.flat * (GRAD_CLIP / norm) if norm > GRAD_CLIP else grads.flat
         self.t += 1
         self.m *= ADAM_BETA1
@@ -259,9 +274,10 @@ def _feasible_box(params: ModelParams, length: int) -> tuple[np.ndarray, np.ndar
 def project_params(params: ModelParams, lo: np.ndarray, hi: np.ndarray) -> None:
     """Clamp parameters in place to their feasible box [lo, hi] (see
     `_feasible_box`) after a step; crossed window ends meet in the middle."""
-    np.clip(params.flat, lo, hi, out=params.flat)
+    # max then min is clip, and two ufunc calls cost less than np.clip's wrapper
+    np.minimum(np.maximum(params.flat, lo, out=params.flat), hi, out=params.flat)
     swapped = params.t1 > params.t2
-    if swapped.any():
+    if np.count_nonzero(swapped):
         mid = 0.5 * (params.t1[swapped] + params.t2[swapped])
         params.t1[swapped] = params.t2[swapped] = mid
 
@@ -365,27 +381,34 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
 
 def _batch_gradients(X, y, batch, params, shape, p, ws=None):
     """One batch: the network pass (in workspace ws), the mean loss and
-    its gradients.
+    its gradients; y holds the labels of every sample, as floats or ints.
 
     Returns (gradients in the parameters' layout, mean loss, misclassified
     count).  Raises NonFiniteError naming the first non-finite parameter,
     network output, loss or gradient entry.
     """
     fwd = network_pass(X[batch], params, shape, p, ws=ws)
-    labels = y[batch].astype(np.float64)
+    neg = -y[batch]
+    z = neg * fwd.out
+    # the terms are >= 0, so a finite mean has finite terms, and a finite
+    # sum of z (= +-out) finite outputs; else find the sample to name
     with np.errstate(over="ignore"):
-        terms = np.exp(-labels * fwd.out)
-        mean = float(terms.mean())
-    bad = np.flatnonzero(~(np.isfinite(fwd.out) & np.isfinite(terms)))
-    if bad.size:
-        s = bad[0]
-        what = "network output" if not math.isfinite(fwd.out[s]) else "loss"
-        raise NonFiniteError(f"non-finite {what} of sample {batch[s]}")
-    if not math.isfinite(mean):
-        raise NonFiniteError("non-finite batch loss")
-    wrong = int(np.count_nonzero((fwd.out > 0.0) != (labels > 0.0)))
+        terms = np.exp(z)
+        mean = float(np.add.reduce(terms)) / len(batch)
+        finite = math.isfinite(mean) and math.isfinite(np.add.reduce(z))
+    if not finite:
+        bad = np.flatnonzero(~(np.isfinite(fwd.out) & np.isfinite(terms)))
+        if bad.size:
+            s = bad[0]
+            what = "network output" if not math.isfinite(fwd.out[s]) else "loss"
+            raise NonFiniteError(f"non-finite {what} of sample {batch[s]}")
+        if not math.isfinite(mean):
+            raise NonFiniteError("non-finite batch loss")
+    wrong = int(np.count_nonzero((fwd.out > 0.0) != (neg < 0.0)))
     # d mean / d out_s = exp(-y_s out_s) * -y_s / n
-    grads = fwd.vjp(terms * -labels / len(batch))
+    terms *= neg
+    terms /= len(batch)
+    grads = fwd.vjp(terms)
     bad = grads.non_finite_entry()
     if bad is not None:
         raise NonFiniteError(f"non-finite gradient of {bad}")
@@ -436,7 +459,8 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     opt = _Optimizer(ModelParams(rate, rate, rate, np.full(params.M.shape, LR_GATES)).flat)
     box = _feasible_box(params, length)
 
-    n, X, y = len(data), data.X, data.y
+    # labels as floats once, so that a batch reads its own without a cast
+    n, X, y = len(data), data.X, data.y.astype(np.float64)
     losses: List[float] = []
     train_mcr: List[float] = []
     epoch_seconds: List[float] = []

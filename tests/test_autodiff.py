@@ -40,6 +40,8 @@ from util import (
     softmax_rows_oracle,
     softmax_vjp_oracle,
     time_indicator_values,
+    window_rows_oracle,
+    window_vjp_oracle,
 )
 
 P = ActivationParams()  # beta 25, h 1
@@ -115,6 +117,41 @@ def test_relu_subgradient_at_zero_is_zero():
     assert window[5] == 1.0 and window[8] == 1.0
     assert window_grads(5.0, 8.0, 1.0, onehot[5]) == (-1.0, 0.0)
     assert window_grads(5.0, 8.0, 1.0, onehot[8]) == (0.0, 0.0)
+
+
+def test_windows_equal_the_previous_arithmetic():
+    # the four ramps as one array, one comparison for every mask and
+    # max(x, 0.0) for each relu give the windows, masks and window
+    # gradients of the ramps taken one at a time, bit for bit; ends lie on
+    # the grid, between steps, at a ramp's kink, crossed or past the signal
+    rng = np.random.default_rng(48)
+    seen = set()
+    for _ in range(400):
+        k, length = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        slope = float(rng.choice([0.25, 0.5, 1.0, 3.0, 2.5]))
+        grid_ends = rng.random() < 0.5
+        ends = rng.integers(-3, length + 3, (2, k)).astype(np.float64)
+        if not grid_ends:
+            ends += rng.choice([0.0, 0.5, slope, -slope, rng.uniform(-1.0, 1.0)], (2, k))
+        ends[:, rng.random(k) < 0.2] = -0.0
+        t1, t2 = ends
+        windows, masks = _window_rows(t1, t2, slope, length)
+        want, want_masks = window_rows_oracle(t1, t2, slope, length)
+        assert windows.tobytes() == want.tobytes()
+        assert masks.shape == (2, k, length)
+        assert masks[0].tobytes() == want_masks[0].tobytes()
+        assert masks[1].tobytes() == want_masks[1].tobytes()
+        g = rng.choice([-1.5, -0.0, 0.0, 2.0], (k, length)) * rng.normal(size=(k, length))
+        got = _window_vjp(g, masks, slope)
+        assert got.tobytes() == np.stack(window_vjp_oracle(g, want_masks, slope)).tobytes()
+        seen.add(("crossed", bool((t1 > t2).any())))
+        seen.add(("both masks", bool(masks[0].any() and masks[1].any())))
+        seen.add(("zero end", bool((np.signbit(ends) & (ends == 0.0)).any())))
+        seen.add(("slope 1", slope == 1.0))
+        seen.add(("-0.0 gradient", bool(np.signbit(got[got == 0.0]).any())))
+    assert {case for case, hit in seen if hit} == {
+        "crossed", "both masks", "zero end", "slope 1", "-0.0 gradient",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +345,12 @@ def previous_arithmetic_draw(rng):
 
 def test_pass_equals_the_previous_arithmetic():
     # the shift read at a masked argmax, the weight gradient formed only
-    # at the lanes that move a window end, and predicate rows in two
-    # passes give the bytes of the masked max, the full weight gradient
-    # and the three-pass rows, on fresh arrays and in a workspace
+    # at the lanes that move a window end, predicate rows in two passes,
+    # the stacked window ramps, no clamp where every lane is selected and
+    # the disjunction's weights of ones left out give the bytes of the
+    # masked max, the full weight gradient, the three-pass rows, the
+    # ramps one at a time, the clamp and the multiplications by ones, on
+    # fresh arrays and in a workspace
     rng = np.random.default_rng(46)
     ws = {}
     seen = set()
@@ -326,13 +366,22 @@ def test_pass_equals_the_previous_arithmetic():
         windows = fwd.temporal[1]
         seen.add(("partial window", bool((windows == 0.0).any())))
         seen.add(("slope != 1", p.slope != 1.0))
+        seen.add(("slope 1", p.slope == 1.0))
         seen.add(("h != 1", p.h != 1.0))
         lanes = np.count_nonzero(fwd.window_ends[0] | fwd.window_ends[1])
         seen.add(("one lane, n >= 8", lanes == 1 and len(X) >= 8))
+        seen.add(("one live row, no disjunction", fwd.disjunction is None))
+        seen.add(("live rows >= 2, disjunction over ones", fwd.disjunction is not None))
+        for layer in ("temporal", "conjunction"):
+            every = bool(getattr(fwd, layer)[1].min() > 0.0)
+            seen.add((f"{layer}, every lane selected", every))
+            seen.add((f"{layer}, some lane unselected", not every))
         for saved in (fwd.temporal, fwd.conjunction, fwd.disjunction):
             if saved is None:
                 continue
             w, rp, top = saved[1], saved[2], saved[9]
+            if w is None:  # the disjunction selects every lane at weight 1
+                w = np.ones(rp.shape[-1])
             selected = np.broadcast_to(w > 0.0, rp.shape)
             best = np.where(selected, rp, -np.inf).max(axis=-1)
             seen.add(("tie", bool(((rp == best[..., None]) & selected).sum(axis=-1).max() > 1)))
@@ -341,7 +390,10 @@ def test_pass_equals_the_previous_arithmetic():
             partial = ~selected.all(axis=-1)
             seen.add(("all negative, partial", bool(((best < 0.0) & partial).any())))
     assert {case for case, hit in seen if hit} == {
-        "closed slot", "partial window", "slope != 1", "h != 1", "one lane, n >= 8",
+        "closed slot", "partial window", "slope != 1", "slope 1", "h != 1", "one lane, n >= 8",
+        "one live row, no disjunction", "live rows >= 2, disjunction over ones",
+        "temporal, every lane selected", "temporal, some lane unselected",
+        "conjunction, every lane selected", "conjunction, some lane unselected",
         "tie", "+0 max", "-0 max", "all negative, partial",
     }
 

@@ -204,6 +204,27 @@ def test_train_names_a_negative_seed(cli_env, tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
+def test_train_refuses_an_out_path_that_is_a_file(cli_env, tmp_path, capsys, monkeypatch):
+    # refused before the data is read or a step is trained
+    csv, cfg, _ = cli_env
+    out = tmp_path / "a.csv"
+    out.write_bytes(b"kept\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained despite a file at --out")
+
+    monkeypatch.setattr(stlinfer.cli, "train", refuse)
+    for data in (csv, tmp_path / "nope.csv"):
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: --out {out} is a file, not a directory\n")
+        # a directory under the file could not be made either
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out / "run")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: --out {out / 'run'}: {out} is a file, not a directory\n")
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r")])
     assert rc == 1

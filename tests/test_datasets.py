@@ -4,6 +4,7 @@ sits, and that the CSV round trip is lossless, through the parse and
 through the binary twin alike."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,20 @@ def test_labeled_dataset_validation():
         dataset_from_samples([(sig, 1), (Signal(np.zeros((5, 1))), -1)])
     with pytest.raises(ValueError, match="disagree on dimension"):
         dataset_from_samples([(sig, 1), (Signal(np.zeros((4, 2))), -1)])
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 1), (2, 3, 0), (1, 0, 0)])
+def test_labeled_dataset_refuses_signals_without_a_step_or_an_axis(shape):
+    # mcr and train would read a step or an axis that is not there
+    text = f"signals need length and dim of at least 1, got X of shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        LabeledDataset(np.zeros(shape), [1] * shape[0])
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 5, 0), (0, 0, 2)])
+def test_labeled_dataset_keeps_an_empty_set_of_any_shape(shape):
+    data = LabeledDataset(np.zeros(shape), np.zeros(0, dtype=np.int64))
+    assert len(data) == 0 and data.X.shape == shape
 
 
 # ---------------------------------------------------------------------------

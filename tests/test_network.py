@@ -125,8 +125,10 @@ def test_zero_weight_entries_cannot_affect_the_output():
 
 
 def test_empty_selection_raises():
+    # the temporal layer refuses a window that selects no step, here one
+    # past the end of a two-step signal
     with pytest.raises(EmptySelectionError, match="empty time window"):
-        sparse_softmax_value(np.array([1.0, 2.0]), np.zeros(2), P)
+        _temporal_value([1.0, 2.0], 3, 3, TemporalOp.EVENTUALLY, P)
 
 
 def test_deeply_negative_selected_values_stay_finite():

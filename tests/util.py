@@ -10,11 +10,14 @@ the per-sample pruning loop the batched `simplify` replaced, kept as its
 reference.  `softmax_vjp_oracle` and `FourGroupAdam` are the backward
 routing and the optimizer as they were before the forward saved its
 first maxima and the parameters became one flat vector; the library
-versions must keep their bytes.  `softmax_rows_oracle` and
+versions must keep their bytes.  `train_oracle` is the training loop
+built from these references, which `train` must match byte for byte.  `softmax_rows_oracle` and
 `network_pass_oracle` are the forward and backward as they were before
 the pass dropped the arithmetic nothing reads: a masked max for the
-shift, predicate rows in three passes, and the full selection-weight
-gradient summed over the batch before `_window_vjp` picks its lanes.
+shift, predicate rows in three passes, the full selection-weight
+gradient summed over the batch before the window gradient picks its
+lanes, and the window layer's ramps, relus and masks one at a time
+(`window_rows_oracle`, `window_vjp_oracle`).
 The `*_value` helpers run the batched layers on one row.  The random
 builders produce formulas whose connectives alternate, so printing and
 reparsing reproduces the tree node for node.  `dataset_from_samples`
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +80,17 @@ from stlinfer.network import (
     NetworkShape,
     _softmax_rows,
     _window_rows,
-    _window_vjp,
 )
 from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
-from stlinfer.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP, formula_from_gates
+from stlinfer.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    GRAD_CLIP,
+    LR_GATES,
+    formula_from_gates,
+    init_params,
+)
 
 
 def dataset_from_samples(samples) -> LabeledDataset:
@@ -166,14 +177,42 @@ def softmax_rows_oracle(r, w, p: ActivationParams):
     return num / den2, (r, w, rp, den, ez, u, num, den2)
 
 
+def _relu(x):
+    return np.where(x > 0.0, x, 0.0)
+
+
+def window_rows_oracle(t1, t2, slope: float, length: int):
+    """`_window_rows` as it was before its four ramps became one array:
+    each ramp, relu and mask on its own, the masks as a pair (at_t1, at_t2)."""
+    grid = np.arange(length, dtype=np.float64)
+    t1 = np.asarray(t1, dtype=np.float64)[:, None]
+    t2 = np.asarray(t2, dtype=np.float64)[:, None]
+    up, up_end, down, down_end = grid - (t1 - slope), grid - t1, (t2 + slope) - grid, t2 - grid
+    rise = (_relu(up) - _relu(up_end)) * (1.0 / slope)
+    fall = (_relu(down) - _relu(down_end)) * (1.0 / slope)
+    excess = rise - fall
+    on_fall = excess > 0.0
+    at_t1 = (up > 0.0) & (up_end <= 0.0) & ~on_fall
+    at_t2 = (down > 0.0) & (down_end <= 0.0) & on_fall
+    return rise - _relu(excess), (at_t1, at_t2)
+
+
+def window_vjp_oracle(g, ends, slope: float):
+    """`_window_vjp` as it was: (t1 gradient, t2 gradient) from the masks
+    `window_rows_oracle` returns."""
+    at_t1, at_t2 = ends
+    return (g * at_t1).sum(axis=-1) * (-1.0 / slope), (g * at_t2).sum(axis=-1) * (1.0 / slope)
+
+
 def network_pass_oracle(X, params: ModelParams, shape: NetworkShape, p: ActivationParams, dout):
     """`network_pass` and its `vjp` for output gradients dout, as
-    (out, gradients as a ModelParams): predicate rows as sign * x, minus
-    b, times flip; every layer through the oracles above; the temporal
-    layer's weight gradient over every lane, summed over the batch, then
-    `_window_vjp`."""
+    (out, gradients as a ModelParams): windows and their gradients through
+    the window oracles above; predicate rows as sign * x, minus b, times
+    flip; every softmax through the oracles above, the disjunction's over
+    weights of ones; the temporal layer's weight gradient over every
+    lane, summed over the batch."""
     gates = params.gates()
-    windows, ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    windows, ends = window_rows_oracle(params.t1, params.t2, p.slope, X.shape[1])
     signs = np.array([[slot.sign] for slot in shape.slots], dtype=np.float64)
     flip = np.array([-1.0 if slot.op is TemporalOp.ALWAYS else 1.0 for slot in shape.slots])
     rows = np.take(X.transpose(0, 2, 1), [slot.axis for slot in shape.slots], axis=1)
@@ -191,7 +230,7 @@ def network_pass_oracle(X, params: ModelParams, shape: NetworkShape, p: Activati
     g_neg, g_gates = softmax_vjp_oracle(-g_h, conjunction, p)
     g_in, g_windows = softmax_vjp_oracle(-g_neg.sum(axis=1) * flip, temporal, p)
     grads = params.zeros()
-    grads.t1[:], grads.t2[:] = _window_vjp(g_windows.sum(axis=0), ends, p.slope)
+    grads.t1[:], grads.t2[:] = window_vjp_oracle(g_windows.sum(axis=0), ends, p.slope)
     grads.M[live] = g_gates.sum(axis=0)
     grads.b[:] = -flip * g_in.sum(axis=(0, 2))
     return out, grads
@@ -219,6 +258,53 @@ class FourGroupAdam:
             mhat = self.m[name] / (1 - ADAM_BETA1**self.t)
             vhat = self.v[name] / (1 - ADAM_BETA2**self.t)
             x -= self.lrs[name] * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def train_oracle(data: LabeledDataset, cfg):
+    """The training loop of `train`, step by step from the references:
+    `init_params` and one `rng.permutation` per epoch from the seed, the
+    beta and slope schedule, each batch through `network_pass_oracle`
+    with the loss exp(-y * out) and its mean by `mean()`, `FourGroupAdam`,
+    then np.clip on each group and crossed window ends set to their
+    midpoint.  Returns (params, losses, train_mcr)."""
+    shape = NetworkShape.cycled(data.dim, cfg.k if cfg.k > 0 else None, cfg.m)
+    p_final = cfg.activation()
+    rng = np.random.default_rng([cfg.seed, 7])
+    params = init_params(data, shape, data.length, rng)
+    groups = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
+    adam = FourGroupAdam({"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": LR_GATES})
+    beta0 = cfg.beta_start if cfg.beta_start > 0 else cfg.beta
+    n, last = len(data), float(data.length - 1)
+    losses, train_mcr = [], []
+    for epoch in range(cfg.epochs):
+        p = p_final
+        if epoch < cfg.epochs - 1:
+            frac = epoch / (cfg.epochs - 1)
+            ramp = 0.0 if frac <= cfg.beta_hold else (frac - cfg.beta_hold) / (1.0 - cfg.beta_hold)
+            p = replace(
+                p_final,
+                slope=cfg.slope_start + (cfg.slope_end - cfg.slope_start) * frac,
+                beta=beta0 + (cfg.beta - beta0) * ramp,
+            )
+        order = rng.permutation(n)
+        loss_sum, wrong = 0.0, 0
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            X, labels = data.X[batch], data.y[batch].astype(np.float64)
+            out = network_pass_oracle(X, params, shape, p, np.zeros(len(batch)))[0]
+            terms = np.exp(-labels * out)
+            loss_sum += float(terms.mean()) * len(batch)
+            wrong += int(np.count_nonzero((out > 0.0) != (labels > 0.0)))
+            grads = network_pass_oracle(X, params, shape, p, terms * -labels / len(batch))[1]
+            adam.step(groups, {name: getattr(grads, name) for name in groups})
+            np.clip(params.t1, 0.0, last, out=params.t1)
+            np.clip(params.t2, 0.0, last, out=params.t2)
+            np.clip(params.M, 0.0, 1.0, out=params.M)
+            crossed = params.t1 > params.t2
+            params.t1[crossed] = params.t2[crossed] = 0.5 * (params.t1[crossed] + params.t2[crossed])
+        losses.append(loss_sum / n)
+        train_mcr.append(wrong / n)
+    return params, losses, train_mcr
 
 
 def selected_softmax_oracle(r, w, beta: float, h: float, eps: float = 1e-8) -> float:
