@@ -1,12 +1,11 @@
 """Differentiable formula network: axis-aligned predicates, windowed
 temporal pooling, and a gated conjunction/disjunction stage.
 
-Every pooling step uses a sparse softmax (or softmin) whose output sign
-provably matches the sign of the true selected extremum whenever the
-temperature, output bound and vector length satisfy a simple inequality;
-soundness_bound_check tests it.  That property is what lets a formula read
-out of the trained parameters classify exactly like the network itself.
-
+Every pooling step is a sparse softmax (or softmin).  Its output has the
+sign of the true selected extremum whenever h*e^(beta*h) > (l-1)/(e*beta)
+(`soundness_bound_check`), which lets a formula read out of the trained
+parameters classify exactly like the network; `guarantee_failure` names
+the precondition of that agreement a set of activation parameters fails.
 The sparse softmax of values r with selection weights w and parameters
 (beta, h, eps) is
 
@@ -15,61 +14,24 @@ The sparse softmax of values r with selection weights w and parameters
     q_i   = softmax(beta * r'')_i
     out   = sum_i r_i w_i q_i / sum_i w_i q_i
 
-computed here in ratio form with the common softmax normalizer cancelled
-and exponents shifted by a constant, which is algebraically identical but
-immune to exp underflow when every selected value is deeply negative.
-Entries with w_i = 0 contribute exactly zero to both sums, so perturbing
-them never changes the output.
+computed in ratio form with the exponents shifted by the largest
+selected one, so that lane's exp is 1 and no ratio is 0 / 0.  Lanes with
+w_i = 0 add exactly zero to both sums: their values never move the output.
 
-The network is computed one way: `network_pass` runs it on numpy arrays
-over a batch of signals X (n, length, dim) and keeps the intermediates
-that `NetworkPass.vjp` turns into gradients of the four parameter groups
-in closed form.  Training calls the pair once per batch; every value-only
-use (`network_outputs`, hence evaluation and sign agreement, which share
-one sign vector per model and dataset) runs the same forward over signals
-taken CHUNK at a time.  `guarantee_failure` names the precondition of
-sign agreement that a set of activation parameters fails, if any.
+`network_pass` is the one implementation of the network: it runs over a
+batch X (n, length, dim) and saves what `NetworkPass.vjp` reads to give
+the gradients of b, t1, t2 and M in closed form.  `train` calls the pair
+once per batch; `network_outputs`, hence evaluation and sign agreement,
+runs the same pass over CHUNK signals at a time.
 
-The pass does only the arithmetic its outputs and gradients read, and
-the backward recomputes nothing the forward found.  Each softmax layer
-saves the flat index of every row's first maximum, its value `top` and
-r' * h, so the backward routes the normalizer's gradient with a plain
-take and put.  The exponent shift is read at the first maximum of the
-exponents with unselected lanes at -inf, not reduced by a masked max,
-and where every lane is selected it is the largest exponent, so no clamp
-follows it.  The disjunction selects every live row at weight 1, so its
-multiplications by the weights, which leave every value as it is, are
-left out.  The window layer builds its four ramps as one array and all
-its masks from one comparison, and saves, next to the windows, the
-masks of the steps that move with each window end; the backward forms
-the temporal layer's selection-weight gradient only at those lanes
-(about two per slot), and the disjunction's, which nothing reads, not
-at all.  Predicate rows take two passes, (flip * sign) * x - flip * b.
-Each of these gives the output and gradient bits of the arithmetic it
-replaced.  Only the temporal layer checks its selection (an empty window
-raises EmptySelectionError): a live conjunction row has an open gate by
-construction, and the disjunction's weights are ones.
-
-What depends only on shapes is made once, not per pass: the flat start
-of every row of each layer's (n, ..., width) arrays, the time grid and
-each slope's ramp shifts are kept per shape in small read-only caches,
-and the slot constants (axes, flip * sign, flip, -flip, the largest
-axis) once per `NetworkShape`.  A pass then runs numpy calls on the
-batch and the parameters alone.
-
-A pass writes its (n, k, length)-sized intermediates into a workspace
-the caller owns: a dict of float64 arrays keyed by layer, name and the
-shape past the leading (sample) axis.  Each array is made for the largest
-n asked for, and a smaller batch or chunk gets its leading slice, so the
-last partial batch of `train` and the last partial chunk of
-`network_outputs` reuse the full one's memory (1.8 MB on 1500 naval
-tracks) instead of allocating a second set.  One such array of a naval
-training batch (50 x 8 x 61) takes 195 kB.  `train` and
-`network_outputs` each keep one workspace per call; `ws=None` gives
-fresh arrays.  The arithmetic is the same ufunc sequence either way, so
-the bits are too.
-The arrays a `NetworkPass` saves are valid only until the next pass on
-the same workspace, so call its `vjp` before then.
+A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
+a dict of float64 arrays keyed by layer, name and the shape past the
+sample axis, each made for the largest n yet asked for, so a smaller
+batch uses its leading slice.  `ws=None` gives fresh arrays and the same
+bits.  What a `NetworkPass` saves is valid until the next pass on its
+workspace; `vjp` writes only its own buffers, and its gradients are a
+fresh `ModelParams`.  Arrays that depend only on shapes (row starts, the
+time grid, ramp shifts) live in small read-only caches.
 """
 
 from __future__ import annotations
@@ -414,30 +376,33 @@ def _softmax_rows(
     return num / den2, (r, w, rp, den, ez, u, num, den2, first, top, rph)
 
 
-# the lanes of a softmax whose weights need no gradient
-_NO_LANES = np.empty(0, dtype=np.intp)
-
-
 def _softmax_vjp(
     g: np.ndarray,
     saved,
     p: ActivationParams,
     ws: Optional[dict] = None,
     layer: str = "",
-    lanes: Optional[np.ndarray] = None,
 ):
     """Backward of `_softmax_rows` for output gradients g.
 
-    Returns the gradient wrt r, shaped like r * w and held in workspace
-    `ws` under `layer`, and the gradient wrt w: also shaped like r * w
-    when `lanes` is None, else only its sum over the leading axis at the
-    flat indices `lanes` into the trailing axes, bit for bit (r must then
-    have the shape of r * w; empty `lanes` skip it).  The gradient of
-    |max r'| goes to the first maximal entry, times the sign of the max:
-    the forward's saved flat index `first` and value `top`.  The clamp
-    min(zs, 0) passes no gradient: zs <= 0 on every lane with w > 0, and
-    every other lane has u = 0 whatever zs is.  With w None (weights of
-    ones) the multiplications by w are left out, as x * 1.0 is x.
+    Returns (g_r, g_w), the gradients wrt r and w, both shaped like r * w;
+    where w broadcast along leading axes, its gradient is the sum of g_w
+    over them.  With u = w * ez, num = sum r * u and den2 = sum u (the
+    output is num / den2) and den = |top| + eps:
+
+        g_u   = g * r / den2 - g * num / den2^2
+        g_r'' = g_u * w * ez * beta                 (r'' = h * r' / den)
+        g_r'  = g_r'' * h / den, plus sign(top) * -sum(g_r'' * r' * h / den^2)
+                at the row's first maximum of r'
+        g_r   = g * u / den2 + g_r' * w
+        g_w   = g_u * ez + g_r' * r
+
+    The first maximum is the forward's saved flat index `first`, and `top`
+    its value.  The clamp min(zs, 0) passes no gradient: zs <= 0 on every
+    lane with w > 0, and every other lane has u = 0 whatever zs is.  With w
+    None (weights of ones) the multiplications by w are left out, as
+    x * 1.0 is x.  g_r and g_w are buffers of workspace `ws` under `layer`,
+    valid until the next pass or backward on it.
     """
     r, w, rp, den, ez, u, num, den2, first, top, rph = saved
     shape = rp.shape
@@ -470,20 +435,9 @@ def _softmax_vjp(
         np.add(g_r, g_rp, out=g_r)
     else:
         np.add(g_r, np.multiply(g_rp, w, out=_buffer(ws, layer, "tmp2", shape)), out=g_r)
-    if lanes is None:
-        g_w = np.multiply(g_u, ez, out=g_u)
-        np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
-        return g_r, g_w
-    if not lanes.size:
-        return g_r, np.empty(0)
-    # numpy sums a (n, >= 2) array over n row after row, as it does the
-    # full (n, ...) array, but a single column pairwise: read one lane twice
-    cols = np.repeat(lanes, 2) if lanes.size == 1 < rp[0].size else lanes
-    n = shape[0]
-    g_w = g_u.reshape(n, -1).take(cols, axis=1)
-    g_w *= ez.reshape(n, -1).take(cols, axis=1)
-    g_w += g_rp.reshape(n, -1).take(cols, axis=1) * r.reshape(n, -1).take(cols, axis=1)
-    return g_r, np.add.reduce(g_w, axis=0)[: lanes.size]
+    g_w = np.multiply(g_u, ez, out=g_u)
+    np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
+    return g_r, g_w
 
 
 def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
@@ -506,8 +460,6 @@ def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
     does not see the sign of a zero), and one comparison with 0 gives
     every mask.
     """
-    if slope <= 0:
-        raise ValueError("slope must be positive")
     offsets = np.array((t1, t2), dtype=np.float64)[:, None, :] + _ramp_shifts(slope)
     ramps = np.subtract(_grid(length), offsets[..., None])
     np.negative(ramps[1], out=ramps[1])
@@ -577,23 +529,18 @@ class NetworkPass:
         if self.disjunction is None:
             g_h = dout[:, None]
         else:
-            g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction", _NO_LANES)[0]
+            # the disjunction's weights are ones: their gradient goes unread
+            g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction")[0]
         # each row pools -g with a softmax: h = -softmax(-g)
         g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p, ws, "conjunction")
-        # the window gradient reads g_w only where a window end moves it:
-        # the t1 lanes, then the t2 ones (the two masks are disjoint)
-        ends = self.window_ends
-        lanes = ends.reshape(2, -1).nonzero()[1]
         # the slot outputs entered the rows as -flip * g, and -x * f is x * -f
-        g_in, g_lanes = _softmax_vjp(
-            np.add.reduce(g_neg, axis=1) * self.neg_flip, self.temporal, p, ws, "temporal", lanes
+        g_in, g_windows = _softmax_vjp(
+            np.add.reduce(g_neg, axis=1) * self.neg_flip, self.temporal, p, ws, "temporal"
         )
-        # +0.0 off the lanes: _window_vjp reads those only through sums,
-        # and a numpy sum whose terms are all zeros is +0.0 whatever their signs
-        g_windows = np.zeros(ends.shape[1:])
-        g_windows.put(lanes, g_lanes)
         grads = self.params.zeros()
-        grads.t1[:], grads.t2[:] = _window_vjp(g_windows, ends, p.slope)
+        grads.t1[:], grads.t2[:] = _window_vjp(
+            np.add.reduce(g_windows, axis=0), self.window_ends, p.slope
+        )
         grads.M[self.live] = np.add.reduce(g_gates, axis=0)
         # rows = flip * (sign * x - b) enter the temporal softmax
         np.multiply(self.neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=grads.b)
@@ -635,8 +582,7 @@ def network_pass(
     # selects a step when its largest entry is not zero
     if np.count_nonzero(np.maximum.reduce(windows, axis=-1)) < shape.k:
         raise EmptySelectionError("selection weights are all zero (empty time window)")
-    # contiguous (n, k, length): sums over time then run along memory,
-    # which trains StopAndGo about 7% faster than the strided view
+    # contiguous (n, k, length), so that sums over time run along memory
     rows = _buffer(ws, "temporal", "r", (X.shape[0], shape.k, X.shape[1]))
     # the axes are checked above; mode="clip" lets take write rows directly
     X.transpose(0, 2, 1).take(axes, axis=1, out=rows, mode="clip")

@@ -222,11 +222,18 @@ class _Optimizer:
         # the norm sums group by group, in layout order: b, t1 and t2 as
         # the rows of one (3, k) sum, then M (a contiguous 2-D sum is the
         # sum of its flat run)
-        square = grads.flat * grads.flat
         k = grads.b.size
-        s_b, s_t1, s_t2 = np.add.reduce(square[: 3 * k].reshape(3, k), axis=1).tolist()
-        norm = math.sqrt(s_b + s_t1 + s_t2 + float(np.add.reduce(square[3 * k :])))
-        g = grads.flat * (GRAD_CLIP / norm) if norm > GRAD_CLIP else grads.flat
+        with np.errstate(over="ignore"):
+            square = grads.flat * grads.flat
+            s_b, s_t1, s_t2 = np.add.reduce(square[: 3 * k].reshape(3, k), axis=1).tolist()
+            norm = math.sqrt(s_b + s_t1 + s_t2 + float(np.add.reduce(square[3 * k :])))
+        if math.isinf(norm):
+            # the squares of finite gradients overflowed: clip the gradients
+            # scaled by their largest magnitude s, whose norm is norm / s
+            scaled = grads.flat / np.abs(grads.flat).max()
+            g = scaled * (GRAD_CLIP / math.sqrt(np.add.reduce(scaled * scaled)))
+        else:
+            g = grads.flat * (GRAD_CLIP / norm) if norm > GRAD_CLIP else grads.flat
         self.t += 1
         self.m *= ADAM_BETA1
         self.m += (1 - ADAM_BETA1) * g

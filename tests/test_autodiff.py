@@ -344,13 +344,13 @@ def previous_arithmetic_draw(rng):
 
 
 def test_pass_equals_the_previous_arithmetic():
-    # the shift read at a masked argmax, the weight gradient formed only
-    # at the lanes that move a window end, predicate rows in two passes,
-    # the stacked window ramps, no clamp where every lane is selected and
-    # the disjunction's weights of ones left out give the bytes of the
-    # masked max, the full weight gradient, the three-pass rows, the
-    # ramps one at a time, the clamp and the multiplications by ones, on
-    # fresh arrays and in a workspace
+    # the shift read at a masked argmax, predicate rows in two passes, the
+    # stacked window ramps, no clamp where every lane is selected and the
+    # disjunction's weights of ones left out give the bytes of the masked
+    # max, the three-pass rows, the ramps one at a time, the clamp and the
+    # multiplications by ones, on fresh arrays and in a workspace; the
+    # window gradient sums the full weight gradient over the batch, then
+    # over each end's steps, in the oracle's order
     rng = np.random.default_rng(46)
     ws = {}
     seen = set()
@@ -370,6 +370,8 @@ def test_pass_equals_the_previous_arithmetic():
         seen.add(("h != 1", p.h != 1.0))
         lanes = np.count_nonzero(fwd.window_ends[0] | fwd.window_ends[1])
         seen.add(("one lane, n >= 8", lanes == 1 and len(X) >= 8))
+        # where a sum over time has three or more terms, its order could matter
+        seen.add(("an end moved by three or more steps", bool((fwd.window_ends.sum(axis=-1) >= 3).any())))
         seen.add(("one live row, no disjunction", fwd.disjunction is None))
         seen.add(("live rows >= 2, disjunction over ones", fwd.disjunction is not None))
         for layer in ("temporal", "conjunction"):
@@ -391,6 +393,7 @@ def test_pass_equals_the_previous_arithmetic():
             seen.add(("all negative, partial", bool(((best < 0.0) & partial).any())))
     assert {case for case, hit in seen if hit} == {
         "closed slot", "partial window", "slope != 1", "slope 1", "h != 1", "one lane, n >= 8",
+        "an end moved by three or more steps",
         "one live row, no disjunction", "live rows >= 2, disjunction over ones",
         "temporal, every lane selected", "temporal, some lane unselected",
         "conjunction, every lane selected", "conjunction, some lane unselected",

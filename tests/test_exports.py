@@ -82,3 +82,32 @@ def test_perfbench_reads_only_package_names():
     assert {"gen_naval", "gen_driving_pair", "train", "load_model"} <= {name for _, name in read}
     missing = sorted(f"{script}: st.{name}" for script, name in read if not hasattr(stlinfer, name))
     assert missing == []
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # a private function, class or constant that nothing in the package
+    # reads besides its own definition is dead code (tests do not count)
+    src = Path(stlinfer.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in (d for d in defined if d.startswith("_") and not d.startswith("__")):
+                used = any(
+                    (isinstance(ref, ast.Name) and ref.id == private)
+                    or (isinstance(ref, ast.Attribute) and ref.attr == private)
+                    for other_name, other in trees.items()
+                    for statement in other.body
+                    if not (other_name == name and statement is node)
+                    for ref in ast.walk(statement)
+                )
+                if not used:
+                    unused.append(f"{name}: {private}")
+    assert unused == []

@@ -212,9 +212,10 @@ def test_indicator_fractional_shoulder():
     assert got[2] == 0.0 and got[3] == 0.5 and got[4] == 1.0
 
 
-def test_indicator_rejects_bad_slope():
+def test_activation_params_refuse_zero_slope():
+    # the window layer divides by the slope, which only ActivationParams checks
     with pytest.raises(ValueError, match="slope"):
-        time_indicator_values(0.0, 3.0, 0.0, 5)
+        ActivationParams(slope=0.0)
 
 
 # ---------------------------------------------------------------------------

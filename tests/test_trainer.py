@@ -5,6 +5,7 @@ hand-built parameter matrices, plus the training-loop contracts
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -175,6 +176,31 @@ def test_flat_adam_equals_adam_by_group():
             assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), (step, name)
             assert np.shares_memory(getattr(params, name), params.flat)
     assert any(clipped) and not all(clipped)
+
+
+@pytest.mark.parametrize("big", [[1e200, 0.0], [3e200, -4e200], [1e300, 1e300]])
+def test_overflowing_squares_still_clip_the_step(big):
+    # finite gradients whose squares overflow: the step applies them
+    # clipped to norm GRAD_CLIP, not a zero step, and numpy warns nothing
+    start = ModelParams([0.5, -0.5], [0.0, 1.0], [3.0, 4.0], [[0.5, 0.5]])
+    params = start.copy()
+    grads = params.zeros()
+    grads.b[:] = big
+    opt = trainer._Optimizer(np.full(params.flat.size, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step(params, grads)
+    clipped = np.array(big) / math.hypot(*big) * GRAD_CLIP
+    assert opt.m[:2] == pytest.approx(0.1 * clipped, rel=1e-12)
+    # a first Adam step moves each entry by its rate, up to ADAM_EPS
+    assert params.b == pytest.approx(start.b - 0.25 * np.sign(big), rel=1e-7)
+    assert params.flat[2:].tobytes() == start.flat[2:].tobytes()
+    if big[1] == 0.0:
+        # the scaled gradient is exactly (1, 0), as GRAD_CLIP itself gives
+        ref = start.copy()
+        grads.b[:] = [GRAD_CLIP, 0.0]
+        trainer._Optimizer(np.full(ref.flat.size, 0.25)).step(ref, grads)
+        assert params.flat.tobytes() == ref.flat.tobytes()
 
 
 @pytest.mark.parametrize("name", ["tiny_driving_pair", "tiny_naval"])

@@ -14,10 +14,10 @@ versions must keep their bytes.  `train_oracle` is the training loop
 built from these references, which `train` must match byte for byte.  `softmax_rows_oracle` and
 `network_pass_oracle` are the forward and backward as they were before
 the pass dropped the arithmetic nothing reads: a masked max for the
-shift, predicate rows in three passes, the full selection-weight
-gradient summed over the batch before the window gradient picks its
-lanes, and the window layer's ramps, relus and masks one at a time
-(`window_rows_oracle`, `window_vjp_oracle`).
+shift, predicate rows in three passes, and the window layer's ramps,
+relus and masks one at a time (`window_rows_oracle`,
+`window_vjp_oracle`); like the library, it sums the full selection-weight
+gradient over the batch before the window gradient reads it.
 The `*_value` helpers run the batched layers on one row.  The random
 builders produce formulas whose connectives alternate, so printing and
 reparsing reproduces the tree node for node.  `dataset_from_samples`
