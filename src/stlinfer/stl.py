@@ -47,7 +47,6 @@ __all__ = [
     "ParseError",
     "robustness",
     "satisfies",
-    "clauses_hold",
     "satisfied",
     "mcr",
     "format_formula",
@@ -219,18 +218,6 @@ def _axis_outside(f: Formula, axis: int, dim: int) -> str:
 def satisfies(signal: Signal, formula: Formula) -> bool:
     """Strict satisfaction: robustness at time 0 must be positive."""
     return robustness(signal, formula, 0) > 0.0
-
-
-def clauses_hold(holds: np.ndarray, use: np.ndarray) -> np.ndarray:
-    """Verdict of a DNF on each sample, from which atoms hold.
-
-    holds (n, atoms) marks the atoms with positive robustness on each
-    sample; use (clauses, atoms) marks the atoms each clause conjoins.
-    Sample i satisfies the DNF iff some non-empty clause has every atom it
-    uses holding.  Robustness 0 of either sign does not hold, so no tie
-    rule is needed.
-    """
-    return ((holds[:, None, :] | ~use).all(axis=2) & use.any(axis=1)).any(axis=1)
 
 
 def satisfied(X: np.ndarray, formula: Formula) -> np.ndarray:

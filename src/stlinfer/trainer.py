@@ -28,7 +28,8 @@ gate, floors t1 and ceils t2, and reads one conjunction clause per
 surviving row.  Pruning then greedily zeroes gates one at a time in
 row-major order, keeping a removal only when the exact-semantics
 misclassification count on the training data is unchanged, so the pruned
-formula never classifies worse than the extracted one.
+formula never classifies worse than the extracted one.  A trial
+recomputes the exact verdict of only the clause it changes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .stl import (
     Formula,
     Predicate,
     TemporalAtom,
-    clauses_hold,
     dnf,
     format_formula,
     satisfied,
@@ -254,15 +254,16 @@ def init_params(
     rng: np.random.Generator,
 ) -> ModelParams:
     """Offsets drawn inside the 10th-90th percentile band of each slot's
-    signed axis values; windows start full; gates start near 0.5."""
-    b = np.empty(shape.k)
-    bands = {}  # (axis, sign) -> (lo, hi); k = 4 * dim repeats every pair
-    for j, slot in enumerate(shape.slots):
-        key = (slot.axis, slot.sign)
-        if key not in bands:
-            bands[key] = np.percentile(slot.sign * data.X[:, :, slot.axis].ravel(), [10.0, 90.0])
-        lo, hi = bands[key]
-        b[j] = rng.uniform(lo, hi)
+    signed axis values; windows start full; gates start near 0.5.  Both
+    signs' bands come from one sort per axis: the sign -1 values, sorted,
+    are the sort negated and reversed (a percentile sees only values)."""
+    bands = {}  # (axis, sign) -> (lo, hi)
+    for axis in {slot.axis for slot in shape.slots}:
+        s = np.sort(data.X[:, :, axis], axis=None)
+        bands[axis, 1] = np.percentile(s, [10.0, 90.0])
+        # the negated copy is ours to partition: no second copy at the peak
+        bands[axis, -1] = np.percentile(-s[::-1], [10.0, 90.0], overwrite_input=True)
+    b = np.array([rng.uniform(*bands[slot.axis, slot.sign]) for slot in shape.slots])
     t1 = np.zeros(shape.k)
     t2 = np.full(shape.k, float(length - 1))
     M = rng.uniform(0.4, 0.6, size=(shape.m, shape.k))
@@ -342,10 +343,10 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     reach.  A removal that would close every gate is skipped, since an
     empty matrix encodes no formula.  Returns the pruned binary matrix.
 
-    Each slot atom's verdicts come from `satisfied` once, and every trial
-    is `clauses_hold` over the matrix of holding atoms (one row per
-    sample, one column per slot the extracted formula uses) with the
-    trial's gate rows as clauses.
+    Each open slot atom's verdicts come from `satisfied` once, as a row
+    of a (k, N) matrix, and each gate row's clause verdict once, as the
+    AND of its open atoms' rows; a trial recomputes only the row it closes
+    gates in, and ORs the clause verdicts.
     """
     if not len(data):
         raise ValueError("cannot simplify against an empty dataset")
@@ -356,34 +357,39 @@ def simplify(params: ModelParams, shape: NetworkShape, data: LabeledDataset) -> 
     if not used.size:
         raise EmptyFormulaError("every gate is closed; nothing to simplify")
     atoms = _slot_atoms(params, shape)
-    holds = np.stack([satisfied(data.X, atoms[j]) for j in used], axis=1)
+    holds = np.empty((shape.k, len(data)), dtype=bool)
+    for j in used:
+        holds[j] = satisfied(data.X, atoms[j])
     positive = data.y == 1
 
-    def wrong_count(trial: np.ndarray) -> int:
-        return int(np.count_nonzero(clauses_hold(holds, trial[:, used] > 0.0) != positive))
+    def clause(row: np.ndarray) -> np.ndarray:
+        # the AND of no rows is all True, but a row with no open gate holds nowhere
+        return np.logical_and.reduce(holds[row > 0.0]) & row.any()
 
-    baseline = wrong_count(gates)
+    verdicts = [clause(row) for row in gates]
+    baseline = _wrong_count(verdicts, positive)
 
-    def try_zero(mask: np.ndarray) -> None:
-        nonlocal gates
+    def try_closing(i: int, cols) -> None:
+        nonlocal gates, verdicts
         trial = gates.copy()
-        trial[mask] = 0.0
+        trial[i, cols] = 0.0
         if not trial.any() or np.array_equal(trial, gates):
             return
-        if wrong_count(trial) == baseline:
-            gates = trial
+        rows = verdicts.copy()
+        rows[i] = clause(trial[i])
+        if _wrong_count(rows, positive) == baseline:
+            gates, verdicts = trial, rows
 
+    for i, j in np.ndindex(gates.shape):
+        try_closing(i, j)
     for i in range(gates.shape[0]):
-        for j in range(gates.shape[1]):
-            if gates[i, j] != 0.0:
-                single = np.zeros_like(gates, dtype=bool)
-                single[i, j] = True
-                try_zero(single)
-    for i in range(gates.shape[0]):
-        row = np.zeros_like(gates, dtype=bool)
-        row[i, :] = True
-        try_zero(row)
+        try_closing(i, slice(None))
     return gates
+
+
+def _wrong_count(verdicts: List[np.ndarray], positive: np.ndarray) -> int:
+    """Misclassified samples of the DNF whose clause verdicts are given."""
+    return int(np.count_nonzero(np.logical_or.reduce(verdicts) != positive))
 
 
 def _batch_gradients(X, y, batch, params, shape, p, ws=None):

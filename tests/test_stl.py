@@ -16,7 +16,6 @@ from stlinfer.stl import (
     Signal,
     TemporalAtom,
     TemporalOp,
-    clauses_hold,
     dnf,
     dnf_clauses,
     format_formula,
@@ -394,10 +393,3 @@ def test_satisfied_matches_per_signal_satisfies(seed, depth, coarse, short):
     got = satisfied(X, f)
     assert got.dtype == bool and np.array_equal(got, want)
 
-
-def test_clauses_hold_needs_a_non_empty_clause_of_holding_atoms():
-    holds = np.array([[True, False, True], [False, False, False], [True, True, True]])
-    use = np.array([[True, True, False], [False, False, True]])
-    assert clauses_hold(holds, use).tolist() == [True, False, True]
-    # a clause that uses no atom holds on no sample
-    assert clauses_hold(holds, np.zeros((1, 3), dtype=bool)).tolist() == [False] * 3

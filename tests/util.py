@@ -7,10 +7,12 @@ stays algebraically honest.  `naive_network_output` builds the whole
 network for one signal from those oracles and an explicit trapezoid
 window, as the reference for the batched forward.  `simplify_oracle` is
 the per-sample pruning loop the batched `simplify` replaced, kept as its
-reference.  `softmax_vjp_oracle` and `FourGroupAdam` are the backward
-routing and the optimizer as they were before the forward saved its
-first maxima and the parameters became one flat vector; the library
-versions must keep their bytes.  `train_oracle` is the training loop
+reference.  `init_params_oracle` is `init_params` as it was before each
+axis was sorted once: one percentile per (axis, sign) pair.
+`softmax_vjp_oracle` and `FourGroupAdam` are the backward routing and the
+optimizer as they were before the forward saved its first maxima and the
+parameters became one flat vector; the library versions must keep their
+bytes.  `train_oracle` is the training loop
 built from these references, which `train` must match byte for byte.  `softmax_rows_oracle` and
 `network_pass_oracle` are the forward and backward as they were before
 the pass dropped the arithmetic nothing reads: a masked max for the
@@ -89,7 +91,6 @@ from stlinfer.trainer import (
     GRAD_CLIP,
     LR_GATES,
     formula_from_gates,
-    init_params,
 )
 
 
@@ -262,7 +263,7 @@ class FourGroupAdam:
 
 def train_oracle(data: LabeledDataset, cfg):
     """The training loop of `train`, step by step from the references:
-    `init_params` and one `rng.permutation` per epoch from the seed, the
+    `init_params_oracle` and one `rng.permutation` per epoch from the seed, the
     beta and slope schedule, each batch through `network_pass_oracle`
     with the loss exp(-y * out) and its mean by `mean()`, `FourGroupAdam`,
     then np.clip on each group and crossed window ends set to their
@@ -270,7 +271,7 @@ def train_oracle(data: LabeledDataset, cfg):
     shape = NetworkShape.cycled(data.dim, cfg.k if cfg.k > 0 else None, cfg.m)
     p_final = cfg.activation()
     rng = np.random.default_rng([cfg.seed, 7])
-    params = init_params(data, shape, data.length, rng)
+    params = init_params_oracle(data, shape, data.length, rng)
     groups = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
     adam = FourGroupAdam({"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": LR_GATES})
     beta0 = cfg.beta_start if cfg.beta_start > 0 else cfg.beta
@@ -420,6 +421,23 @@ def random_tree(rng: np.random.Generator, dim: int, length: int, depth: int = 3,
         return TemporalAtom(op, t1, t2, random_tree(rng, dim, length, depth - 1, temporal=False))
     kind = And if rng.random() < 0.5 else Or
     return kind(tuple(random_tree(rng, dim, length, depth - 1, temporal) for _ in range(int(rng.integers(2, 4)))))
+
+
+def init_params_oracle(data, shape, length: int, rng: np.random.Generator) -> ModelParams:
+    """Initial parameters with one percentile call over the signed axis
+    values per (axis, sign) pair, drawn in slot order."""
+    b = np.empty(shape.k)
+    bands = {}
+    for j, slot in enumerate(shape.slots):
+        key = (slot.axis, slot.sign)
+        if key not in bands:
+            bands[key] = np.percentile(slot.sign * data.X[:, :, slot.axis].ravel(), [10.0, 90.0])
+        lo, hi = bands[key]
+        b[j] = rng.uniform(lo, hi)
+    t1 = np.zeros(shape.k)
+    t2 = np.full(shape.k, float(length - 1))
+    M = rng.uniform(0.4, 0.6, size=(shape.m, shape.k))
+    return ModelParams(b, t1, t2, M)
 
 
 def simplify_oracle(params, shape, data) -> np.ndarray:
