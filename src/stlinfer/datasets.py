@@ -26,10 +26,8 @@ sample: the integer label, then len*dim values in time-major order.  The
 round trip through save_csv/load_csv is lossless for float64 values.
 Both take _CSV_ROWS rows at a time through one file handle, so the text
 they hold does not grow with the file.  On a 10.8 MB naval CSV (4800
-tracks) save_csv allocates 0.6 MB at its peak, where a whole-file string
-took 3.0 times the file size, and load_csv allocates twice the 4.7 MB
-array it returns (the chunks, then their concatenation), where the whole
-text and its lines took 1.6 times the file size on top of the array.
+tracks) save_csv allocates 0.6 MB at its peak, and load_csv twice the
+4.7 MB array it returns (the chunks, then their concatenation).
 
 Parsing the decimal text is most of load_csv's time, so save_csv also
 writes a binary twin beside the CSV: `data.csv` gets `data.csv.npy`,
@@ -356,12 +354,10 @@ def _naval_knots(kind: str, x0: float, y0: float, rng: np.random.Generator):
         # dip into the island band early, recover, still make the harbor
         times = [0, _ISLAND_ARRIVE, _ISLAND_LEAVE, _HARBOR_TIME + 5, last]
         return times, [x0, _ISLAND_X, _ISLAND_X - 4.0, hx, hx], [y0, _ISLAND_Y, _ISLAND_Y, hy, hy]
-    if kind == "abort":
-        # turn back to open sea; never enters the harbor
-        ox, oy = _OPEN_SEA
-        times = [0, _ABORT_TURN, _ABORT_HOME, last]
-        return times, [x0, _ABORT_X, ox, ox], [y0, y0 + rng.uniform(-1.0, 2.0), oy, oy]
-    raise ValueError(f"unknown naval track kind '{kind}'")
+    # abort: turn back to open sea; never enters the harbor
+    ox, oy = _OPEN_SEA
+    times = [0, _ABORT_TURN, _ABORT_HOME, last]
+    return times, [x0, _ABORT_X, ox, ox], [y0, y0 + rng.uniform(-1.0, 2.0), oy, oy]
 
 
 def gen_naval(count: int, seed: int = 0) -> LabeledDataset:
@@ -482,7 +478,7 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
     fails, a per-line pass with int() and float() names the bad line, or
     reads what float() reads and np.loadtxt does not (such as `1_0`).  Both
     give the same bits for every value.  A leading UTF-8 byte-order mark
-    is skipped.
+    is skipped; text that is not UTF-8 is refused, naming its first line.
 
     The twin that save_csv wrote is read instead when its digest matches
     the CSV's bytes; it holds the same bits the parse gives.
@@ -490,34 +486,50 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
     twin = _read_twin(path)
     if twin is not None:
         return twin
-    with open(path, encoding="utf-8-sig", newline="\n") as f:
-        numbered = enumerate((ln.rstrip("\n") for ln in f), start=1)
-        lines = ((n, ln) for n, ln in numbered if ln.strip() != "")
-        head_no, head_line = next(lines, (0, None))
-        if head_line is None:
-            raise ValueError(f"{path}: empty file")
-        head = head_line.split(",")
-        if len(head) != 3 or head[0].strip() != "label":
-            raise ValueError(
-                f"{path}:{head_no}: expected header 'label,<dim>,<len>', got '{head_line}'"
-            )
-        try:
-            dim, length = int(head[1]), int(head[2])
-        except ValueError:
-            raise ValueError(
-                f"{path}:{head_no}: header dim and len must be integers, got '{head_line}'"
-            ) from None
-        if dim < 1 or length < 1:
-            raise ValueError(f"{path}:{head_no}: dim and len must be positive")
-        chunks = []
-        while rows := list(itertools.islice(lines, _CSV_ROWS)):
-            chunks.append(_read_chunk(path, rows, length, dim))
+    try:
+        with open(path, encoding="utf-8-sig", newline="\n") as f:
+            numbered = enumerate((ln.rstrip("\n") for ln in f), start=1)
+            lines = ((n, ln) for n, ln in numbered if ln.strip() != "")
+            head_no, head_line = next(lines, (0, None))
+            if head_line is None:
+                raise ValueError(f"{path}: empty file")
+            head = head_line.split(",")
+            if len(head) != 3 or head[0].strip() != "label":
+                raise ValueError(
+                    f"{path}:{head_no}: expected header 'label,<dim>,<len>', got '{head_line}'"
+                )
+            try:
+                dim, length = int(head[1]), int(head[2])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{head_no}: header dim and len must be integers, got '{head_line}'"
+                ) from None
+            if dim < 1 or length < 1:
+                raise ValueError(f"{path}:{head_no}: dim and len must be positive")
+            chunks = []
+            while rows := list(itertools.islice(lines, _CSV_ROWS)):
+                chunks.append(_read_chunk(path, rows, length, dim))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not chunks:
         raise ValueError(f"{path}: no data rows")
     X = np.concatenate([chunk.X for chunk in chunks])
     y = np.concatenate([chunk.y for chunk in chunks])
     del chunks  # freed before LabeledDataset checks X
     return LabeledDataset(X, y)
+
+
+def _not_utf8(path) -> ValueError:
+    """The error for a file that is not UTF-8 text, naming the first line
+    that does not decode and its first bad byte.  Lines split at newline
+    bytes, which never fall inside a UTF-8 character."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ValueError(f"{path}:{lineno}: not UTF-8 text (byte 0x{line[e.start]:02x})")
+    return ValueError(f"{path}: not UTF-8 text")
 
 
 def _read_chunk(path, rows, length: int, dim: int) -> LabeledDataset:

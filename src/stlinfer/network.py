@@ -27,18 +27,16 @@ runs the same pass over CHUNK signals at a time.
 A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
 a dict of float64 arrays keyed by layer, name and the shape past the
 sample axis, each made for the largest n yet asked for, so a smaller
-batch uses its leading slice.  `ws=None` gives fresh arrays and the same
-bits.  What a `NetworkPass` saves is valid until the next pass on its
-workspace; `vjp` writes only its own buffers, and its gradients are a
-fresh `ModelParams`.  Arrays that depend only on shapes (row starts, the
-time grid, ramp shifts) live in small read-only caches.
+batch uses its leading slice.  What a `NetworkPass` saves is valid until
+the next pass on its workspace; `vjp` writes only its own buffers, and
+its gradients are a fresh `ModelParams`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -203,9 +201,6 @@ class ModelParams:
     t2 = property(lambda self: self._t2, doc="window ends, shape (k,)")
     M = property(lambda self: self._M, doc="conjunction gates, shape (m, k)")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self._b, self._t1, self._t2, self._M)
-
     def zeros(self) -> "ModelParams":
         """Zero parameters of this shape, as gradients use."""
         return ModelParams.__new__(ModelParams)._view(np.zeros(self._flat.size), self._M.shape)
@@ -280,41 +275,11 @@ def guarantee_failure(
     return None
 
 
-@lru_cache(maxsize=64)
-def _row_starts(shape: tuple) -> np.ndarray:
-    """The flat index of the first entry of every row (last axis) of a
-    C-contiguous array of the given shape, shaped like its rows.  Made
-    once per shape, read-only, as every pass of that shape shares it."""
-    starts = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
-    starts.flags.writeable = False
-    return starts
-
-
-@lru_cache(maxsize=16)
-def _grid(length: int) -> np.ndarray:
-    """The time steps 0..length-1 as floats, made once per length, read-only."""
-    grid = np.arange(length, dtype=np.float64)
-    grid.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=16)
-def _ramp_shifts(slope: float) -> np.ndarray:
-    """What each window end moves by to give its two ramps' offsets, as a
-    (2, 2, 1) array: t1 - slope and t1 + 0.0, t2 + slope and t2 + 0.0.
-    Made once per slope, read-only."""
-    shifts = np.array([[[-slope], [0.0]], [[slope], [0.0]]])
-    shifts.flags.writeable = False
-    return shifts
-
-
-def _buffer(ws: Optional[dict], layer: str, name: str, shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array of the given shape: a fresh one when
-    ws is None, else the leading slice of the workspace's array under
-    (layer, name, trailing shape), made for the largest leading size yet
-    asked for.  An exact fit is the array itself, not a view."""
-    if ws is None:
-        return np.empty(shape)
+def _buffer(ws: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of the given shape: the leading slice
+    of the workspace's array under (layer, name, trailing shape), made for
+    the largest leading size yet asked for.  An exact fit is the array
+    itself, not a view."""
     key = (layer, name, shape[1:])
     buf = ws.get(key)
     if buf is None or len(buf) < shape[0]:
@@ -323,11 +288,7 @@ def _buffer(ws: Optional[dict], layer: str, name: str, shape: tuple) -> np.ndarr
 
 
 def _softmax_rows(
-    r: np.ndarray,
-    w: Optional[np.ndarray],
-    p: ActivationParams,
-    ws: Optional[dict] = None,
-    layer: str = "",
+    r: np.ndarray, w: Optional[np.ndarray], p: ActivationParams, ws: dict, layer: str
 ):
     """Sparse softmax along the last axis of r * w.  `w` broadcasts
     against r, r * w has r's leading axes and w's trailing ones, and every
@@ -349,7 +310,8 @@ def _softmax_rows(
     """
     shape = r.shape if w is None else r.shape[: r.ndim - w.ndim] + w.shape
     rp = r if w is None else np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
-    starts = _row_starts(shape)
+    # the flat index of each row's first entry, shaped like the rows
+    starts = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
     first = rp.argmax(axis=-1)
     first += starts
     top = rp.take(first)
@@ -376,13 +338,7 @@ def _softmax_rows(
     return num / den2, (r, w, rp, den, ez, u, num, den2, first, top, rph)
 
 
-def _softmax_vjp(
-    g: np.ndarray,
-    saved,
-    p: ActivationParams,
-    ws: Optional[dict] = None,
-    layer: str = "",
-):
+def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams, ws: dict, layer: str):
     """Backward of `_softmax_rows` for output gradients g.
 
     Returns (g_r, g_w), the gradients wrt r and w, both shaped like r * w;
@@ -460,8 +416,9 @@ def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
     does not see the sign of a zero), and one comparison with 0 gives
     every mask.
     """
-    offsets = np.array((t1, t2), dtype=np.float64)[:, None, :] + _ramp_shifts(slope)
-    ramps = np.subtract(_grid(length), offsets[..., None])
+    t1, t2 = np.array((t1, t2), dtype=np.float64)
+    offsets = np.array(((t1 - slope, t1 + 0.0), (t2 + slope, t2 + 0.0)))
+    ramps = np.subtract(np.arange(length, dtype=np.float64), offsets[..., None])
     np.negative(ramps[1], out=ramps[1])
     live = ramps > 0.0
     # max(x, 0.0) may keep the sign of a zero x, which no window bit shows:
@@ -469,9 +426,7 @@ def _window_rows(t1: np.ndarray, t2: np.ndarray, slope: float, length: int):
     relu = np.maximum(ramps, 0.0)
     # rise and fall: the outer ramp's relu minus the inner one's
     rise_fall = relu[:, 0] - relu[:, 1]
-    # x * 1.0 is x, so slope 1 saves a pass
-    if slope != 1.0:
-        rise_fall *= 1.0 / slope
+    rise_fall *= 1.0 / slope
     rise, fall = rise_fall
     excess = rise - fall
     on_fall = excess > 0.0
@@ -502,8 +457,7 @@ class NetworkPass:
     """One forward over a batch, with what `vjp` needs.  `out` holds the
     network output of each signal; positive means the signal is predicted
     to satisfy the learned formula.  The saved layer arrays live in
-    workspace `ws` (when given) and stay valid only until the next pass
-    on it."""
+    workspace `ws` and stay valid only until the next pass on it."""
 
     out: np.ndarray
     params: ModelParams
@@ -514,7 +468,7 @@ class NetworkPass:
     temporal: tuple
     conjunction: tuple
     disjunction: Optional[tuple]
-    ws: Optional[dict]
+    ws: dict
 
     def vjp(self, dout: np.ndarray) -> ModelParams:
         """Gradients of sum_s dout[s] * out[s] wrt b, t1, t2 and M, as a
@@ -564,9 +518,11 @@ def network_pass(
     naming a non-finite parameter, ValueError naming a slot whose axis the
     data lacks, EmptySelectionError for an empty window and
     EmptyFormulaError when every gate row is closed.  The (n, k, length)
-    intermediates go into workspace `ws`, or fresh arrays when it is None
-    (see the module docstring).
+    intermediates go into workspace `ws`, a fresh one when it is None (see
+    the module docstring).
     """
+    if ws is None:
+        ws = {}
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError(f"signals must have shape (n, length, dim), got shape {X.shape}")

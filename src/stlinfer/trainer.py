@@ -109,12 +109,18 @@ class TrainConfig:
         """Read `key = value` lines; '#' starts a comment, blank lines ok.
 
         A key may appear once: a second line naming it is refused rather
-        than silently overriding the first.
+        than silently overriding the first.  A leading UTF-8 byte-order
+        mark is skipped; text that is not UTF-8 is refused, naming its line.
         """
         values = {}
         set_on = {}
         fields = cls.__dataclass_fields__
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[e.start]:02x})") from None
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -137,7 +137,7 @@ def test_sign_soundness_sweep():
         hi = r.max(axis=1, where=w > 0.0, initial=-np.inf)
         lo = r.min(axis=1, where=w > 0.0, initial=np.inf)
         # softmin(r) = -softmax(-r)
-        for out, extremum in ((_softmax_rows(r, w, p)[0], hi), (-_softmax_rows(-r, w, p)[0], lo)):
+        for out, extremum in ((_softmax_rows(r, w, p, {}, "temporal")[0], hi), (-_softmax_rows(-r, w, p, {}, "temporal")[0], lo)):
             nonzero = extremum != 0.0
             checked += int(np.count_nonzero(nonzero))
             fails += int(np.count_nonzero(((out > 0.0) != (extremum > 0.0)) & nonzero))
@@ -154,7 +154,7 @@ def test_sign_soundness_sweep():
 
 
 def _fd_output(values, params, shape, p, group, j, delta):
-    q = params.copy()
+    q = ModelParams(params.b, params.t1, params.t2, params.M)
     getattr(q, group)[j] += delta
     return network_outputs(values[None], q, shape, p)[0]
 

@@ -225,6 +225,15 @@ def test_train_refuses_an_out_path_that_is_a_file(cli_env, tmp_path, capsys, mon
     assert out.read_bytes() == b"kept\n"
 
 
+def test_train_names_a_config_that_is_not_utf8(cli_env, tmp_path, capsys):
+    csv, _, _ = cli_env
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"# r\xe9glages\nepochs = 1\n")
+    rc = main(["train", "--data", str(csv), "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:1: not UTF-8 text (byte 0xe9)\n")
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r")])
     assert rc == 1
@@ -334,6 +343,14 @@ def test_eval_fails_when_a_precondition_of_the_guarantee_fails(tmp_path, capsys)
     assert captured.out.split() == ["network_mcr=0.0", "extracted_sign_agreement=1.0"]
     assert captured.err.startswith("error: activation parameters fail the sign-soundness bound: ")
     assert "l=12)" in captured.err
+
+
+def test_eval_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
+    csv = tmp_path / "latin.csv"
+    csv.write_bytes(b"label,1,4\n1,0,1,2,3\n-1,0,0,0,0 caf\xe9\n")
+    rc = main(["eval", "--data", str(csv), "--formula", "F[0,3](x0 > 1)"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {csv}:3: not UTF-8 text (byte 0xe9)\n")
 
 
 def test_eval_names_an_axis_beyond_the_data(cli_env, tmp_path, capsys):

@@ -410,6 +410,19 @@ def test_csv_header_errors_read_the_same_after_a_byte_order_mark(tmp_path, text,
         assert str(err.value) == f"{path}{message}"
 
 
+def test_csv_load_names_the_first_line_that_is_not_utf8(tmp_path):
+    # Latin-1 text: the decoder reads ahead in blocks, so the line is found
+    # again; line 2002 lies past the first 8192 bytes
+    path = tmp_path / "latin.csv"
+    rows = "".join(f"1,{i},0.5\n" for i in range(2000)).encode("utf-8")
+    for body, line in ((b"label,1,2 caf\xe9\n" + rows, 1), (b"label,1,2\n" + rows + b"-1,0,0.5\xe9\n", 2002)):
+        for mark in (b"", BOM):
+            path.write_bytes(mark + body)
+            with pytest.raises(ValueError) as err:
+                load_csv(path)
+            assert str(err.value) == f"{path}:{line}: not UTF-8 text (byte 0xe9)"
+
+
 # ---------------------------------------------------------------------------
 # the one-call parse against the per-line parse
 

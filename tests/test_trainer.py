@@ -105,7 +105,7 @@ def test_batch_loss_gradient_matches_central_differences():
             for j in range(shape.k):
                 moved = []
                 for delta in (step, -step):
-                    q = params.copy()
+                    q = ModelParams(params.b, params.t1, params.t2, params.M)
                     getattr(q, group)[j] += delta
                     moved.append(_batch_gradients(X, y, batch, q, shape, p)[1])
                 fd = (moved[0] - moved[1]) / (2.0 * step)
@@ -169,13 +169,13 @@ def test_flat_adam_equals_adam_by_group():
     rng = np.random.default_rng(52)
     k, m, lr = 8, 3, 0.25
     start = ModelParams(rng.normal(size=k), rng.uniform(0, 5, k), rng.uniform(5, 10, k), rng.uniform(0, 1, (m, k)))
-    params = start.copy()
+    params = ModelParams(start.b, start.t1, start.t2, start.M)
     rates = params.zeros()
     rates.flat[:] = lr
     rates.M[:] = LR_GATES
     opt = trainer._Optimizer(rates.flat)
     box = _feasible_box(params, 10)
-    ref = start.copy()
+    ref = ModelParams(start.b, start.t1, start.t2, start.M)
     oracle = FourGroupAdam({"b": lr, "t1": lr, "t2": lr, "M": LR_GATES})
     clipped = []
     # the norm's group sums round differently in another order on about
@@ -203,7 +203,7 @@ def test_overflowing_squares_still_clip_the_step(big):
     # finite gradients whose squares overflow: the step applies them
     # clipped to norm GRAD_CLIP, not a zero step, and numpy warns nothing
     start = ModelParams([0.5, -0.5], [0.0, 1.0], [3.0, 4.0], [[0.5, 0.5]])
-    params = start.copy()
+    params = ModelParams(start.b, start.t1, start.t2, start.M)
     grads = params.zeros()
     grads.b[:] = big
     opt = trainer._Optimizer(np.full(params.flat.size, 0.25))
@@ -217,7 +217,7 @@ def test_overflowing_squares_still_clip_the_step(big):
     assert params.flat[2:].tobytes() == start.flat[2:].tobytes()
     if big[1] == 0.0:
         # the scaled gradient is exactly (1, 0), as GRAD_CLIP itself gives
-        ref = start.copy()
+        ref = ModelParams(start.b, start.t1, start.t2, start.M)
         grads.b[:] = [GRAD_CLIP, 0.0]
         trainer._Optimizer(np.full(ref.flat.size, 0.25)).step(ref, grads)
         assert params.flat.tobytes() == ref.flat.tobytes()
@@ -723,6 +723,21 @@ def test_config_file_errors(tmp_path):
     path.write_text("allow_unsound = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not a boolean"):
         TrainConfig.from_file(path)
+
+
+def test_config_file_that_is_not_utf8_is_named_with_its_line(tmp_path):
+    path = tmp_path / "latin.cfg"
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + b"epochs = 3\n# caf\xe9 au lait\nlr = 0.1\n")
+        with pytest.raises(ValueError) as err:
+            TrainConfig.from_file(path)
+        assert str(err.value) == f"{path}:2: not UTF-8 text (byte 0xe9)"
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.cfg"
+    path.write_bytes(b"\xef\xbb\xbfepochs = 3\nlr = 0.1\n")
+    assert TrainConfig.from_file(path) == TrainConfig(epochs=3, lr=0.1)
 
 
 def test_readme_config_table_matches_train_config(tmp_path):

@@ -131,7 +131,8 @@ def sparse_softmax_value(r, w, p: ActivationParams) -> float:
     """Sparse softmax of one vector r over the entries w selects: smooth,
     sign-sound stand-in for their max.  Raises EmptySelectionError when
     no weight is positive."""
-    return float(_softmax_rows(np.asarray(r, dtype=np.float64), np.asarray(w, dtype=np.float64), p)[0])
+    r, w = np.asarray(r, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    return float(_softmax_rows(r, w, p, {}, "temporal")[0])
 
 
 def sparse_softmin_value(r, w, p: ActivationParams) -> float:
