@@ -14,6 +14,7 @@ from .datasets import (
     gen_driving_pair,
     gen_naval,
     load_csv,
+    read_text,
     save_csv,
 )
 from .evaluate import emit_report, load_model, network_mcr, sign_agreement
@@ -135,19 +136,19 @@ def _cmd_train(args) -> int:
 
 
 def _read_formula(text: str):
-    """Parse --formula: formula text, or a path to a file holding one.  An
-    error in a file's formula, or in reading it, names the file."""
+    """Parse --formula: formula text, or a path to a file holding one, which
+    is read by `read_text`.  An error in a file's formula names the file."""
     # os.path, unlike Path, answers False for text too long to be a file name
     if os.path.isdir(text):
         raise ValueError(f"--formula {text} is a directory, not a formula file")
     if not os.path.isfile(text):
         return parse_formula(text)
+    body = read_text(text).strip()  # its errors name the file already
+    if not body:
+        raise ValueError(f"{text}: formula file is empty")
     try:
-        body = Path(text).read_text(encoding="utf-8").strip()
-        if not body:
-            raise ValueError("formula file is empty")
         return parse_formula(body)
-    except ValueError as e:  # UnicodeDecodeError included
+    except ValueError as e:
         raise ValueError(f"{text}: {e}") from None
 
 
@@ -176,7 +177,7 @@ def _cmd_eval(args) -> int:
             raise ValueError("the snapped network and its extracted formula disagree in sign")
         # agreement on this data is measured; on other data of its length
         # it holds only if the model meets the guarantee's preconditions
-        failure = guarantee_failure(p, max(data.length, shape.k, shape.m))
+        failure = guarantee_failure(p, shape, data.length)
         if failure is not None:
             raise ValueError(failure)
     return 0

@@ -63,6 +63,7 @@ __all__ = [
     "gen_naval",
     "save_csv",
     "load_csv",
+    "read_text",
 ]
 
 
@@ -477,8 +478,8 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
     call parses each chunk, and its labels and values are checked.  If that
     fails, a per-line pass with int() and float() names the bad line, or
     reads what float() reads and np.loadtxt does not (such as `1_0`).  Both
-    give the same bits for every value.  A leading UTF-8 byte-order mark
-    is skipped; text that is not UTF-8 is refused, naming its first line.
+    give the same bits for every value.  The text is streamed by the rule
+    of `read_text`, which names the line of a byte that is not UTF-8.
 
     The twin that save_csv wrote is read instead when its digest matches
     the CSV's bytes; it holds the same bits the parse gives.
@@ -510,7 +511,8 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
             while rows := list(itertools.islice(lines, _CSV_ROWS)):
                 chunks.append(_read_chunk(path, rows, length, dim))
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        read_text(path)  # raises naming the line, unless the file changed since
+        raise ValueError(f"{path}: not UTF-8 text") from None
     if not chunks:
         raise ValueError(f"{path}: no data rows")
     X = np.concatenate([chunk.X for chunk in chunks])
@@ -519,17 +521,16 @@ def load_csv(path: Union[str, Path]) -> LabeledDataset:
     return LabeledDataset(X, y)
 
 
-def _not_utf8(path) -> ValueError:
-    """The error for a file that is not UTF-8 text, naming the first line
-    that does not decode and its first bad byte.  Lines split at newline
-    bytes, which never fall inside a UTF-8 character."""
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as e:
-                return ValueError(f"{path}:{lineno}: not UTF-8 text (byte 0x{line[e.start]:02x})")
-    return ValueError(f"{path}: not UTF-8 text")
+def read_text(path: Union[str, Path]) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped.  A byte
+    that does not decode is refused as `<path>:<line>: not UTF-8 text
+    (byte 0x..)`; no newline is translated."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[e.start]:02x})") from None
 
 
 def _read_chunk(path, rows, length: int, dim: int) -> LabeledDataset:

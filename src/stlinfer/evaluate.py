@@ -24,7 +24,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, read_text
 from .network import ActivationParams, ModelParams, NetworkShape, SlotSpec, network_outputs
 from .stl import Formula, TemporalOp, satisfied
 from .trainer import TrainReport
@@ -148,16 +148,16 @@ def _integer(path, field: str, value) -> int:
 def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, ActivationParams]:
     """Read back the parameters, shape and activation from a report.json.
 
-    A file that is not UTF-8 JSON is refused with its path named.  A
-    shape field that is not an integer (int() would truncate 0.9 to 0),
-    a parameter whose shape disagrees with the network shape, a
-    non-finite parameter or activation value (JSON as Python reads it
+    Read by `read_text`; text that is not JSON is refused with its path
+    named.  A shape field that is not an integer (int() would truncate
+    0.9 to 0), a parameter whose shape disagrees with the network shape,
+    a non-finite parameter or activation value (JSON as Python reads it
     admits NaN and Infinity), and a window outside 0 <= t1 <= t2 (which
     training never leaves) are refused with the field named.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not a valid model report: {e}") from None
     try:
         slots = [(a, s, TemporalOp(op)) for a, s, op in payload["shape"]["slots"]]

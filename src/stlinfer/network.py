@@ -93,10 +93,11 @@ class ActivationParams:
 
     def __post_init__(self):
         for name in ("beta", "h", "eps", "slope"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.beta <= 0 or self.h <= 0 or self.eps <= 0 or self.slope <= 0:
-            raise ValueError("beta, h, eps and slope must all be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def _soundness_sides(p: ActivationParams, length: int) -> tuple[float, float]:
     """Both sides of h*e^(beta*h) > (l-1)/(e*beta); the left is inf when
     it overflows."""
     if length < 1:
-        raise ValueError("length must be at least 1")
+        raise ValueError(f"length must be at least 1, got {length}")
     rhs = (length - 1) * math.exp(-1.0) / p.beta
     try:
         lhs = p.h * math.exp(p.beta * p.h)
@@ -254,16 +255,18 @@ def soundness_bound_text(p: ActivationParams, length: int) -> str:
 
 
 def guarantee_failure(
-    p: ActivationParams, length: int, slope_name: str = "slope"
+    p: ActivationParams, shape: NetworkShape, length: int, slope_name: str = "slope"
 ) -> Optional[str]:
     """The first precondition of sign agreement between the snapped
-    network and its extracted formula that p fails on signals of the given
-    length (the largest of l, k and m), as an error message naming the
-    slope `slope_name`; None when both hold."""
-    if not soundness_bound_check(p, length):
+    network of `shape` and its extracted formula that p fails on signals
+    of the given length, with the bound at the widest softmax (l, k or m
+    lanes), as an error message naming the slope `slope_name`; None when
+    both hold."""
+    widest = max(length, shape.k, shape.m)
+    if not soundness_bound_check(p, widest):
         return (
             "activation parameters fail the sign-soundness bound: "
-            + soundness_bound_text(p, length)
+            + soundness_bound_text(p, widest)
         )
     if p.slope > 1.0:
         # a wider shoulder gives weight to steps just outside the snapped

@@ -42,7 +42,7 @@ from typing import List, Union
 
 import numpy as np
 
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, read_text
 from .network import (
     ActivationParams,
     EmptyFormulaError,
@@ -109,19 +109,12 @@ class TrainConfig:
         """Read `key = value` lines; '#' starts a comment, blank lines ok.
 
         A key may appear once: a second line naming it is refused rather
-        than silently overriding the first.  A leading UTF-8 byte-order
-        mark is skipped; text that is not UTF-8 is refused, naming its line.
+        than silently overriding the first.  The file is read by `read_text`.
         """
         values = {}
         set_on = {}
         fields = cls.__dataclass_fields__
-        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line = data.count(b"\n", 0, e.start) + 1
-            raise ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[e.start]:02x})") from None
-        for lineno, raw in enumerate(text.split("\n"), start=1):
+        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -469,7 +462,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
 
     shape = NetworkShape.cycled(dim, cfg.k if cfg.k > 0 else None, cfg.m)
     p_final = cfg.activation()
-    failure = guarantee_failure(p_final, max(length, shape.k, shape.m), "slope_end")
+    failure = guarantee_failure(p_final, shape, length, "slope_end")
     if failure is not None and not cfg.allow_unsound:
         raise UnsoundConfigError(failure)
     rng = np.random.default_rng([cfg.seed, 7])

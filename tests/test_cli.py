@@ -422,9 +422,7 @@ def test_eval_names_the_formula_file_at_fault(cli_env, tmp_path, capsys):
     path.write_bytes(b"G[0,3](x0 > \xff)\n")
     rc = main(["eval", "--data", str(csv), "--formula", str(path)])
     assert rc == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 12")
+    assert capsys.readouterr() == ("", f"error: {path}:1: not UTF-8 text (byte 0xff)\n")
 
 
 def test_eval_refuses_a_formula_directory(cli_env, tmp_path, capsys):
@@ -444,7 +442,39 @@ def test_eval_names_a_model_file_that_is_not_json(cli_env, tmp_path, capsys, con
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {path}: not a valid model report: ")
+    if content.startswith(b"\xff"):
+        assert err == f"error: {path}:1: not UTF-8 text (byte 0xff)\n"
+    else:
+        assert err.startswith(f"error: {path}: not a valid model report: ")
+
+
+@pytest.mark.parametrize("flag", ["--config", "--data", "--formula", "--model"])
+def test_every_input_file_may_start_with_a_byte_order_mark_and_names_a_bad_line(
+    cli_env, tmp_path, capsys, flag
+):
+    csv, cfg, run = cli_env
+    formula = tmp_path / "formula.txt"
+    formula.write_text("G[0,39](x0 > -1.97)\n", encoding="utf-8")
+    source = {"--config": cfg, "--data": csv, "--formula": formula, "--model": run / "report.json"}[flag]
+    command = {
+        "--config": ["train", "--data", str(csv), "--out", str(tmp_path / "run")],
+        "--data": ["eval", "--formula", str(formula)],
+        "--formula": ["eval", "--data", str(csv)],
+        "--model": ["eval", "--data", str(csv)],
+    }[flag]
+    text = source.read_bytes()
+    path = tmp_path / "input"
+    seen = []
+    for content in (text, b"\xef\xbb\xbf" + text):
+        path.write_bytes(content)
+        rc = main([*command, flag, str(path)])
+        seen.append((rc, capsys.readouterr()))
+    assert seen[0] == seen[1] and seen[0][0] == 0 and seen[0][1].err == ""
+    head, _, tail = text.partition(b"\n")
+    path.write_bytes(head + b"\n\xe9" + tail)
+    rc = main([*command, flag, str(path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {path}:2: not UTF-8 text (byte 0xe9)\n")
 
 
 def test_eval_bad_formula_text(cli_env, capsys):
@@ -485,6 +515,20 @@ def test_check_soundness_rejects_bad_length(capsys):
     rc = main(["check-soundness", "--length", "0"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--beta", "-1", "--length", "40"], "beta must be positive, got -1.0"),
+        (["--h", "0", "--length", "40"], "h must be positive, got 0.0"),
+        (["--length", "0"], "length must be at least 1, got 0"),
+    ],
+)
+def test_check_soundness_names_the_value_at_fault(capsys, args, message):
+    rc = main(["check-soundness", *args])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

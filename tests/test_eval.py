@@ -166,6 +166,17 @@ def test_load_model_rejects_non_finite_values(tmp_path, trained, group, name, va
         load_model(path)
 
 
+def test_load_model_names_an_activation_field_that_is_not_positive(tmp_path, trained):
+    _, report = trained
+    path = emit_report(report, tmp_path / "run")["report"]
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["activation"]["eps"] = -1.0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: not a valid model report: eps must be positive, got -1.0"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

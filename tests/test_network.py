@@ -432,6 +432,13 @@ def test_activation_params_validation():
 
 
 @pytest.mark.parametrize("field", ["beta", "h", "eps", "slope"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_activation_params_name_the_field_that_is_not_positive(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be positive, got {value!r}$"):
+        ActivationParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["beta", "h", "eps", "slope"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_activation_params_refuse_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -21,6 +21,7 @@ from stlinfer.network import (
     ModelParams,
     NetworkShape,
     network_outputs,
+    soundness_bound_check,
 )
 from stlinfer.stl import Signal, dnf_clauses, format_formula, mcr, parse_formula, satisfied, satisfies
 from stlinfer.trainer import (
@@ -611,6 +612,16 @@ def test_train_validations(tiny_driving_pair):
 def test_unsound_config_refused(tiny_driving_pair):
     with pytest.raises(UnsoundConfigError, match="sign-soundness"):
         train(tiny_driving_pair, small_cfg(beta=0.001))
+
+
+def test_soundness_bound_is_taken_at_the_widest_softmax():
+    # length-3 driving data gets k = 8 slots: beta 0.5 is sound for the
+    # temporal layer's 3 lanes but not for the conjunction's 8
+    data = gen_driving_pair(DrivingBehavior.GO_FORWARD, DrivingBehavior.STOP_AND_GO, 5, length=3)
+    p = ActivationParams(beta=0.5, h=1.0)
+    assert soundness_bound_check(p, 3) and not soundness_bound_check(p, 8)
+    with pytest.raises(UnsoundConfigError, match=r"\(beta=0.5, h=1, l=8\)$"):
+        train(data, small_cfg(beta=0.5, h=1.0))
 
 
 def test_unsound_config_can_be_overridden(tiny_driving_pair):
