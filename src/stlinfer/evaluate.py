@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -195,9 +194,6 @@ def load_model(path: Union[str, Path]) -> Tuple[ModelParams, NetworkShape, Activ
         raise ValueError(
             f"{path}: params.t1[{j}]: window [{t1[j]:g}, {t2[j]:g}] must satisfy 0 <= t1 <= t2"
         )
-    for name, value in act.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: activation.{name}: value must be finite")
     try:
         p = ActivationParams(**act)
     except ValueError as e:

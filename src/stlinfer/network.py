@@ -290,13 +290,10 @@ def _buffer(ws: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
     return buf if len(buf) == shape[0] else buf[: shape[0]]
 
 
-def _softmax_rows(
-    r: np.ndarray, w: Optional[np.ndarray], p: ActivationParams, ws: dict, layer: str
-):
+def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams, ws: dict, layer: str):
     """Sparse softmax along the last axis of r * w.  `w` broadcasts
     against r, r * w has r's leading axes and w's trailing ones, and every
-    row of w must select an entry; None selects every lane at weight 1,
-    and then r * w is r itself (x * 1.0 is x).
+    row of w selects an entry.
 
     Returns the values and the intermediates `_softmax_vjp` reads; the
     ones shaped like r * w live in workspace `ws` under `layer`.  Each
@@ -311,8 +308,8 @@ def _softmax_rows(
     the selected maximum only in the sign of a zero, which leaves every
     exp(min(zs - shift, 0)) as it is.
     """
-    shape = r.shape if w is None else r.shape[: r.ndim - w.ndim] + w.shape
-    rp = r if w is None else np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
+    shape = r.shape[: r.ndim - w.ndim] + w.shape
+    rp = np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
     # the flat index of each row's first entry, shaped like the rows
     starts = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
     first = rp.argmax(axis=-1)
@@ -324,7 +321,7 @@ def _softmax_rows(
     zs = np.divide(rph, den, out=_buffer(ws, layer, "ez", shape))
     np.multiply(zs, p.beta, out=zs)
     # exp(min(zs - shift, 0)) overwrites zs, which the backward does not need
-    if w is None or np.minimum.reduce(w, axis=None) > 0.0:
+    if np.minimum.reduce(w, axis=None) > 0.0:
         # the shift is the largest exponent, so zs - shift <= 0 already (up
         # to the sign of a zero, which exp does not see): no clamp
         np.subtract(zs, zs.take(first)[..., None], out=zs)
@@ -335,7 +332,7 @@ def _softmax_rows(
         np.subtract(zs, zs.take(at)[..., None], out=zs)
         np.minimum(zs, 0.0, out=zs)
     ez = np.exp(zs, out=zs)
-    u = ez if w is None else np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
+    u = np.multiply(w, ez, out=_buffer(ws, layer, "u", shape))
     num = np.add.reduce(np.multiply(r, u, out=_buffer(ws, layer, "tmp", shape)), axis=-1)
     den2 = np.add.reduce(u, axis=-1)
     return num / den2, (r, w, rp, den, ez, u, num, den2, first, top, rph)
@@ -358,10 +355,9 @@ def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams, ws: dict, layer: str
 
     The first maximum is the forward's saved flat index `first`, and `top`
     its value.  The clamp min(zs, 0) passes no gradient: zs <= 0 on every
-    lane with w > 0, and every other lane has u = 0 whatever zs is.  With w
-    None (weights of ones) the multiplications by w are left out, as
-    x * 1.0 is x.  g_r and g_w are buffers of workspace `ws` under `layer`,
-    valid until the next pass or backward on it.
+    lane with w > 0, and every other lane has u = 0 whatever zs is.  g_r
+    and g_w are buffers of workspace `ws` under `layer`, valid until the
+    next pass or backward on it.
     """
     r, w, rp, den, ez, u, num, den2, first, top, rph = saved
     shape = rp.shape
@@ -370,11 +366,8 @@ def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams, ws: dict, layer: str
     # g_u - g * num / den2^2 is g_u + (-g * num / den2^2): x - y is x + (-y)
     np.subtract(g_u, (g * num / (den2 * den2))[..., None], out=g_u)
     g_rpp = _buffer(ws, layer, "g_rp", shape)
-    if w is None:
-        np.multiply(g_u, ez, out=g_rpp)
-    else:
-        np.multiply(g_u, w, out=g_rpp)
-        np.multiply(g_rpp, ez, out=g_rpp)
+    np.multiply(g_u, w, out=g_rpp)
+    np.multiply(g_rpp, ez, out=g_rpp)
     np.multiply(g_rpp, p.beta, out=g_rpp)
     t1 = np.multiply(g_rpp, rph, out=_buffer(ws, layer, "tmp", shape))
     np.divide(t1, den * den, out=t1)
@@ -390,10 +383,7 @@ def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams, ws: dict, layer: str
     np.add(g_rp, 0.0, out=g_rp)
     g_rp.put(first, at_first)
     g_r = np.multiply(g_num, u, out=t1)
-    if w is None:
-        np.add(g_r, g_rp, out=g_r)
-    else:
-        np.add(g_r, np.multiply(g_rp, w, out=_buffer(ws, layer, "tmp2", shape)), out=g_r)
+    np.add(g_r, np.multiply(g_rp, w, out=_buffer(ws, layer, "tmp2", shape)), out=g_r)
     g_w = np.multiply(g_u, ez, out=g_u)
     np.add(g_w, np.multiply(g_rp, r, out=g_rp), out=g_w)
     return g_r, g_w
@@ -470,7 +460,7 @@ class NetworkPass:
     window_ends: np.ndarray
     temporal: tuple
     conjunction: tuple
-    disjunction: Optional[tuple]
+    disjunction: tuple
     ws: dict
 
     def vjp(self, dout: np.ndarray) -> ModelParams:
@@ -483,11 +473,8 @@ class NetworkPass:
         """
         p, ws = self.p, self.ws
         dout = np.asarray(dout, dtype=np.float64)
-        if self.disjunction is None:
-            g_h = dout[:, None]
-        else:
-            # the disjunction's weights are ones: their gradient goes unread
-            g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction")[0]
+        # the disjunction's weights are ones: their gradient goes unread
+        g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction")[0]
         # each row pools -g with a softmax: h = -softmax(-g)
         g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p, ws, "conjunction")
         # the slot outputs entered the rows as -flip * g, and -x * f is x * -f
@@ -558,11 +545,9 @@ def network_pass(
     # slot outputs are flip * g, and each live row pools their negation
     # (-(flip * g) is -flip * g) over its open gates, which select a slot
     h, conjunction = _softmax_rows((neg_flip * g)[:, None, :], gates[live], p, ws, "conjunction")
-    if len(live) == 1:
-        out, disjunction = -h[:, 0], None
-    else:
-        h = np.negative(h, out=_buffer(ws, "disjunction", "r", h.shape))
-        out, disjunction = _softmax_rows(h, None, p, ws, "disjunction")
+    h = np.negative(h, out=_buffer(ws, "disjunction", "r", h.shape))
+    # the live rows all enter the disjunction at weight 1, one row too
+    out, disjunction = _softmax_rows(h, np.ones(len(live)), p, ws, "disjunction")
     return NetworkPass(
         out, params, p, neg_flip, live, window_ends, temporal, conjunction, disjunction, ws
     )

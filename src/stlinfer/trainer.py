@@ -246,12 +246,7 @@ class _Optimizer:
         np.subtract(params.flat, step, out=params.flat)
 
 
-def init_params(
-    data: LabeledDataset,
-    shape: NetworkShape,
-    length: int,
-    rng: np.random.Generator,
-) -> ModelParams:
+def init_params(data: LabeledDataset, shape: NetworkShape, rng: np.random.Generator) -> ModelParams:
     """Offsets drawn inside the 10th-90th percentile band of each slot's
     signed axis values; windows start full; gates start near 0.5.  Both
     signs' bands come from one sort per axis: the sign -1 values, sorted,
@@ -264,7 +259,7 @@ def init_params(
         bands[axis, -1] = np.percentile(-s[::-1], [10.0, 90.0], overwrite_input=True)
     b = np.array([rng.uniform(*bands[slot.axis, slot.sign]) for slot in shape.slots])
     t1 = np.zeros(shape.k)
-    t2 = np.full(shape.k, float(length - 1))
+    t2 = np.full(shape.k, float(data.length - 1))
     M = rng.uniform(0.4, 0.6, size=(shape.m, shape.k))
     return ModelParams(b, t1, t2, M)
 
@@ -466,7 +461,7 @@ def train(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> TrainReport
     if failure is not None and not cfg.allow_unsound:
         raise UnsoundConfigError(failure)
     rng = np.random.default_rng([cfg.seed, 7])
-    params = init_params(data, shape, length, rng)
+    params = init_params(data, shape, rng)
     rate = np.full(shape.k, cfg.lr)
     opt = _Optimizer(ModelParams(rate, rate, rate, np.full(params.M.shape, LR_GATES)).flat)
     box = _feasible_box(params, length)

@@ -346,12 +346,11 @@ def previous_arithmetic_draw(rng):
 
 def test_pass_equals_the_previous_arithmetic():
     # the shift read at a masked argmax, predicate rows in two passes, the
-    # stacked window ramps, no clamp where every lane is selected and the
-    # disjunction's weights of ones left out give the bytes of the masked
-    # max, the three-pass rows, the ramps one at a time, the clamp and the
-    # multiplications by ones, on fresh arrays and in a workspace; the
-    # window gradient sums the full weight gradient over the batch, then
-    # over each end's steps, in the oracle's order
+    # stacked window ramps and no clamp where every lane is selected give
+    # the bytes of the masked max, the three-pass rows, the ramps one at a
+    # time and the clamp, on fresh arrays and in a workspace; the window
+    # gradient sums the full weight gradient over the batch, then over
+    # each end's steps, in the oracle's order
     rng = np.random.default_rng(46)
     ws = {}
     seen = set()
@@ -373,18 +372,14 @@ def test_pass_equals_the_previous_arithmetic():
         seen.add(("one lane, n >= 8", lanes == 1 and len(X) >= 8))
         # where a sum over time has three or more terms, its order could matter
         seen.add(("an end moved by three or more steps", bool((fwd.window_ends.sum(axis=-1) >= 3).any())))
-        seen.add(("one live row, no disjunction", fwd.disjunction is None))
-        seen.add(("live rows >= 2, disjunction over ones", fwd.disjunction is not None))
+        seen.add(("one live row", len(fwd.live) == 1))
+        seen.add(("live rows >= 2", len(fwd.live) >= 2))
         for layer in ("temporal", "conjunction"):
             every = bool(getattr(fwd, layer)[1].min() > 0.0)
             seen.add((f"{layer}, every lane selected", every))
             seen.add((f"{layer}, some lane unselected", not every))
         for saved in (fwd.temporal, fwd.conjunction, fwd.disjunction):
-            if saved is None:
-                continue
             w, rp, top = saved[1], saved[2], saved[9]
-            if w is None:  # the disjunction selects every lane at weight 1
-                w = np.ones(rp.shape[-1])
             selected = np.broadcast_to(w > 0.0, rp.shape)
             best = np.where(selected, rp, -np.inf).max(axis=-1)
             seen.add(("tie", bool(((rp == best[..., None]) & selected).sum(axis=-1).max() > 1)))
@@ -395,11 +390,45 @@ def test_pass_equals_the_previous_arithmetic():
     assert {case for case, hit in seen if hit} == {
         "closed slot", "partial window", "slope != 1", "slope 1", "h != 1", "one lane, n >= 8",
         "an end moved by three or more steps",
-        "one live row, no disjunction", "live rows >= 2, disjunction over ones",
+        "one live row", "live rows >= 2",
         "temporal, every lane selected", "temporal, some lane unselected",
         "conjunction, every lane selected", "conjunction, some lane unselected",
         "tie", "+0 max", "-0 max", "all negative, partial",
     }
+
+
+def test_one_live_row_runs_the_disjunction_over_one_lane():
+    # a softmax over one lane at weight 1 is its value: the output is the
+    # negated conjunction output, but a zero comes out +0.0 (numpy sums
+    # [-0.0] to +0.0), and the gradients are those of passing dout straight
+    # to the conjunction, g_h = dout[:, None], written out below
+    rng = np.random.default_rng(48)
+    seen = set()
+    for _ in range(200):
+        X, params, shape, p, dout = previous_arithmetic_draw(rng)
+        dout[rng.random(len(dout)) < 0.2] = -0.0
+        keep = int(rng.choice(np.flatnonzero((params.M >= 0.5).any(axis=1))))
+        params.M[np.arange(shape.m) != keep] = 0.1
+        fwd = network_pass(X, params, shape, p)
+        assert fwd.live.tolist() == [keep]
+        num, den2 = fwd.conjunction[6:8]
+        neg_h = -(num / den2)[:, 0]
+        assert (fwd.out == neg_h).all() and (np.sign(fwd.out) == np.sign(neg_h)).all()
+        assert fwd.out.tobytes() == (neg_h + 0.0).tobytes()
+        got = fwd.vjp(dout).flat.tobytes()
+        ws = {}
+        g_neg, g_gates = _softmax_vjp(-dout[:, None], fwd.conjunction, p, ws, "conjunction")
+        g_in, g_windows = _softmax_vjp(
+            np.add.reduce(g_neg, axis=1) * fwd.neg_flip, fwd.temporal, p, ws, "temporal"
+        )
+        want = params.zeros()
+        want.t1[:], want.t2[:] = _window_vjp(np.add.reduce(g_windows, axis=0), fwd.window_ends, p.slope)
+        want.M[fwd.live] = np.add.reduce(g_gates, axis=0)
+        np.multiply(fwd.neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=want.b)
+        assert got == want.flat.tobytes()
+        seen.add(("-0.0 negated output", bool(((neg_h == 0.0) & np.signbit(neg_h)).any())))
+        seen.add(("-0.0 dout", bool(((dout == 0.0) & np.signbit(dout)).any())))
+    assert {case for case, hit in seen if hit} == {"-0.0 negated output", "-0.0 dout"}
 
 
 # ---------------------------------------------------------------------------

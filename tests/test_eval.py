@@ -162,6 +162,12 @@ def test_load_model_rejects_non_finite_values(tmp_path, trained, group, name, va
     else:
         payload[group][name][0] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
+    if group == "activation":
+        # ActivationParams names the field, as for a value that is not positive
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: not a valid model report: {name} must be finite, got nan"
+        return
     with pytest.raises(ValueError, match=re.escape(f"{path}: {group}.{name}: ")):
         load_model(path)
 

@@ -265,7 +265,7 @@ def test_trained_params_round_trip_through_the_report(tmp_path, tiny_driving_pai
 def test_init_params_ranges(tiny_driving_pair):
     shape = NetworkShape.cycled(2)
     rng = np.random.default_rng(1)
-    params = init_params(tiny_driving_pair, shape, tiny_driving_pair.length, rng)
+    params = init_params(tiny_driving_pair, shape, rng)
     assert params.t1.tolist() == [0.0] * shape.k
     assert params.t2.tolist() == [39.0] * shape.k
     assert np.all((params.M >= 0.4) & (params.M <= 0.6))
@@ -280,7 +280,7 @@ def test_init_params_draws_offsets_in_slot_order(tiny_naval):
     # each (axis, sign) band is computed once, but the draws keep slot
     # order: the offsets equal a band computed afresh for every slot
     shape = NetworkShape.cycled(tiny_naval.dim)
-    params = init_params(tiny_naval, shape, tiny_naval.length, np.random.default_rng(3))
+    params = init_params(tiny_naval, shape, np.random.default_rng(3))
     rng = np.random.default_rng(3)
     want = [
         rng.uniform(*np.percentile(slot.sign * tiny_naval.X[:, :, slot.axis].ravel(), [10.0, 90.0]))
@@ -296,13 +296,13 @@ def test_init_params_equals_one_percentile_per_axis_and_sign(scenarios):
     # follow (M) see the same generator state
     for data, _ in scenarios.values():
         shape = NetworkShape.cycled(data.dim)
-        got = init_params(data, shape, data.length, np.random.default_rng(5))
-        want = init_params_oracle(data, shape, data.length, np.random.default_rng(5))
+        got = init_params(data, shape, np.random.default_rng(5))
+        want = init_params_oracle(data, shape, np.random.default_rng(5))
         assert got.flat.tobytes() == want.flat.tobytes()
     # the sort and the negated copy hold no more memory at their peak than
     # the signed copy and the percentile's own copy did (both calls warm)
     peaks = [
-        traced_peak(lambda init=init: init(data, shape, data.length, np.random.default_rng(5)))
+        traced_peak(lambda init=init: init(data, shape, np.random.default_rng(5)))
         for init in (init_params, init_params_oracle)
     ]
     assert peaks[0] <= 1.01 * peaks[1]
@@ -313,8 +313,8 @@ def test_init_params_equals_one_percentile_per_axis_and_sign(scenarios):
         X = rng.integers(-3, 4, size=(n, 5, 2)).astype(np.float64)
         data = LabeledDataset(X, [1, -1] * (n // 2) + [1] * (n % 2))
         shape = NetworkShape.cycled(2, m=3)
-        got = init_params(data, shape, 5, np.random.default_rng(n))
-        want = init_params_oracle(data, shape, 5, np.random.default_rng(n))
+        got = init_params(data, shape, np.random.default_rng(n))
+        want = init_params_oracle(data, shape, np.random.default_rng(n))
         assert got.flat.tobytes() == want.flat.tobytes()
 
 

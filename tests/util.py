@@ -223,12 +223,8 @@ def network_pass_oracle(X, params: ModelParams, shape: NetworkShape, p: Activati
     g = flip * g
     live = np.flatnonzero((gates > 0.0).any(axis=1))
     h, conjunction = softmax_rows_oracle(-g[:, None, :], gates[live], p)
-    h = -h
-    if len(live) == 1:
-        out, g_h = h[:, 0], dout[:, None]
-    else:
-        out, disjunction = softmax_rows_oracle(h, np.ones(len(live)), p)
-        g_h = softmax_vjp_oracle(dout, disjunction, p)[0]
+    out, disjunction = softmax_rows_oracle(-h, np.ones(len(live)), p)
+    g_h = softmax_vjp_oracle(dout, disjunction, p)[0]
     g_neg, g_gates = softmax_vjp_oracle(-g_h, conjunction, p)
     g_in, g_windows = softmax_vjp_oracle(-g_neg.sum(axis=1) * flip, temporal, p)
     grads = params.zeros()
@@ -272,7 +268,7 @@ def train_oracle(data: LabeledDataset, cfg):
     shape = NetworkShape.cycled(data.dim, cfg.k if cfg.k > 0 else None, cfg.m)
     p_final = cfg.activation()
     rng = np.random.default_rng([cfg.seed, 7])
-    params = init_params_oracle(data, shape, data.length, rng)
+    params = init_params_oracle(data, shape, rng)
     groups = {"b": params.b, "t1": params.t1, "t2": params.t2, "M": params.M}
     adam = FourGroupAdam({"b": cfg.lr, "t1": cfg.lr, "t2": cfg.lr, "M": LR_GATES})
     beta0 = cfg.beta_start if cfg.beta_start > 0 else cfg.beta
@@ -424,7 +420,7 @@ def random_tree(rng: np.random.Generator, dim: int, length: int, depth: int = 3,
     return kind(tuple(random_tree(rng, dim, length, depth - 1, temporal) for _ in range(int(rng.integers(2, 4)))))
 
 
-def init_params_oracle(data, shape, length: int, rng: np.random.Generator) -> ModelParams:
+def init_params_oracle(data, shape, rng: np.random.Generator) -> ModelParams:
     """Initial parameters with one percentile call over the signed axis
     values per (axis, sign) pair, drawn in slot order."""
     b = np.empty(shape.k)
@@ -436,7 +432,7 @@ def init_params_oracle(data, shape, length: int, rng: np.random.Generator) -> Mo
         lo, hi = bands[key]
         b[j] = rng.uniform(lo, hi)
     t1 = np.zeros(shape.k)
-    t2 = np.full(shape.k, float(length - 1))
+    t2 = np.full(shape.k, float(data.length - 1))
     M = rng.uniform(0.4, 0.6, size=(shape.m, shape.k))
     return ModelParams(b, t1, t2, M)
 
