@@ -25,7 +25,6 @@ from .stl import (
     parse_formula,
     robustness,
     satisfied,
-    satisfies,
 )
 from .network import (
     ActivationParams,

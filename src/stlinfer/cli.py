@@ -24,7 +24,7 @@ from .network import (
     soundness_bound_check,
     soundness_bound_text,
 )
-from .stl import mcr, parse_formula
+from .stl import ParseError, mcr, parse_formula
 from .trainer import TrainConfig, extract_formula, train
 
 
@@ -137,12 +137,19 @@ def _cmd_train(args) -> int:
 
 def _read_formula(text: str):
     """Parse --formula: formula text, or a path to a file holding one, which
-    is read by `read_text`.  An error in a file's formula names the file."""
+    is read by `read_text`.  An error in a file's formula names the file;
+    text that names no file and fails to parse at its first non-blank
+    character, such as a mistyped path, is refused as both."""
     # os.path, unlike Path, answers False for text too long to be a file name
     if os.path.isdir(text):
         raise ValueError(f"--formula {text} is a directory, not a formula file")
     if not os.path.isfile(text):
-        return parse_formula(text)
+        try:
+            return parse_formula(text)
+        except ParseError as e:
+            if text[: e.position].strip():
+                raise
+            raise ValueError(f"--formula {text}: no such file, and not a formula: {e}") from None
     body = read_text(text).strip()  # its errors name the file already
     if not body:
         raise ValueError(f"{text}: formula file is empty")

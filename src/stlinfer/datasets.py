@@ -19,7 +19,8 @@ Two scenario families ship with the package:
 The geometry of both scenarios is fixed: module constants hold it.
 
 A dataset is dense: an (N, L, D) float64 array of signals, which the
-generators fill directly, and an (N,) vector of labels in {-1, +1}.
+generators fill directly, and an (N,) vector of labels in {-1, +1}.  It
+is a read-only value: neither array can be written or rebound.
 
 CSV files carry a header line `label,<dim>,<len>` followed by one row per
 sample: the integer label, then len*dim values in time-major order.  The
@@ -47,7 +48,6 @@ import enum
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
@@ -84,34 +84,40 @@ class DrivingBehavior(enum.Enum):
         raise ValueError(f"unknown driving behavior '{name}' (known: {known})")
 
 
-@dataclass(eq=False)
 class LabeledDataset:
     """Signals X (N, L, D) float64, time-major, with labels y (N,) int64
     in {-1, +1}.  Iterating yields (Signal, label) pairs built lazily
     from the rows of X.
+
+    A dataset is a read-only value: X and y cannot be rebound, and their
+    arrays are not writeable.  An X that is already float64 and
+    C-contiguous is kept without a copy, so the caller's array becomes
+    read-only too; pass a copy to keep writing yours.
     """
 
-    X: np.ndarray
-    y: np.ndarray
+    __slots__ = ("_X", "_y", "_signs")
 
-    def __post_init__(self):
-        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y)
-        if self.X.ndim != 3 or y.shape != self.X.shape[:1]:
-            raise ValueError(f"expected X (N, L, D) and y (N,), got {self.X.shape} and {y.shape}")
+    def __init__(self, X, y):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        if X.ndim != 3 or y.shape != X.shape[:1]:
+            raise ValueError(f"expected X (N, L, D) and y (N,), got {X.shape} and {y.shape}")
         # no sample is read, so an empty set may have any length and dim
-        if len(y) and 0 in self.X.shape[1:]:
-            raise ValueError(
-                f"signals need length and dim of at least 1, got X of shape {self.X.shape}"
-            )
+        if len(y) and 0 in X.shape[1:]:
+            raise ValueError(f"signals need length and dim of at least 1, got X of shape {X.shape}")
         bad = np.flatnonzero((y != 1) & (y != -1))
         if bad.size:
             raise ValueError(f"sample {bad[0]}: label must be +1 or -1, got {y[bad[0]]}")
-        if not np.isfinite(self.X).all():
+        if not np.isfinite(X).all():
             raise ValueError("signal values must be finite")
-        self.y = y.astype(np.int64)
+        y = y.astype(np.int64)
+        X.flags.writeable = y.flags.writeable = False
+        self._X, self._y = X, y
         # the last network sign vector evaluate computed on X, with its key
         self._signs = None
+
+    X = property(lambda self: self._X, doc="signals, shape (N, L, D), read-only")
+    y = property(lambda self: self._y, doc="labels in {-1, +1}, shape (N,), read-only")
 
     def __iter__(self) -> Iterator[Tuple[Signal, int]]:
         for x, label in zip(self.X, self.y.tolist()):

@@ -10,13 +10,12 @@ exact robustness uses for satisfaction.  The formula's verdicts come from
 helper that keeps the last sign vector on the dataset, so `eval` with a
 model and a formula runs the network once per model and dataset rather
 than once per score.  The kept entry lives and dies with the dataset
-object, and its key holds the sha256 of the signals the network reads:
-an in-place edit or a rebinding of `X`, or another model, recomputes.
+object.  A dataset is read-only, so its key is the model alone: another
+model recomputes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Tuple, Union
@@ -57,19 +56,19 @@ def _network_signs(
 ) -> np.ndarray:
     """The network's output sign (> 0) on every signal of `data`.
 
-    The result is kept on the dataset, one entry, keyed on the sha256 and
-    shape of the X it read and on the parameter bytes, gate shape, network
-    shape and activation.  A later call with an equal key returns it; any
-    other recomputes.  The windows are checked on every call, and only a
-    finished pass is kept, so an error is raised again on every call.
+    The result is kept on the dataset, one entry, keyed on the parameter
+    bytes, gate shape, network shape and activation; the dataset cannot
+    change, so the key holds nothing of it.  A later call with an equal
+    key returns it; any other recomputes.  The windows are checked on every
+    call, and only a finished pass is kept, so an error is raised again on
+    every call.
     """
     _check_windows(params, data)
-    X = np.ascontiguousarray(data.X, dtype=np.float64)
-    key = (hashlib.sha256(X).digest(), X.shape, params.flat.tobytes(), params.M.shape, shape, p)
+    key = (params.flat.tobytes(), params.M.shape, shape, p)
     kept = data._signs
     if kept is not None and kept[0] == key:
         return kept[1]
-    signs = network_outputs(X, params, shape, p) > 0.0
+    signs = network_outputs(data.X, params, shape, p) > 0.0
     signs.flags.writeable = False
     data._signs = (key, signs)
     return signs

@@ -46,7 +46,6 @@ __all__ = [
     "IntervalError",
     "ParseError",
     "robustness",
-    "satisfies",
     "satisfied",
     "mcr",
     "format_formula",
@@ -215,15 +214,10 @@ def _axis_outside(f: Formula, axis: int, dim: int) -> str:
     return f"{format_formula(f)} reads axis {axis}, but the data has dim {dim}"
 
 
-def satisfies(signal: Signal, formula: Formula) -> bool:
-    """Strict satisfaction: robustness at time 0 must be positive."""
-    return robustness(signal, formula, 0) > 0.0
-
-
 def satisfied(X: np.ndarray, formula: Formula) -> np.ndarray:
     """Strict satisfaction of `formula` by every signal of X (n, length,
-    dim); equals satisfies() on each signal, and raises the IntervalError
-    robustness() would raise first.
+    dim); equals robustness(signal, formula) > 0 on each signal, and
+    raises the IntervalError robustness() would raise first.
     """
     return _holds(X, formula, 0, 1)[:, 0]
 

@@ -7,6 +7,7 @@ the robustness identities, the benchmark trainings and the sign-soundness
 sweep).
 """
 
+import hashlib
 import math
 from time import perf_counter
 
@@ -15,7 +16,7 @@ import pytest
 
 from stlinfer.cli import main
 from stlinfer.datasets import DrivingBehavior, gen_driving_pair, gen_naval
-from stlinfer.evaluate import sign_agreement
+from stlinfer.evaluate import emit_report, sign_agreement
 from stlinfer.network import (
     ActivationParams,
     ModelParams,
@@ -359,4 +360,69 @@ def test_training_is_byte_reproducible(tmp_path_factory):
         "identical seed and config reproduce the report byte for byte",
         same_report and same_formula,
         "report.json and formula.txt compared",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 10. golden digests: the three models' bytes do not move unnoticed
+#
+# numpy's float64 exp differs by 1 ulp between its SIMD kernels, and
+# training turns that into another model, so the digests hold at one
+# dispatch level.  A change that moves these bytes on purpose records the
+# new digests here and in CHANGES.md.
+
+GOLDEN_LEVEL = "X86_V4"
+GOLDEN = {
+    "GoForward-vs-Overtake": {
+        "report.json": "e6b7e7116b0a0f5d17b3d9fcdfa1df5d75b284d1c995af7e87df76e4d1eadd17",
+        "formula.txt": "373abf4c30c3fedbf50d6219eca9447a80273676d3b0f585a7f12ee0df5a1348",
+        "formula_text": "1aa520d7f19ae079f66108c7df246f6d602c3e2cd69cb0d4bb68ec2da439c807",
+    },
+    "GoForward-vs-StopAndGo": {
+        "report.json": "a4775d49e674c037f8f1ec27eff6d261c24adf54e03be0444e4b90c473d9675f",
+        "formula.txt": "fc6a01a885346cadf1e06ecdc2e42443a08541b82da64b3b7f3863e833866d89",
+        "formula_text": "fdaeef5278499a16e450c63c0ea23f0939ee3b4a59c4621ba117f0bac318b3fd",
+    },
+    "naval": {
+        "report.json": "574b7c821f54ed388f7ed41e61c8e239ae0f5a955cc2e60544ff86728a910bd7",
+        "formula.txt": "48899e7875b77c5704ca1db0474395a14a783a4cad6ea40404212fa3f0fc843e",
+        "formula_text": "7095b623b143d40f3444ba64308ca44de8fa8283cc8c5a7a4504e8b585e95bb3",
+    },
+}
+
+
+def _simd_level() -> str:
+    """The highest x86-64 level (X86_V2, X86_V3, X86_V4) numpy dispatches
+    to in this process, or "none"."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    levels = sorted(name for name, on in __cpu_features__.items() if name.startswith("X86_V") and on)
+    return levels[-1] if levels else "none"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_models_match_their_golden_digests(driving_runs, naval_run, tmp_path):
+    level = _simd_level()
+    if level != GOLDEN_LEVEL:
+        pytest.skip(
+            f"golden digests were taken at numpy SIMD level {GOLDEN_LEVEL}, "
+            f"this process runs at {level}, whose exp bits differ"
+        )
+    reports = {name: run[0] for name, run in driving_runs.items()}
+    reports["naval"] = naval_run[0]
+    digests = {}
+    for name, report in reports.items():
+        files = emit_report(report, tmp_path / name)
+        digests[name] = {
+            "report.json": _sha256(files["report"].read_bytes()),
+            "formula.txt": _sha256(files["formula"].read_bytes()),
+            "formula_text": _sha256(report.formula_text.encode("utf-8")),
+        }
+    _announce(
+        "report.json and formula texts of the three models match their golden digests",
+        digests == GOLDEN,
+        f"numpy SIMD level {level}",
     )

@@ -425,6 +425,19 @@ def test_eval_names_the_formula_file_at_fault(cli_env, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {path}:1: not UTF-8 text (byte 0xff)\n")
 
 
+@pytest.mark.parametrize("blank", ["", " "])
+def test_eval_names_a_mistyped_formula_path(cli_env, tmp_path, capsys, blank):
+    csv, _, _ = cli_env
+    missing = f"{blank}{tmp_path / 'runs' / 'formul.txt'}"
+    rc = main(["eval", "--data", str(csv), "--formula", missing])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: --formula {missing}: no such file, and not a formula: expected a "
+        f"predicate, temporal operator, '!' or '(' at position {len(blank)}\n",
+    )
+
+
 def test_eval_refuses_a_formula_directory(cli_env, tmp_path, capsys):
     csv, _, run = cli_env
     for directory in (run, tmp_path):

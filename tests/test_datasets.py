@@ -20,7 +20,7 @@ from stlinfer.datasets import (
     load_csv,
     save_csv,
 )
-from stlinfer.stl import Signal, mcr, parse_formula, satisfies
+from stlinfer.stl import Signal, mcr, parse_formula, robustness
 from util import (
     dataset_from_samples,
     gen_driving_oracle,
@@ -36,8 +36,8 @@ LANE_REF = parse_formula("G[0,39](x0 > -1.97)")
 def test_go_forward_keeps_lane_overtake_leaves_it():
     gf = gen_driving(DrivingBehavior.GO_FORWARD, 200, 40, seed=5)
     ot = gen_driving(DrivingBehavior.OVERTAKE, 200, 40, seed=5)
-    assert all(satisfies(sig, LANE_REF) for sig, _ in gf)
-    assert not any(satisfies(sig, LANE_REF) for sig, _ in ot)
+    assert all(robustness(sig, LANE_REF) > 0.0 for sig, _ in gf)
+    assert not any(robustness(sig, LANE_REF) > 0.0 for sig, _ in ot)
 
 
 def test_go_forward_always_advances():
@@ -815,6 +815,52 @@ def test_dense_dataset_checks_its_arrays():
     X[2, 1, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         LabeledDataset(X, np.ones(3))
+
+
+def _loaded(tmp_path, monkeypatch, twin: bool) -> LabeledDataset:
+    path = tmp_path / "x.csv"
+    save_csv(gen_naval(20, seed=3), path)
+    if not twin:
+        twin_of(path).unlink()
+    parses = count_parses(monkeypatch)
+    data = load_csv(path)
+    assert bool(parses) is not twin
+    return data
+
+
+DATASET_SOURCES = {
+    "gen_driving": lambda *_: gen_driving(DrivingBehavior.OVERTAKE, 5, 10, seed=1),
+    "gen_driving_pair": lambda *_: gen_driving_pair(
+        DrivingBehavior.GO_FORWARD, DrivingBehavior.STOP_AND_GO, 3, 10, seed=1
+    ),
+    "gen_naval": lambda *_: gen_naval(6, seed=1),
+    "load_csv-twin": lambda *args: _loaded(*args, twin=True),
+    "load_csv-text": lambda *args: _loaded(*args, twin=False),
+    "LabeledDataset": lambda *_: LabeledDataset(np.zeros((3, 4, 2)), [1, -1, 1]),
+}
+
+
+@pytest.mark.parametrize("source", sorted(DATASET_SOURCES))
+def test_a_dataset_is_read_only(tmp_path, monkeypatch, source):
+    data = DATASET_SOURCES[source](tmp_path, monkeypatch)
+    with pytest.raises(ValueError, match="read-only"):
+        data.X[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.y[0] = -data.y[0]
+    with pytest.raises(AttributeError):
+        data.X = data.X.copy()
+    with pytest.raises(AttributeError):
+        data.y = data.y.copy()
+
+
+def test_a_float64_c_contiguous_x_is_kept_without_a_copy():
+    X, y = np.zeros((3, 4, 2)), np.array([1, -1, 1])
+    data = LabeledDataset(X, y)
+    assert data.X is X and not X.flags.writeable
+    assert data.y is not y and y.flags.writeable
+    for other in (np.zeros((3, 4, 2), dtype=np.float32), np.zeros((3, 2, 4)).transpose(0, 2, 1)):
+        data = LabeledDataset(other, y)
+        assert not np.shares_memory(data.X, other) and other.flags.writeable
 
 
 def test_empty_dataset_errors_keep_their_messages(tmp_path):

@@ -23,7 +23,6 @@ from stlinfer.stl import (
     parse_formula,
     robustness,
     satisfied,
-    satisfies,
 )
 from util import count_atoms, dataset_from_samples, random_dnf, random_propositional, random_signal, random_tree
 
@@ -65,9 +64,9 @@ def test_robustness_at_later_time():
 
 
 def test_satisfaction_is_strict():
-    assert satisfies(const_signal(0.5, 5), Predicate(0, 1, 0.0))
-    assert not satisfies(const_signal(-0.5, 5), Predicate(0, 1, 0.0))
-    assert not satisfies(const_signal(0.0, 5), Predicate(0, 1, 0.0))  # r = 0 counts as violation
+    X = np.stack([const_signal(v, 5).values for v in (0.5, -0.5, 0.0)])
+    # r = 0 counts as violation
+    assert satisfied(X, Predicate(0, 1, 0.0)).tolist() == [True, False, False]
 
 
 def test_mcr_all_correct_and_all_wrong():
@@ -384,7 +383,7 @@ def test_satisfied_matches_per_signal_satisfies(seed, depth, coarse, short):
     if short:
         X = X[:, : int(rng.integers(1, length + 1))]
     try:
-        want = np.array([satisfies(Signal(x), f) for x in X])
+        want = np.array([robustness(Signal(x), f) > 0.0 for x in X])
     except IntervalError as e:
         with pytest.raises(IntervalError) as got:
             satisfied(X, f)

@@ -23,7 +23,7 @@ from stlinfer.network import (
     network_outputs,
     soundness_bound_check,
 )
-from stlinfer.stl import Signal, dnf_clauses, format_formula, mcr, parse_formula, satisfied, satisfies
+from stlinfer.stl import Signal, dnf_clauses, format_formula, mcr, parse_formula, robustness, satisfied
 from stlinfer.trainer import (
     GRAD_CLIP,
     LR_GATES,
@@ -508,7 +508,7 @@ def test_simplify_matches_the_oracle_on_trained_gates(scenarios, monkeypatch):
 def test_exact_verdicts_do_not_run_the_recursive_reference(tiny_driving_pair, monkeypatch):
     data = tiny_driving_pair
     tree = parse_formula("G[0,39](x0 > -1 & x1 < 39) | F[5,30](x1 > 25 & (x0 < -2 | x1 > 39))")
-    want = [satisfies(Signal(x), tree) for x in data.X]
+    want = [robustness(Signal(x), tree) > 0.0 for x in data.X]
     assert 0 < sum(want) < len(want)
     report = train(data, small_cfg(epochs=2))
     pruned = simplify_oracle(report.params, report.shape, data)

@@ -83,7 +83,7 @@ from stlinfer.network import (
     _softmax_rows,
     _window_rows,
 )
-from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, satisfies
+from stlinfer.stl import And, Or, Predicate, Signal, TemporalAtom, TemporalOp, dnf, robustness
 from stlinfer.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -438,12 +438,12 @@ def init_params_oracle(data, shape, rng: np.random.Generator) -> ModelParams:
 
 
 def simplify_oracle(params, shape, data) -> np.ndarray:
-    """Greedy pruning as one satisfies() call per sample and trial."""
+    """Greedy pruning as one robustness() call per sample and trial."""
     samples = list(data)
 
     def wrong_count(gates):
         formula = formula_from_gates(params, shape, gates)
-        return sum(satisfies(sig, formula) != (label == 1) for sig, label in samples)
+        return sum((robustness(sig, formula) > 0.0) != (label == 1) for sig, label in samples)
 
     gates = (params.M >= 0.5).astype(np.float64)
     baseline = wrong_count(gates)

@@ -127,18 +127,26 @@ def verdict(differ: list) -> int:
     return 1
 
 
+def extract(rev: str, paths: list, dest: Path) -> bool:
+    """Write REV's `paths` under dest with `git archive`; False, with git's
+    message on stderr, when REV or a path cannot be archived."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, *paths], cwd=ROOT, capture_output=True
+    )
+    if archive.returncode:
+        print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return True
+
+
 def main(argv: list) -> int:
     rev = argv[1] if len(argv) > 1 else "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(
-            ["git", "archive", "--format=tar", rev, "src"], cwd=ROOT, capture_output=True
-        )
-        if archive.returncode:
-            print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+        if not extract(rev, ["src"], tmp / "rev"):
             return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
         run_tree(tmp / "rev" / "src", tmp / "at-rev")
         run_tree(ROOT / "src", tmp / "working")
         return verdict(compare(tmp / "at-rev", tmp / "working"))
