@@ -138,8 +138,8 @@ def _cmd_train(args) -> int:
 def _read_formula(text: str):
     """Parse --formula: formula text, or a path to a file holding one, which
     is read by `read_text`.  An error in a file's formula names the file;
-    text that names no file and fails to parse at its first non-blank
-    character, such as a mistyped path, is refused as both."""
+    text that names no file, fails to parse and holds a character no
+    formula uses, such as a mistyped path, is refused as both."""
     # os.path, unlike Path, answers False for text too long to be a file name
     if os.path.isdir(text):
         raise ValueError(f"--formula {text} is a directory, not a formula file")
@@ -147,7 +147,9 @@ def _read_formula(text: str):
         try:
             return parse_formula(text)
         except ParseError as e:
-            if text[: e.position].strip():
+            # digits and whitespace as the parser reads them, and the rest
+            # of the grammar's characters
+            if all(c.isdecimal() or c.isspace() or c in "xGFeE.+-<>!&|()[]," for c in text):
                 raise
             raise ValueError(f"--formula {text}: no such file, and not a formula: {e}") from None
     body = read_text(text).strip()  # its errors name the file already

@@ -18,11 +18,18 @@ computed in ratio form with the exponents shifted by the largest
 selected one, so that lane's exp is 1 and no ratio is 0 / 0.  Lanes with
 w_i = 0 add exactly zero to both sums: their values never move the output.
 
-`network_pass` is the one implementation of the network: it runs over a
-batch X (n, length, dim) and saves what `NetworkPass.vjp` reads to give
-the gradients of b, t1, t2 and M in closed form.  `train` calls the pair
-once per batch; `network_outputs`, hence evaluation and sign agreement,
-runs the same pass over CHUNK signals at a time.
+A pass is three steps: `_prepare` checks the model and makes what every
+pass over signals of one length reads (the windows, the live gate rows),
+`_temporal` runs the predicate and temporal layers, and `_head` the
+conjunction and disjunction.  `network_pass` runs the three over a batch
+X (n, length, dim) and saves what `NetworkPass.vjp` reads to give the
+gradients of b, t1, t2 and M in closed form; `train` calls the pair once
+per batch.  `network_outputs`, hence evaluation and sign agreement,
+prepares once, runs the temporal layer over CHUNK signals at a time, and
+the head once over all of them.  Only the temporal layer's (n, k, length)
+arrays stay at CHUNK signals; the head's (n, m, k) arrays grow with the
+dataset, to about 0.7 times the size of X on the naval data, within the
+2 times X that parsing a CSV file peaks at.
 
 A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
 a dict of float64 arrays keyed by layer, name and the shape past the
@@ -60,8 +67,9 @@ __all__ = [
     "CHUNK",
 ]
 
-# network_outputs takes samples this many at a time, so that its
-# (n, k, length) temporaries stay small whatever the dataset size.
+# network_outputs runs the temporal layer on samples this many at a time,
+# so that its (n, k, length) temporaries stay small whatever the dataset
+# size; the head's (n, m, k) ones grow with it.
 CHUNK = 128
 
 
@@ -133,7 +141,7 @@ class NetworkShape:
 
     @cached_property
     def constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """What `network_pass` reads of the slots, made once: the axes,
+        """What `_prepare` reads of the slots, made once: the axes,
         flip * sign as a (k, 1) column, flip and -flip, where flip = -1
         marks an always-slot (softmin(r) = -softmax(-r) flips sign on the
         way in and out), and the largest axis."""
@@ -445,6 +453,87 @@ def _window_vjp(g: np.ndarray, ends: np.ndarray, slope: float) -> np.ndarray:
     return grads
 
 
+@dataclass(frozen=True)
+class _Model:
+    """What every pass of a model over signals of one length reads, checked
+    and made once by `_prepare`: the slots' axes, flip * sign as a (k, 1)
+    column and -flip, the signed offsets flip * b as a (k, 1) column, the
+    windows with their end masks, and the live gate rows with their gates."""
+
+    params: ModelParams
+    p: ActivationParams
+    axes: np.ndarray
+    flip_sign: np.ndarray
+    neg_flip: np.ndarray
+    offsets: np.ndarray
+    windows: np.ndarray
+    window_ends: np.ndarray
+    live: np.ndarray
+    gates: np.ndarray
+
+
+def _prepare(
+    X: np.ndarray, params: ModelParams, shape: NetworkShape, p: ActivationParams
+) -> _Model:
+    """Check the model against float64 signals X and make its `_Model`.
+    Raises ValueError when X is not (n, length, dim), NonFiniteError naming
+    a non-finite parameter, ValueError naming a slot whose axis the data
+    lacks, EmptySelectionError for an empty window and EmptyFormulaError
+    when every gate row is closed, in that order."""
+    if X.ndim != 3:
+        raise ValueError(f"signals must have shape (n, length, dim), got shape {X.shape}")
+    bad = params.non_finite_entry()
+    if bad is not None:
+        raise NonFiniteError(f"non-finite parameter {bad}")
+    axes, flip_sign, flip, neg_flip, top_axis = shape.constants
+    if top_axis >= X.shape[2]:
+        j = int(np.argmax(axes >= X.shape[2]))
+        raise ValueError(f"slot {j} reads axis {axes[j]}, but the data has dim {X.shape[2]}")
+    windows, window_ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
+    # the window layer's selection: the windows are >= 0, so each row
+    # selects a step when its largest entry is not zero
+    if np.count_nonzero(np.maximum.reduce(windows, axis=-1)) < shape.k:
+        raise EmptySelectionError("selection weights are all zero (empty time window)")
+    gates = params.gates()
+    live = np.logical_or.reduce(gates > 0.0, axis=1).nonzero()[0]
+    if not live.size:
+        raise EmptyFormulaError("every conjunction row is gated off")
+    offsets = (flip * params.b)[:, None]
+    return _Model(
+        params, p, axes, flip_sign, neg_flip, offsets, windows, window_ends, live, gates[live]
+    )
+
+
+def _temporal(X: np.ndarray, model: _Model, ws: dict):
+    """The predicate rows flip * (sign * x[:, axis] - b) of signals X,
+    each pooled over its slot's window by a sparse softmax: the (n, k)
+    pooled values g (the slot outputs are flip * g) and what
+    `_softmax_vjp` reads, whose arrays live in workspace `ws`."""
+    # contiguous (n, k, length), so that sums over time run along memory
+    rows = _buffer(ws, "temporal", "r", (X.shape[0], len(model.axes), X.shape[1]))
+    # _prepare checked the axes; mode="clip" lets take write rows directly
+    X.transpose(0, 2, 1).take(model.axes, axis=1, out=rows, mode="clip")
+    # flip * (sign * x - b) in two passes: multiplying by +-1 is exact, up
+    # to the sign of a zero row value, which outputs and gradients do not
+    # see (each ends in a sum, and numpy sums zeros to +0.0)
+    np.multiply(model.flip_sign, rows, out=rows)
+    np.subtract(rows, model.offsets, out=rows)
+    return _softmax_rows(rows, model.windows, model.p, ws, "temporal")
+
+
+def _head(g: np.ndarray, model: _Model, ws: dict):
+    """The conjunction and disjunction over the (n, k) temporal outputs g:
+    the network outputs and each layer's saved intermediates."""
+    # slot outputs are flip * g, and each live row pools their negation
+    # (-(flip * g) is -flip * g) over its open gates, which select a slot
+    rows = (model.neg_flip * g)[:, None, :]
+    h, conjunction = _softmax_rows(rows, model.gates, model.p, ws, "conjunction")
+    h = np.negative(h, out=_buffer(ws, "disjunction", "r", h.shape))
+    # the live rows all enter the disjunction at weight 1, one row too
+    out, disjunction = _softmax_rows(h, np.ones(len(model.live)), model.p, ws, "disjunction")
+    return out, conjunction, disjunction
+
+
 @dataclass
 class NetworkPass:
     """One forward over a batch, with what `vjp` needs.  `out` holds the
@@ -453,11 +542,7 @@ class NetworkPass:
     workspace `ws` and stay valid only until the next pass on it."""
 
     out: np.ndarray
-    params: ModelParams
-    p: ActivationParams
-    neg_flip: np.ndarray
-    live: np.ndarray
-    window_ends: np.ndarray
+    model: _Model
     temporal: tuple
     conjunction: tuple
     disjunction: tuple
@@ -471,7 +556,8 @@ class NetworkPass:
         Gates are straight-through: a gate row gets the gradient of its
         binary gates, and a dead row gets zero.
         """
-        p, ws = self.p, self.ws
+        model, ws = self.model, self.ws
+        p, neg_flip = model.p, model.neg_flip
         dout = np.asarray(dout, dtype=np.float64)
         # the disjunction's weights are ones: their gradient goes unread
         g_h = _softmax_vjp(dout, self.disjunction, p, ws, "disjunction")[0]
@@ -479,15 +565,15 @@ class NetworkPass:
         g_neg, g_gates = _softmax_vjp(-g_h, self.conjunction, p, ws, "conjunction")
         # the slot outputs entered the rows as -flip * g, and -x * f is x * -f
         g_in, g_windows = _softmax_vjp(
-            np.add.reduce(g_neg, axis=1) * self.neg_flip, self.temporal, p, ws, "temporal"
+            np.add.reduce(g_neg, axis=1) * neg_flip, self.temporal, p, ws, "temporal"
         )
-        grads = self.params.zeros()
+        grads = model.params.zeros()
         grads.t1[:], grads.t2[:] = _window_vjp(
-            np.add.reduce(g_windows, axis=0), self.window_ends, p.slope
+            np.add.reduce(g_windows, axis=0), model.window_ends, p.slope
         )
-        grads.M[self.live] = np.add.reduce(g_gates, axis=0)
+        grads.M[model.live] = np.add.reduce(g_gates, axis=0)
         # rows = flip * (sign * x - b) enter the temporal softmax
-        np.multiply(self.neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=grads.b)
+        np.multiply(neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=grads.b)
         return grads
 
 
@@ -504,53 +590,17 @@ def network_pass(
     each slot's soft window: sparse softmin for always-slots, softmax for
     eventually-slots.  Each live row of the binary gate matrix
     `params.gates()` pools the slot outputs with a softmin, and a
-    softmax over the live rows gives the output.  Raises NonFiniteError
-    naming a non-finite parameter, ValueError naming a slot whose axis the
-    data lacks, EmptySelectionError for an empty window and
-    EmptyFormulaError when every gate row is closed.  The (n, k, length)
-    intermediates go into workspace `ws`, a fresh one when it is None (see
-    the module docstring).
+    softmax over the live rows gives the output.  Raises what `_prepare`
+    raises.  The (n, k, length) intermediates go into workspace `ws`, a
+    fresh one when it is None (see the module docstring).
     """
     if ws is None:
         ws = {}
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3:
-        raise ValueError(f"signals must have shape (n, length, dim), got shape {X.shape}")
-    bad = params.non_finite_entry()
-    if bad is not None:
-        raise NonFiniteError(f"non-finite parameter {bad}")
-    axes, flip_sign, flip, neg_flip, top_axis = shape.constants
-    if top_axis >= X.shape[2]:
-        j = int(np.argmax(axes >= X.shape[2]))
-        raise ValueError(f"slot {j} reads axis {axes[j]}, but the data has dim {X.shape[2]}")
-    windows, window_ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
-    # the window layer's selection: the windows are >= 0, so each row
-    # selects a step when its largest entry is not zero
-    if np.count_nonzero(np.maximum.reduce(windows, axis=-1)) < shape.k:
-        raise EmptySelectionError("selection weights are all zero (empty time window)")
-    # contiguous (n, k, length), so that sums over time run along memory
-    rows = _buffer(ws, "temporal", "r", (X.shape[0], shape.k, X.shape[1]))
-    # the axes are checked above; mode="clip" lets take write rows directly
-    X.transpose(0, 2, 1).take(axes, axis=1, out=rows, mode="clip")
-    # flip * (sign * x - b) in two passes: multiplying by +-1 is exact, up
-    # to the sign of a zero row value, which outputs and gradients do not
-    # see (each ends in a sum, and numpy sums zeros to +0.0)
-    np.multiply(flip_sign, rows, out=rows)
-    np.subtract(rows, (flip * params.b)[:, None], out=rows)
-    g, temporal = _softmax_rows(rows, windows, p, ws, "temporal")
-    gates = params.gates()
-    live = np.logical_or.reduce(gates > 0.0, axis=1).nonzero()[0]
-    if not live.size:
-        raise EmptyFormulaError("every conjunction row is gated off")
-    # slot outputs are flip * g, and each live row pools their negation
-    # (-(flip * g) is -flip * g) over its open gates, which select a slot
-    h, conjunction = _softmax_rows((neg_flip * g)[:, None, :], gates[live], p, ws, "conjunction")
-    h = np.negative(h, out=_buffer(ws, "disjunction", "r", h.shape))
-    # the live rows all enter the disjunction at weight 1, one row too
-    out, disjunction = _softmax_rows(h, np.ones(len(live)), p, ws, "disjunction")
-    return NetworkPass(
-        out, params, p, neg_flip, live, window_ends, temporal, conjunction, disjunction, ws
-    )
+    model = _prepare(X, params, shape, p)
+    g, temporal = _temporal(X, model, ws)
+    out, conjunction, disjunction = _head(g, model, ws)
+    return NetworkPass(out, model, temporal, conjunction, disjunction, ws)
 
 
 def network_outputs(
@@ -561,19 +611,19 @@ def network_outputs(
 ) -> np.ndarray:
     """Network output for every signal of X (n, length, dim), value only.
 
-    Runs `network_pass` on CHUNK signals at a time, every chunk in one
-    workspace.  Raises what `network_pass` raises, and NonFiniteError on
-    a non-finite output.
+    Prepares the model once, runs the temporal layer on CHUNK signals at a
+    time in one workspace, then the conjunction and disjunction once over
+    all n.  Every argmax and sum runs along one signal's own rows, so each
+    output has the bits `network_pass` gives it in any batch.  Raises what
+    `network_pass` raises, and NonFiniteError on a non-finite output.
     """
     X = np.asarray(X, dtype=np.float64)
+    model = _prepare(X, params, shape, p)
     ws: dict = {}
-    out = np.concatenate(
-        [
-            network_pass(X[lo : lo + CHUNK], params, shape, p, ws=ws).out
-            for lo in range(0, max(X.shape[0], 1), CHUNK)
-        ]
-    )
+    g = np.empty((X.shape[0], shape.k))
+    for lo in range(0, X.shape[0], CHUNK):
+        g[lo : lo + CHUNK] = _temporal(X[lo : lo + CHUNK], model, ws)[0]
+    out = _head(g, model, ws)[0]
     if not np.isfinite(out).all():
         raise NonFiniteError("non-finite network output")
     return out
-

@@ -231,7 +231,11 @@ def _holds(X: np.ndarray, f: Formula, lo: int, hi: int) -> np.ndarray:
     if isinstance(f, Predicate):
         if f.axis >= X.shape[2]:
             raise IntervalError(_axis_outside(f, f.axis, X.shape[2]))
-        return f.sign * X[:, lo:hi, f.axis] - f.offset > 0.0
+        # sign * x - offset > 0 as one comparison, exact for all doubles: a
+        # positive exact difference never rounds to 0, an overflow is +-inf,
+        # NaN compares false both ways and negation is exact
+        x = X[:, lo:hi, f.axis]
+        return x > f.offset if f.sign > 0 else x < -f.offset
     if isinstance(f, TemporalAtom):
         if f.t2 > X.shape[1] - 1:
             raise IntervalError(_window_outside(f, 0, X.shape[1]))

@@ -362,18 +362,18 @@ def test_pass_equals_the_previous_arithmetic():
             assert fwd.out.tobytes() == want_out.tobytes()
             assert fwd.vjp(dout).flat.tobytes() == want_grads.flat.tobytes()
         gates = params.gates()
-        seen.add(("closed slot", bool((gates[fwd.live] == 0.0).all(axis=0).any())))
+        seen.add(("closed slot", bool((gates[fwd.model.live] == 0.0).all(axis=0).any())))
         windows = fwd.temporal[1]
         seen.add(("partial window", bool((windows == 0.0).any())))
         seen.add(("slope != 1", p.slope != 1.0))
         seen.add(("slope 1", p.slope == 1.0))
         seen.add(("h != 1", p.h != 1.0))
-        lanes = np.count_nonzero(fwd.window_ends[0] | fwd.window_ends[1])
+        lanes = np.count_nonzero(fwd.model.window_ends[0] | fwd.model.window_ends[1])
         seen.add(("one lane, n >= 8", lanes == 1 and len(X) >= 8))
         # where a sum over time has three or more terms, its order could matter
-        seen.add(("an end moved by three or more steps", bool((fwd.window_ends.sum(axis=-1) >= 3).any())))
-        seen.add(("one live row", len(fwd.live) == 1))
-        seen.add(("live rows >= 2", len(fwd.live) >= 2))
+        seen.add(("an end moved by three or more steps", bool((fwd.model.window_ends.sum(axis=-1) >= 3).any())))
+        seen.add(("one live row", len(fwd.model.live) == 1))
+        seen.add(("live rows >= 2", len(fwd.model.live) >= 2))
         for layer in ("temporal", "conjunction"):
             every = bool(getattr(fwd, layer)[1].min() > 0.0)
             seen.add((f"{layer}, every lane selected", every))
@@ -410,7 +410,7 @@ def test_one_live_row_runs_the_disjunction_over_one_lane():
         keep = int(rng.choice(np.flatnonzero((params.M >= 0.5).any(axis=1))))
         params.M[np.arange(shape.m) != keep] = 0.1
         fwd = network_pass(X, params, shape, p)
-        assert fwd.live.tolist() == [keep]
+        assert fwd.model.live.tolist() == [keep]
         num, den2 = fwd.conjunction[6:8]
         neg_h = -(num / den2)[:, 0]
         assert (fwd.out == neg_h).all() and (np.sign(fwd.out) == np.sign(neg_h)).all()
@@ -419,12 +419,12 @@ def test_one_live_row_runs_the_disjunction_over_one_lane():
         ws = {}
         g_neg, g_gates = _softmax_vjp(-dout[:, None], fwd.conjunction, p, ws, "conjunction")
         g_in, g_windows = _softmax_vjp(
-            np.add.reduce(g_neg, axis=1) * fwd.neg_flip, fwd.temporal, p, ws, "temporal"
+            np.add.reduce(g_neg, axis=1) * fwd.model.neg_flip, fwd.temporal, p, ws, "temporal"
         )
         want = params.zeros()
-        want.t1[:], want.t2[:] = _window_vjp(np.add.reduce(g_windows, axis=0), fwd.window_ends, p.slope)
-        want.M[fwd.live] = np.add.reduce(g_gates, axis=0)
-        np.multiply(fwd.neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=want.b)
+        want.t1[:], want.t2[:] = _window_vjp(np.add.reduce(g_windows, axis=0), fwd.model.window_ends, p.slope)
+        want.M[fwd.model.live] = np.add.reduce(g_gates, axis=0)
+        np.multiply(fwd.model.neg_flip, np.add.reduce(g_in, axis=(0, 2)), out=want.b)
         assert got == want.flat.tobytes()
         seen.add(("-0.0 negated output", bool(((neg_h == 0.0) & np.signbit(neg_h)).any())))
         seen.add(("-0.0 dout", bool(((dout == 0.0) & np.signbit(dout)).any())))
@@ -440,7 +440,7 @@ def test_ste_thresholds_at_half():
     below = np.nextafter(0.5, 0.0)
     params.M[...] = [[0.5, below, 0.9, 0.2], [below, below, 0.1, 0.3]]
     fwd = network_pass(X, params, shape, P)
-    assert fwd.live.tolist() == [0]
+    assert fwd.model.live.tolist() == [0]
     binary = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     assert fwd.out.tobytes() == network_pass(X, GatedParams(params, binary), shape, P).out.tobytes()
 
@@ -601,18 +601,24 @@ def test_workspace_passes_equal_fresh_passes():
         p = ActivationParams(beta=float(rng.choice([3.0, 25.0])), slope=float(rng.choice([1.0, 3.0])))
         dout = rng.normal(size=n)
         reused = network_pass(X, params, shape, p, ws=ws)
-        assert (len(reused.live) == 1) == one_live
+        assert (len(reused.model.live) == 1) == one_live
         assert pass_bytes(reused, dout) == pass_bytes(network_pass(X, params, shape, p), dout)
         for array in ws.values():
             array.fill(np.nan)
 
 
 def test_network_outputs_equal_fresh_chunk_passes():
+    # the head runs once over every signal, the temporal layer chunk by
+    # chunk: neither moves a bit from passes over the chunks or over all
     rng = np.random.default_rng(42)
-    for n in (1, CHUNK, CHUNK + 1, 300):
-        X, params, shape = random_network_case(rng, n, 20, 2, 2, False)
-        fresh = [network_pass(X[lo : lo + CHUNK], params, shape, P).out for lo in range(0, n, CHUNK)]
-        assert network_outputs(X, params, shape, P).tobytes() == np.concatenate(fresh).tobytes()
+    for n in (1, CHUNK, CHUNK + 1, 300, 3 * CHUNK + 1):
+        for length, dim, m, one_live in ((20, 2, 2, False), (61, 2, 3, True), (7, 1, 4, False)):
+            X, params, shape = random_network_case(rng, n, length, dim, m, one_live)
+            p = ActivationParams(beta=float(rng.choice([3.0, 25.0])), h=float(rng.choice([1.0, 0.5])))
+            out = network_outputs(X, params, shape, p).tobytes()
+            fresh = [network_pass(X[lo : lo + CHUNK], params, shape, p).out for lo in range(0, n, CHUNK)]
+            assert out == np.concatenate(fresh).tobytes(), (n, length, m)
+            assert out == network_pass(X, params, shape, p).out.tobytes(), (n, length, m)
 
 
 def test_second_pass_reuses_the_workspace():
@@ -648,43 +654,46 @@ def test_buffer_slices_the_largest_array_of_a_trailing_shape():
 
 
 def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypatch):
-    passes = []
+    chunks = []
 
-    def record(X, params, shape, p, ws=None):
-        passes.append((real(X, params, shape, p, ws), ws))
-        return passes[-1][0]
+    def record(X, model, ws):
+        chunks.append((real(X, model, ws), ws))
+        return chunks[-1][0]
 
-    real = network.network_pass
-    monkeypatch.setattr(network, "network_pass", record)
+    real = network._temporal
+    monkeypatch.setattr(network, "_temporal", record)
     n = 3 * CHUNK + 1
     X, params, shape = random_network_case(np.random.default_rng(45), n, 10, 1, 2, False)
+    fresh = [network_pass(X[lo : lo + CHUNK], params, shape, P).out for lo in range(0, n, CHUNK)]
+    chunks.clear()
     out = network_outputs(X, params, shape, P)
-    fresh = [real(X[lo : lo + CHUNK], params, shape, P).out for lo in range(0, n, CHUNK)]
     assert out.tobytes() == np.concatenate(fresh).tobytes()
-    ws = passes[0][1]
-    assert len(passes) == 4 and all(w is ws for _, w in passes)
-    # one array per layer and name, of the full chunk's size
+    ws = chunks[0][1]
+    assert len(chunks) == 4 and all(w is ws for _, w in chunks)
+    # one array per layer and name: the temporal layer's of the full
+    # chunk's size, the conjunction's and disjunction's of every signal's
     assert len({key[:2] for key in ws}) == len(ws)
-    assert all(len(array) == CHUNK for array in ws.values())
-    first, last = passes[0][0], passes[-1][0]
-    assert len(last.out) == 1
-    for layer in ("temporal", "conjunction", "disjunction"):
-        for i in (0, 2, 4, 5) if layer == "temporal" else (2, 4, 5):
-            assert np.shares_memory(getattr(first, layer)[i], getattr(last, layer)[i]), (layer, i)
+    assert all(len(array) == (CHUNK if key[0] == "temporal" else n) for key, array in ws.items())
+    (_, first), (g, last) = chunks[0][0], chunks[-1][0]
+    assert len(g) == 1
+    # r (the predicate rows), rp, ez and u
+    for i in (0, 2, 4, 5):
+        assert np.shares_memory(first[i], last[i]), i
 
 
 def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
-    # train and network_outputs each pass one workspace to all their passes
+    # train and network_outputs each pass one workspace to all their
+    # temporal layers
     seen = []
 
-    def record(X, params, shape, p, ws=None):
+    def record(X, model, ws):
         seen.append(ws)
-        return real(X, params, shape, p, ws)
+        return real(X, model, ws)
 
-    real = network.network_pass
-    monkeypatch.setattr(network, "network_pass", record)
-    monkeypatch.setattr(trainer, "network_pass", record)
-    X, params, shape = random_network_case(np.random.default_rng(44), 2 * CHUNK + 1, 10, 1, 2, False)
+    real = network._temporal
+    monkeypatch.setattr(network, "_temporal", record)
+    n = 2 * CHUNK + 1
+    X, params, shape = random_network_case(np.random.default_rng(44), n, 10, 1, 2, False)
     network_outputs(X, params, shape, P)
     train(tiny_driving_pair, TrainConfig(epochs=2, batch_size=25))
     assert len(seen) == 3 + 2 * 3
@@ -692,5 +701,21 @@ def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
         assert isinstance(calls[0], dict) and all(ws is calls[0] for ws in calls)
         # the smaller last chunk or batch runs in the full one's arrays
         assert len({key[:2] for key in calls[0]}) == len(calls[0])
-    assert {len(array) for array in seen[0].values()} == {CHUNK}
+    assert {(key[0], len(array)) for key, array in seen[0].items()} == {
+        ("temporal", CHUNK), ("conjunction", n), ("disjunction", n)
+    }
     assert {len(array) for array in seen[3].values()} == {25}
+
+
+def test_network_outputs_builds_the_windows_once(monkeypatch):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = network._window_rows
+    monkeypatch.setattr(network, "_window_rows", record)
+    X, params, shape = random_network_case(np.random.default_rng(46), 3 * CHUNK + 1, 10, 1, 2, False)
+    network_outputs(X, params, shape, P)
+    assert len(calls) == 1

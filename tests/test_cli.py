@@ -426,7 +426,7 @@ def test_eval_names_the_formula_file_at_fault(cli_env, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("blank", ["", " "])
-def test_eval_names_a_mistyped_formula_path(cli_env, tmp_path, capsys, blank):
+def test_eval_names_a_mistyped_formula_path(cli_env, tmp_path, capsys, monkeypatch, blank):
     csv, _, _ = cli_env
     missing = f"{blank}{tmp_path / 'runs' / 'formul.txt'}"
     rc = main(["eval", "--data", str(csv), "--formula", missing])
@@ -436,6 +436,16 @@ def test_eval_names_a_mistyped_formula_path(cli_env, tmp_path, capsys, blank):
         f"error: --formula {missing}: no such file, and not a formula: expected a "
         f"predicate, temporal operator, '!' or '(' at position {len(blank)}\n",
     )
+    # relative paths that parse as far as a predicate's comparison
+    monkeypatch.chdir(tmp_path)
+    for missing in (f"{blank}x0.txt", f"{blank}x1_model/formula.txt"):
+        rc = main(["eval", "--data", str(csv), "--formula", missing])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: --formula {missing}: no such file, and not a formula: expected '<' or '>' "
+            f"at position {len(blank) + 2}\n",
+        )
 
 
 def test_eval_refuses_a_formula_directory(cli_env, tmp_path, capsys):

@@ -303,7 +303,7 @@ def test_dead_rows_are_skipped():
     assert _const_slots(3.0, -1.0, M=[[0.0, 0.0], [1.0, 0.0]]) == 3.0
     shape = NetworkShape.cycled(1, m=2)
     params = ModelParams(np.zeros(4), np.zeros(4), np.full(4, 3.0), [[0.2, 0.1, 0.0, 0.4], [0.9, 0.0, 0.0, 0.0]])
-    assert network_pass(np.zeros((1, 4, 1)), params, shape, P).live.tolist() == [1]
+    assert network_pass(np.zeros((1, 4, 1)), params, shape, P).model.live.tolist() == [1]
 
 
 def test_disjunction_layer():
@@ -539,7 +539,6 @@ def test_batched_forward_chunk_edges(n):
 
 def test_batched_forward_raises_named_errors():
     shape = NetworkShape.cycled(1, m=2)
-    X = np.zeros((3, 6, 1))
     good = dict(b=np.zeros(4), t1=np.zeros(4), t2=np.full(4, 5.0), M=np.full((2, 4), 0.9))
     cases = [
         # slot 2's window lies past the end of the signal
@@ -549,10 +548,12 @@ def test_batched_forward_raises_named_errors():
         (dict(b=np.array([0.0, np.nan, 0.0, 0.0])), NonFiniteError, r"parameter b\[1\]$"),
         (dict(M=np.array([[0.9] * 4, [0.9, 0.9, np.inf, 0.9]])), NonFiniteError, r"parameter M\[1, 2\]$"),
     ]
-    for change, error, message in cases:
-        params = ModelParams(**{**good, **change})
-        with pytest.raises(error, match=message):
-            network_outputs(X, params, shape, P)
+    # one chunk or more: the model is checked before any chunk runs
+    for X in (np.zeros((3, 6, 1)), np.zeros((CHUNK + 1, 6, 1))):
+        for change, error, message in cases:
+            params = ModelParams(**{**good, **change})
+            with pytest.raises(error, match=message):
+                network_outputs(X, params, shape, P)
 
 
 def test_forward_names_a_slot_axis_beyond_the_data():

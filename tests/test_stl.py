@@ -69,6 +69,25 @@ def test_satisfaction_is_strict():
     assert satisfied(X, Predicate(0, 1, 0.0)).tolist() == [True, False, False]
 
 
+def test_a_verdict_is_the_sign_of_the_difference_on_extreme_values():
+    # satisfied compares x with the offset where robustness subtracts
+    # them: both agree on zeros of either sign, subnormals, overflowing
+    # differences, infinities and NaN, for either sign, under G and F
+    grid = [0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, np.inf, -np.inf, np.nan, 1.0, -2.5, 0.1, 1e-300]
+    offsets = [v for v in grid if np.isfinite(v)]
+    # every pair of grid values as a two-step signal
+    X = np.array([[a, b] for a in grid for b in grid])[:, :, None]
+    for sign in (1, -1):
+        for offset in offsets:
+            with np.errstate(over="ignore", invalid="ignore"):
+                holds = sign * X[:, :, 0] - offset > 0.0
+            pred = Predicate(0, sign, offset)
+            assert satisfied(X, pred).tolist() == holds[:, 0].tolist(), (sign, offset)
+            for op, reduce in ((G, np.all), (F, np.any)):
+                got = satisfied(X, TemporalAtom(op, 0, 1, pred))
+                assert got.tolist() == reduce(holds, axis=1).tolist(), (sign, offset, op)
+
+
 def test_mcr_all_correct_and_all_wrong():
     f = Predicate(0, 1, 0.0)
     pos, neg = const_signal(1.0, 3), const_signal(-1.0, 3)

@@ -16,8 +16,11 @@ The two result lines of each run go to `<workload>-parent.jsonl` and
 `<workload>-change.jsonl` in DIR (default: a temporary directory), the
 format perfbench/summarize.py reads.  For each end-to-end metric this
 prints both medians, the parent's interquartile range as a share of its
-median, and in how many pairs the change did better (ties count for
-neither side); then the bound verdict of summarize.py's `compare`.
+median, in how many pairs the change did better (ties count for
+neither side), and whether that shows a gain: yes when the change wins at
+least 9 in 10 of the pairs and its median beats the parent's by more than
+the parent's interquartile range.  Then the bound verdict of
+summarize.py's `compare`.
 """
 
 import argparse
@@ -74,7 +77,8 @@ def report(parent: Path, change: Path) -> None:
     (_, b), = summarize([change]).items()
     print(f"{key}: {a['runs']} pairs; failed operations {a['failed']}/{a['attempted']} "
           f"parent, {b['failed']}/{b['attempted']} change")
-    print(f"  {'metric':16s} {'parent':>12s} {'change':>12s} {'parent IQR':>11s} {'change wins':>12s}")
+    print(f"  {'metric':16s} {'parent':>12s} {'change':>12s} {'parent IQR':>11s} {'change wins':>12s} "
+          f"{'gain shown':>11s}")
     for m in _spec()["end_to_end"]:
         name = m["name"]
         if name not in a["metrics"] or name not in b["metrics"]:
@@ -84,8 +88,10 @@ def report(parent: Path, change: Path) -> None:
         wins = sum(sign * (x - y) > 0 for x, y in zip(pa, pb))
         stats = a["metrics"][name]
         iqr = f"{stats['spread']:.1%}" if stats.get("spread") is not None else "-"
+        gain = sign * (stats["median"] - b["metrics"][name]["median"])
+        shown = 10 * wins >= 9 * len(pa) and "q1" in stats and gain > stats["q3"] - stats["q1"]
         print(f"  {name:16s} {stats['median']:>12.6g} {b['metrics'][name]['median']:>12.6g} "
-              f"{iqr:>11s} {f'{wins}/{len(pa)}':>12s}")
+              f"{iqr:>11s} {f'{wins}/{len(pa)}':>12s} {'yes' if shown else 'no':>11s}")
     compare([parent], [change])
 
 
