@@ -26,10 +26,14 @@ X (n, length, dim) and saves what `NetworkPass.vjp` reads to give the
 gradients of b, t1, t2 and M in closed form; `train` calls the pair once
 per batch.  `network_outputs`, hence evaluation and sign agreement,
 prepares once, runs the temporal layer over CHUNK signals at a time, and
-the head once over all of them.  Only the temporal layer's (n, k, length)
-arrays stay at CHUNK signals; the head's (n, m, k) arrays grow with the
-dataset, to about 0.7 times the size of X on the naval data, within the
-2 times X that parsing a CSV file peaks at.
+the head once over all of them.  Its temporal layer pools only the slots
+that some live gate row opens: an unread slot reaches the conjunction
+only through closed gates, as r * 0, so its pooled value is left at 0.0,
+with the same output bits (`network_outputs` gives the argument, and the
+one overflow edge where they differ).  Only the temporal layer's
+(n, k, length) arrays stay at CHUNK signals; the head's (n, m, k) arrays
+grow with the dataset, to about 0.7 times the size of X on the naval
+data, within the 2 times X that parsing a CSV file peaks at.
 
 A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
 a dict of float64 arrays keyed by layer, name and the shape past the
@@ -42,7 +46,7 @@ its gradients are a fresh `ModelParams`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -613,17 +617,42 @@ def network_outputs(
 
     Prepares the model once, runs the temporal layer on CHUNK signals at a
     time in one workspace, then the conjunction and disjunction once over
-    all n.  Every argmax and sum runs along one signal's own rows, so each
-    output has the bits `network_pass` gives it in any batch.  Raises what
-    `network_pass` raises, and NonFiniteError on a non-finite output.
+    all n.  The temporal layer pools only the slots that some live gate
+    row opens; the other columns of the (n, k) pooled values g hold 0.0.
+    Every argmax and sum runs along one signal's own rows, and an unread
+    slot moves no bit of the head, so each output has the bits
+    `network_pass` gives it in any batch:
+
+    - a lane whose gate is closed in every live row enters the
+      conjunction as r * 0, a zero whatever finite r is;
+    - argmax treats +0.0 and -0.0 as equal, and the forward reads the
+      row's first maximum `top` only through |top|;
+    - the masked shift and u = 0 * ez do not read r;
+    - r * u at a closed lane is a zero, and no numpy sum shows its sign:
+      add.reduce starts from +0.0, and x + (+-0.0) == x.
+
+    One edge moves: when an unread slot's values overflow (axis values
+    near +-1.7e308), `network_pass` gives NaN (inf * 0 at the closed
+    lane), while this gives the finite output of the slots the formula
+    reads.  Raises what `network_pass` raises, and NonFiniteError naming
+    the first sample whose output is not finite.
     """
     X = np.asarray(X, dtype=np.float64)
     model = _prepare(X, params, shape, p)
+    read = model.gates.any(axis=0).nonzero()[0]
+    pooled = replace(
+        model,
+        axes=model.axes[read],
+        flip_sign=model.flip_sign[read],
+        offsets=model.offsets[read],
+        windows=model.windows[read],
+    )
     ws: dict = {}
-    g = np.empty((X.shape[0], shape.k))
+    g = np.zeros((X.shape[0], shape.k))
     for lo in range(0, X.shape[0], CHUNK):
-        g[lo : lo + CHUNK] = _temporal(X[lo : lo + CHUNK], model, ws)[0]
+        g[lo : lo + CHUNK, read] = _temporal(X[lo : lo + CHUNK], pooled, ws)[0]
     out = _head(g, model, ws)[0]
-    if not np.isfinite(out).all():
-        raise NonFiniteError("non-finite network output")
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NonFiniteError(f"non-finite network output of sample {int(finite.argmin())}")
     return out

@@ -13,6 +13,8 @@ route the normalizer's gradient to the bytes a fresh argmax gave, and a
 pass with its backward gives the bytes of the arithmetic it replaced.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from stlinfer.network import (
     network_outputs,
     network_pass,
 )
+from stlinfer.evaluate import load_model
 from stlinfer.stl import TemporalOp
 from stlinfer.trainer import TrainConfig, _batch_gradients, train
 from util import (
@@ -552,7 +555,7 @@ def test_non_finite_array_detected():
     X, params, shape = one_slot_gates_case(np.random.default_rng(37))
     X[1] = 1e308  # a window's weighted sum overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match="non-finite network output"):
+        with pytest.raises(NonFiniteError, match=r"^non-finite network output of sample 1$"):
             network_outputs(X, params, shape, P)
 
 
@@ -719,3 +722,108 @@ def test_network_outputs_builds_the_windows_once(monkeypatch):
     X, params, shape = random_network_case(np.random.default_rng(46), 3 * CHUNK + 1, 10, 1, 2, False)
     network_outputs(X, params, shape, P)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# scoring pools only the slots a live gate row opens
+
+
+def unread_slots_case(rng, n, length, dim, m, one_live):
+    """Signals on a grid of signed zeros and small integers, offsets on
+    the same grid (so rows and pooled values hit exact zeros), and gates
+    with one live row (one_live) or m of them, some slots closed in every
+    row."""
+    shape = NetworkShape.cycled(dim, m=m)
+    k = shape.k
+    X = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(n, length, dim))
+    b = rng.choice([-1.0, -0.0, 0.0, 1.0], size=k)
+    t1 = rng.integers(0, length, k) + rng.choice([0.0, 0.5], k)
+    t2 = np.minimum(t1 + rng.integers(0, length, k), length - 1.0)
+    M = (rng.uniform(size=(m, k)) < rng.uniform(0.1, 0.6)).astype(np.float64)
+    M[:, rng.uniform(size=k) < 0.4] = 0.0
+    M[[0, -1], rng.integers(k, size=2)] = 1.0
+    if one_live:
+        M[1:] = 0.0
+    return X, ModelParams(b, np.minimum(t1, t2), t2, M), shape
+
+
+def test_network_outputs_skipping_unread_slots_keeps_the_bits():
+    # an unread slot's pooled value is 0.0 in place of the pass's, which
+    # enters the head only through closed gates: no output bit moves
+    rng = np.random.default_rng(47)
+    unread = zeros = 0
+    for draw in range(300):
+        n = CHUNK + 3 if draw % 10 == 0 else int(rng.integers(1, 12))
+        length, dim, m = int(rng.integers(1, 9)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        X, params, shape = unread_slots_case(rng, n, length, dim, m, draw % 2 == 0)
+        p = ActivationParams(beta=float(rng.uniform(1.0, 30.0)), h=float(rng.choice([0.5, 1.0, 2.0])))
+        assert (np.count_nonzero(params.gates().any(axis=1)) == 1) == (draw % 2 == 0 or m == 1)
+        out = network_outputs(X, params, shape, p)
+        assert out.tobytes() == network_pass(X, params, shape, p).out.tobytes(), draw
+        unread += not params.gates().any(axis=0).all()
+        zeros += int(np.count_nonzero(out == 0.0))
+    assert unread >= 100 and zeros >= 100
+
+
+def test_network_outputs_pools_only_the_read_slots(monkeypatch):
+    rows = []
+
+    def record(X, model, ws):
+        g, temporal = real(X, model, ws)
+        rows.append((temporal[0].shape[1], model.axes.tolist()))
+        return g, temporal
+
+    real = network._temporal
+    monkeypatch.setattr(network, "_temporal", record)
+    X, params, shape = one_slot_gates_case(np.random.default_rng(48), n=CHUNK + 1)
+    axes = shape.constants[0]
+    for gates, read in (
+        ([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]], [0, 1, 2]),
+        ([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]], [3]),
+        ([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]], [0, 1, 2, 3]),
+    ):
+        rows.clear()
+        network_outputs(X, GatedParams(params, gates), shape, P)
+        assert rows == [(len(read), axes[read].tolist())] * 2
+
+
+def test_an_unread_slot_that_overflows_is_not_scored():
+    # axis 1 feeds only slots 2, 3, 6 and 7, closed in every row: its
+    # overflow gives the pass NaN (inf * 0), and the score the outputs of
+    # the same signals with axis 1 at zero
+    rng = np.random.default_rng(49)
+    shape = NetworkShape.cycled(2, m=2)
+    params = ModelParams(
+        rng.uniform(-1.0, 1.0, 8),
+        np.zeros(8),
+        np.full(8, 9.0),
+        [[0.9, 0.1, 0.0, 0.0, 0.7, 0.6, 0.2, 0.0], [0.0, 0.8, 0.4, 0.3, 0.0, 0.9, 0.0, 0.1]],
+    )
+    X = rng.uniform(-3.0, 3.0, (CHUNK + 5, 10, 2))
+    X[::3, :, 1] = 1.7e308
+    X[1::3, :, 1] = -1.7e308
+    zeroed = X.copy()
+    zeroed[:, :, 1] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = np.isnan(network_pass(X, params, shape, P).out)
+        out = network_outputs(X, params, shape, P)
+    assert overflowed.tolist() == [i % 3 < 2 for i in range(len(X))]
+    assert np.isfinite(out).all()
+    assert out.tobytes() == network_outputs(zeroed, params, shape, P).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 61])
+def test_sums_of_negative_zeros_are_positive_zero(n):
+    # the skip's bits rest on this: a closed lane's -0.0 term leaves every
+    # sum the head takes as it is
+    terms = np.full((3, 2, n), -0.0)
+    for total in (np.add.reduce(terms[0, 0]), *np.add.reduce(terms, axis=-1).ravel()):
+        assert total == 0.0 and not np.signbit(total)
+
+
+def test_the_benchmark_fixture_leaves_a_slot_unread():
+    # so that perfbench's score-naval runs the skip
+    root = Path(__file__).resolve().parent.parent
+    params, shape, _ = load_model(root / "perfbench" / "fixture" / "report.json")
+    read = params.gates().any(axis=0)
+    assert 0 < np.count_nonzero(read) < shape.k

@@ -36,22 +36,21 @@ LANE_REF = parse_formula("G[0,39](x0 > -1.97)")
 def test_go_forward_keeps_lane_overtake_leaves_it():
     gf = gen_driving(DrivingBehavior.GO_FORWARD, 200, 40, seed=5)
     ot = gen_driving(DrivingBehavior.OVERTAKE, 200, 40, seed=5)
-    assert all(robustness(sig, LANE_REF) > 0.0 for sig, _ in gf)
-    assert not any(robustness(sig, LANE_REF) > 0.0 for sig, _ in ot)
+    assert all(robustness(Signal(x), LANE_REF) > 0.0 for x in gf.X)
+    assert not any(robustness(Signal(x), LANE_REF) > 0.0 for x in ot.X)
 
 
 def test_go_forward_always_advances():
     gf = gen_driving(DrivingBehavior.GO_FORWARD, 100, 40, seed=5)
-    for sig, _ in gf:
-        assert np.all(np.diff(sig.values[:, 1]) > 0)
-        assert np.all(np.abs(sig.values[:, 0]) < 2.0)
+    assert np.all(np.diff(gf.X[:, :, 1], axis=1) > 0)
+    assert np.all(np.abs(gf.X[:, :, 0]) < 2.0)
 
 
 def test_stop_and_go_holds_exactly_at_the_line():
     stop_line = datasets._STOP_FRACTION * (datasets._Y0_MAX + datasets._V_MAX * 39)
     sg = gen_driving(DrivingBehavior.STOP_AND_GO, 100, 40, seed=5)
-    for sig, _ in sg:
-        hits = np.flatnonzero(sig.values[:, 1] == stop_line)
+    for x in sg.X:
+        hits = np.flatnonzero(x[:, 1] == stop_line)
         assert len(hits) == datasets._STOP_HOLD
         assert np.all(np.diff(hits) == 1)
 
@@ -59,16 +58,15 @@ def test_stop_and_go_holds_exactly_at_the_line():
 def test_turns_leave_the_road_and_switch_settles_in_lane_two():
     for behavior in (DrivingBehavior.LEFT_TURN_LANE1, DrivingBehavior.LEFT_TURN_LANE2):
         turns = gen_driving(behavior, 100, 40, seed=5)
-        assert all(sig.values[-1, 0] < -6.0 for sig, _ in turns)
-    switch = gen_driving(DrivingBehavior.SWITCH_LANE, 100, 40, seed=5)
-    assert all(-6.0 < sig.values[-1, 0] < -2.0 for sig, _ in switch)
+        assert np.all(turns.X[:, -1, 0] < -6.0)
+    last = gen_driving(DrivingBehavior.SWITCH_LANE, 100, 40, seed=5).X[:, -1, 0]
+    assert np.all((-6.0 < last) & (last < -2.0))
 
 
 def test_overtake_returns_to_its_lane():
     ot = gen_driving(DrivingBehavior.OVERTAKE, 100, 40, seed=5)
-    for sig, _ in ot:
-        assert sig.values[:, 0].min() < -2.0
-        assert sig.values[-1, 0] > -2.0
+    assert np.all(ot.X[:, :, 0].min(axis=1) < -2.0)
+    assert np.all(ot.X[:, -1, 0] > -2.0)
 
 
 def test_gen_driving_shapes_and_determinism():
@@ -76,8 +74,7 @@ def test_gen_driving_shapes_and_determinism():
     assert len(data) == 2000
     assert data.length == 40 and data.dim == 2
     again = gen_driving(DrivingBehavior.GO_FORWARD, 2000, 40, seed=0)
-    for (a, _), (b, _) in zip(data, again):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(data.X, again.X) and np.array_equal(data.y, again.y)
     other = gen_driving(DrivingBehavior.GO_FORWARD, 1, 40, seed=1)
     assert not np.array_equal(other.X[0], data.X[0])
 
@@ -116,18 +113,17 @@ def test_naval_balance_and_both_anomaly_kinds():
     labels = data.y
     assert (labels == 1).sum() == 30 and (labels == -1).sum() == 30
     assert data.length == 61 and data.dim == 2
-    negatives = [sig for sig, label in data if label == -1]
-    island = [s for s in negatives if s.values[8:17, 1].min() < 23.0]
-    abort = [s for s in negatives if s.values[-1, 0] > 50.0]
-    assert len(island) + len(abort) == len(negatives)
-    assert len(island) == 15 and len(abort) == 15
+    negatives = data.X[labels == -1]
+    island = np.count_nonzero(negatives[:, 8:17, 1].min(axis=1) < 23.0)
+    abort = np.count_nonzero(negatives[:, -1, 0] > 50.0)
+    assert island + abort == len(negatives)
+    assert island == 15 and abort == 15
 
 
 def test_naval_determinism_and_validation():
     a = gen_naval(10, seed=4)
     b = gen_naval(10, seed=4)
-    for (x, _), (y, _) in zip(a, b):
-        assert np.array_equal(x.values, y.values)
+    assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
     with pytest.raises(ValueError, match="even"):
         gen_naval(7)
     with pytest.raises(ValueError, match="even"):
@@ -316,8 +312,7 @@ def test_csv_round_trip_is_lossless(tmp_path, tiny_naval):
     assert head == "label,2,61"
     back = load_parsed(path)
     assert back.y.tolist() == tiny_naval.y.tolist()
-    for (a, _), (b, _) in zip(tiny_naval, back):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(back.X, tiny_naval.X)
 
 
 def test_csv_save_refuses_empty(tmp_path):

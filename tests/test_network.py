@@ -544,6 +544,10 @@ def test_batched_forward_raises_named_errors():
         # slot 2's window lies past the end of the signal
         (dict(t1=np.array([0.0, 0.0, 7.5, 0.0]), t2=np.array([5.0, 5.0, 9.0, 5.0])),
          EmptySelectionError, "empty time window"),
+        # also when no gate row opens slot 2: scoring checks every slot
+        (dict(t1=np.array([0.0, 0.0, 7.5, 0.0]), t2=np.array([5.0, 5.0, 9.0, 5.0]),
+              M=np.array([[0.9, 0.9, 0.1, 0.9]] * 2)),
+         EmptySelectionError, "empty time window"),
         (dict(M=np.full((2, 4), np.nextafter(0.5, 0.0))), EmptyFormulaError, "gated off"),
         (dict(b=np.array([0.0, np.nan, 0.0, 0.0])), NonFiniteError, r"parameter b\[1\]$"),
         (dict(M=np.array([[0.9] * 4, [0.9, 0.9, np.inf, 0.9]])), NonFiniteError, r"parameter M\[1, 2\]$"),
@@ -558,9 +562,11 @@ def test_batched_forward_raises_named_errors():
 
 def test_forward_names_a_slot_axis_beyond_the_data():
     shape = NetworkShape.cycled(2, m=1)
-    params = ModelParams(np.zeros(8), np.zeros(8), np.full(8, 5.0), np.ones((1, 8)))
-    with pytest.raises(ValueError, match=r"^slot 2 reads axis 1, but the data has dim 1$"):
-        network_outputs(np.zeros((3, 6, 1)), params, shape, P)
+    # also when no gate opens a slot that reads axis 1 (slots 2, 3, 6, 7)
+    for M in (np.ones((1, 8)), np.array([[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]])):
+        params = ModelParams(np.zeros(8), np.zeros(8), np.full(8, 5.0), M)
+        with pytest.raises(ValueError, match=r"^slot 2 reads axis 1, but the data has dim 1$"):
+            network_outputs(np.zeros((3, 6, 1)), params, shape, P)
 
 
 def test_forward_refuses_signals_that_are_not_3d():

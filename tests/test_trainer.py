@@ -270,9 +270,7 @@ def test_init_params_ranges(tiny_driving_pair):
     assert params.t2.tolist() == [39.0] * shape.k
     assert np.all((params.M >= 0.4) & (params.M <= 0.6))
     for j, slot in enumerate(shape.slots):
-        pooled = np.concatenate(
-            [slot.sign * sig.values[:, slot.axis] for sig, _ in tiny_driving_pair]
-        )
+        pooled = slot.sign * tiny_driving_pair.X[:, :, slot.axis]
         assert pooled.min() <= params.b[j] <= pooled.max()
 
 
@@ -576,7 +574,7 @@ def test_train_reports_are_byte_identical_in_one_process(tiny_driving_pair, tmp_
 def test_train_validations(tiny_driving_pair):
     with pytest.raises(ValueError, match="empty"):
         train(dataset_from_samples([]), small_cfg())
-    pos_only = dataset_from_samples([(sig, 1) for sig, _ in list(tiny_driving_pair)[:4]])
+    pos_only = LabeledDataset(tiny_driving_pair.X[:4], [1] * 4)
     with pytest.raises(ValueError, match="both classes"):
         train(pos_only, small_cfg())
     with pytest.raises(ValueError, match="epochs"):
@@ -641,8 +639,8 @@ def test_slope_end_above_one_is_refused(tiny_driving_pair):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_aborts_with_epoch(tiny_driving_pair):
-    samples = list(tiny_driving_pair)
-    data = dataset_from_samples(samples[:5] + samples[-5:])
+    X, y = tiny_driving_pair.X, tiny_driving_pair.y
+    data = LabeledDataset(np.concatenate([X[:5], X[-5:]]), np.concatenate([y[:5], y[-5:]]))
     cfg = small_cfg(epochs=3, batch_size=64, lr=1e120)
     with pytest.raises(DivergenceError, match="diverged at epoch 1, batch 0: non-finite loss of sample"):
         train(data, cfg)

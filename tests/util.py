@@ -439,11 +439,12 @@ def init_params_oracle(data, shape, rng: np.random.Generator) -> ModelParams:
 
 def simplify_oracle(params, shape, data) -> np.ndarray:
     """Greedy pruning as one robustness() call per sample and trial."""
-    samples = list(data)
+    signals = [Signal(x) for x in data.X]
+    positive = (data.y == 1).tolist()
 
     def wrong_count(gates):
         formula = formula_from_gates(params, shape, gates)
-        return sum((robustness(sig, formula) > 0.0) != (label == 1) for sig, label in samples)
+        return sum((robustness(sig, formula) > 0.0) != pos for sig, pos in zip(signals, positive))
 
     gates = (params.M >= 0.5).astype(np.float64)
     baseline = wrong_count(gates)
