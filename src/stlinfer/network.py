@@ -28,12 +28,17 @@ per batch.  `network_outputs`, hence evaluation and sign agreement,
 prepares once, runs the temporal layer over CHUNK signals at a time, and
 the head once over all of them.  Its temporal layer pools only the slots
 that some live gate row opens: an unread slot reaches the conjunction
-only through closed gates, as r * 0, so its pooled value is left at 0.0,
-with the same output bits (`network_outputs` gives the argument, and the
-one overflow edge where they differ).  Only the temporal layer's
-(n, k, length) arrays stay at CHUNK signals; the head's (n, m, k) arrays
-grow with the dataset, to about 0.7 times the size of X on the naval
-data, within the 2 times X that parsing a CSV file peaks at.
+only through closed gates, as r * 0, so its pooled value is left at 0.0.
+It runs `_pool`, a forward-only temporal layer whose per-call operands
+are made once at chunk shape: it puts the unselected lanes at -inf and
+takes one argmax per row, where `_softmax_rows` takes two and clamps.
+Both keep the output bits (`network_outputs` gives the arguments, and the
+one overflow edge where they differ).  Training keeps `_softmax_rows`,
+whose backward reads the first maximum over all lanes and the clamped
+exponents at closed gates.  The pool's (n, k, length) operands and
+arrays stay at CHUNK signals; the head's (n, m, k) arrays grow with the
+dataset, to about 0.7 times the size of X on the naval data, within the
+2 times X that parsing a CSV file peaks at.
 
 A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
 a dict of float64 arrays keyed by layer, name and the shape past the
@@ -46,7 +51,7 @@ its gradients are a fresh `ModelParams`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -607,6 +612,72 @@ def network_pass(
     return NetworkPass(out, model, temporal, conjunction, disjunction, ws)
 
 
+@dataclass(frozen=True)
+class _Pool:
+    """The operands of `_pool` for the slots `network_outputs` reads, made
+    once per call at chunk shape (c, s, length), c = min(CHUNK, n): the
+    slots' axes (s,), flip * sign, the signed offsets flip * b, the
+    windows W and the lane mask (0 on selected steps, -inf elsewhere);
+    then, shaped (c, s), each row's flat start and the floor of its top
+    (0 where the slot has an unselected step, -inf where it has none)."""
+
+    axes: np.ndarray
+    flip_sign: np.ndarray
+    offsets: np.ndarray
+    windows: np.ndarray
+    mask: np.ndarray
+    starts: np.ndarray
+    floor: np.ndarray
+    p: ActivationParams
+
+
+def _make_pool(model: _Model, read: np.ndarray, c: int) -> _Pool:
+    """The `_Pool` of the slots `read` of a prepared model, for chunks of
+    at most c signals."""
+    windows = model.windows[read]
+    s, length = windows.shape
+    selected = windows > 0.0
+    lanes = (model.flip_sign[read], model.offsets[read], windows, np.where(selected, 0.0, -np.inf))
+    floor = np.where(selected.all(axis=1), -np.inf, 0.0)
+    return _Pool(
+        model.axes[read],
+        *(np.broadcast_to(a, (c, s, length)).copy() for a in lanes),
+        np.arange(0, c * s * length, length).reshape(c, s),
+        np.broadcast_to(floor, (c, s)).copy(),
+        model.p,
+    )
+
+
+def _pool(X: np.ndarray, pool: _Pool, ws: dict) -> np.ndarray:
+    """The temporal layer's (n, s) pooled values of signals X (n <= c),
+    value only, with the bits `_temporal` gives them (`network_outputs`
+    gives the argument); the (n, s, length) arrays live in workspace `ws`,
+    where zs = r * w + mask turns into the exponents and then u."""
+    n = X.shape[0]
+    flip_sign, offsets, windows, mask = (
+        a[:n] for a in (pool.flip_sign, pool.offsets, pool.windows, pool.mask)
+    )
+    p = pool.p
+    rows = _buffer(ws, "temporal", "r", windows.shape)
+    X.transpose(0, 2, 1).take(pool.axes, axis=1, out=rows, mode="clip")
+    np.multiply(flip_sign, rows, out=rows)
+    np.subtract(rows, offsets, out=rows)
+    zs = np.multiply(rows, windows, out=_buffer(ws, "temporal", "ez", windows.shape))
+    np.add(zs, mask, out=zs)
+    at = zs.argmax(axis=-1)
+    at += pool.starts[:n]
+    top = np.maximum(zs.take(at), pool.floor[:n])
+    den = (np.abs(top, out=top) + p.eps)[..., None]
+    if p.h != 1.0:
+        np.multiply(zs, p.h, out=zs)
+    np.divide(zs, den, out=zs)
+    np.multiply(zs, p.beta, out=zs)
+    np.subtract(zs, zs.take(at)[..., None], out=zs)
+    u = np.multiply(np.exp(zs, out=zs), windows, out=zs)
+    den2 = np.add.reduce(u, axis=-1)
+    return np.add.reduce(np.multiply(rows, u, out=rows), axis=-1) / den2
+
+
 def network_outputs(
     X: np.ndarray,
     params: ModelParams,
@@ -631,6 +702,30 @@ def network_outputs(
     - r * u at a closed lane is a zero, and no numpy sum shows its sign:
       add.reduce starts from +0.0, and x + (+-0.0) == x.
 
+    The temporal layer is `_pool`, a forward-only form of `_temporal`
+    whose operands `_make_pool` makes once per call at chunk shape, so no
+    per-call (k, 1) or (k, length) operand is broadcast per chunk.  It
+    forms zs = r * w + mask, with the unselected lanes at -inf, and takes
+    one argmax `at` per row.  That gives the same bits:
+
+    - |top| is unchanged.  The pass's top is the largest r * w over all
+      lanes, where an unselected lane is a zero.  So it is the selected
+      maximum zs[at] when that is > 0, and a zero otherwise in a slot
+      with an unselected step, which the floor of 0 gives here.
+    - The shift is unchanged.  The pass reads it at the first maximum of
+      the scaled, masked exponents; this reads it at `at`, the first
+      maximum before scaling.  Multiplying by h and beta and dividing by
+      the positive den are each monotone, so the scaled maximum is the
+      scaled zs[at], whichever of its ties each argmax picks; a selected
+      zs differs from the pass's r * w only in the sign of a zero, which
+      exp(zs - shift) does not see.
+    - An unselected lane gives exp(-inf) = 0 and u = W * 0, the same +0.0
+      as the pass's 0 * ez after its clamp, so this needs no clamp.
+
+    Training keeps `_softmax_rows`: its backward reads the first maximum
+    of r * w over all lanes and the clamped ez at closed gates, which the
+    pool does not make.
+
     One edge moves: when an unread slot's values overflow (axis values
     near +-1.7e308), `network_pass` gives NaN (inf * 0 at the closed
     lane), while this gives the finite output of the slots the formula
@@ -640,17 +735,11 @@ def network_outputs(
     X = np.asarray(X, dtype=np.float64)
     model = _prepare(X, params, shape, p)
     read = model.gates.any(axis=0).nonzero()[0]
-    pooled = replace(
-        model,
-        axes=model.axes[read],
-        flip_sign=model.flip_sign[read],
-        offsets=model.offsets[read],
-        windows=model.windows[read],
-    )
+    pool = _make_pool(model, read, min(CHUNK, X.shape[0]))
     ws: dict = {}
     g = np.zeros((X.shape[0], shape.k))
     for lo in range(0, X.shape[0], CHUNK):
-        g[lo : lo + CHUNK, read] = _temporal(X[lo : lo + CHUNK], pooled, ws)[0]
+        g[lo : lo + CHUNK, read] = _pool(X[lo : lo + CHUNK], pool, ws)
     out = _head(g, model, ws)[0]
     finite = np.isfinite(out)
     if not finite.all():

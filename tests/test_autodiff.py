@@ -657,14 +657,21 @@ def test_buffer_slices_the_largest_array_of_a_trailing_shape():
 
 
 def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypatch):
-    chunks = []
+    chunks, buffers = [], []
 
-    def record(X, model, ws):
-        chunks.append((real(X, model, ws), ws))
+    def buffer(ws, layer, name, shape):
+        buffers.append((name, real_buffer(ws, layer, name, shape)))
+        return buffers[-1][1]
+
+    def record(X, pool, ws):
+        # the arrays the chunk's pool writes, by name
+        buffers.clear()
+        chunks.append((real(X, pool, ws), ws, dict(buffers)))
         return chunks[-1][0]
 
-    real = network._temporal
-    monkeypatch.setattr(network, "_temporal", record)
+    real, real_buffer = network._pool, network._buffer
+    monkeypatch.setattr(network, "_pool", record)
+    monkeypatch.setattr(network, "_buffer", buffer)
     n = 3 * CHUNK + 1
     X, params, shape = random_network_case(np.random.default_rng(45), n, 10, 1, 2, False)
     fresh = [network_pass(X[lo : lo + CHUNK], params, shape, P).out for lo in range(0, n, CHUNK)]
@@ -672,29 +679,34 @@ def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypa
     out = network_outputs(X, params, shape, P)
     assert out.tobytes() == np.concatenate(fresh).tobytes()
     ws = chunks[0][1]
-    assert len(chunks) == 4 and all(w is ws for _, w in chunks)
+    assert len(chunks) == 4 and all(w is ws for _, w, _ in chunks)
     # one array per layer and name: the temporal layer's of the full
     # chunk's size, the conjunction's and disjunction's of every signal's
     assert len({key[:2] for key in ws}) == len(ws)
     assert all(len(array) == (CHUNK if key[0] == "temporal" else n) for key, array in ws.items())
-    (_, first), (g, last) = chunks[0][0], chunks[-1][0]
+    (_, _, first), (g, _, last) = chunks[0], chunks[-1]
     assert len(g) == 1
-    # r (the predicate rows), rp, ez and u
-    for i in (0, 2, 4, 5):
-        assert np.shares_memory(first[i], last[i]), i
+    # r (the predicate rows) and ez, which holds r * w, the exponents
+    # and u in turn
+    assert first.keys() == last.keys() == {"r", "ez"}
+    for name in first:
+        assert np.shares_memory(first[name], last[name]), name
 
 
 def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
     # train and network_outputs each pass one workspace to all their
-    # temporal layers
+    # temporal layers: train's `_temporal`, the score's `_pool`
     seen = []
 
-    def record(X, model, ws):
-        seen.append(ws)
-        return real(X, model, ws)
+    def spy(real):
+        def record(X, operands, ws):
+            seen.append(ws)
+            return real(X, operands, ws)
 
-    real = network._temporal
-    monkeypatch.setattr(network, "_temporal", record)
+        return record
+
+    monkeypatch.setattr(network, "_temporal", spy(network._temporal))
+    monkeypatch.setattr(network, "_pool", spy(network._pool))
     n = 2 * CHUNK + 1
     X, params, shape = random_network_case(np.random.default_rng(44), n, 10, 1, 2, False)
     network_outputs(X, params, shape, P)
@@ -768,13 +780,13 @@ def test_network_outputs_skipping_unread_slots_keeps_the_bits():
 def test_network_outputs_pools_only_the_read_slots(monkeypatch):
     rows = []
 
-    def record(X, model, ws):
-        g, temporal = real(X, model, ws)
-        rows.append((temporal[0].shape[1], model.axes.tolist()))
-        return g, temporal
+    def record(X, pool, ws):
+        g = real(X, pool, ws)
+        rows.append((g.shape[1], pool.axes.tolist()))
+        return g
 
-    real = network._temporal
-    monkeypatch.setattr(network, "_temporal", record)
+    real = network._pool
+    monkeypatch.setattr(network, "_pool", record)
     X, params, shape = one_slot_gates_case(np.random.default_rng(48), n=CHUNK + 1)
     axes = shape.constants[0]
     for gates, read in (
@@ -810,6 +822,79 @@ def test_an_unread_slot_that_overflows_is_not_scored():
     assert overflowed.tolist() == [i % 3 < 2 for i in range(len(X))]
     assert np.isfinite(out).all()
     assert out.tobytes() == network_outputs(zeroed, params, shape, P).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# scoring's forward-only pool
+
+
+def pool_rule_case(rng, n, near, gates=(1.0, 1.0, 1.0, 1.0)):
+    """Signals of length 9 for `NetworkShape.cycled(1, m=1)`, whose four
+    slots pool the rows -x, -x, x and x (before their offsets b), and
+    whose windows are [2, 5] (unselected steps on both sides), [0, 8]
+    (every step), [4, 4] and [1.5, 6] (a shoulder at step 1), under the
+    one gate row `gates`.  Each signal's values have one sign inside
+    steps 1..6 and the other outside, so that a row whose selected values
+    are all negative has its maximum outside the window; half the signals
+    have a signed zero at step 4, a selected maximum of +-0.0.  With
+    `near`, b is 2 and the signals lie within 2e-10 of it, so the tops of
+    slots 0 and 2 lie far below eps; otherwise b is a signed zero."""
+    shape = NetworkShape.cycled(1, m=1)
+    x = rng.uniform(1.0, 2.0, (n, 9)) * rng.choice([-1.0, 1.0], (n, 1))
+    x[:, [0, 7, 8]] *= -1.0
+    zero = rng.uniform(size=n) < 0.5
+    x[zero, 4] = rng.choice([-0.0, 0.0], np.count_nonzero(zero))
+    # offsets flip * b of +0.0 on slots 0 and 2: their rows keep x's zeros
+    b = np.full(4, 2.0) if near else np.array([-0.0, 0.0, 0.0, -0.0])
+    X = (2.0 + 1e-10 * x if near else x)[:, :, None]
+    return X, ModelParams(b, [2.0, 0.0, 4.0, 1.5], [5.0, 8.0, 4.0, 6.0], [gates]), shape
+
+
+@pytest.mark.parametrize("near", [False, True])
+@pytest.mark.parametrize("h", [1.0, 2.0])
+def test_scoring_pool_keeps_the_bits_of_the_pass(h, near):
+    # the pool floors a slot's top at 0 where it has an unselected step,
+    # as the pass's max over r * w does, shifts by its one argmax and
+    # puts the unselected lanes at -inf: each case of that rule occurs.
+    # A gate row of one slot outputs that slot's pooled value as it is,
+    # so its bits show; the head would hide a slot's smaller terms
+    p = ActivationParams(h=h)
+    for gates in (*np.eye(4), np.ones(4)):
+        X, params, shape = pool_rule_case(np.random.default_rng(50), 3 * CHUNK + 1, near, gates)
+        r, w = network_pass(X, params, shape, p).temporal[:2]
+        selected = np.broadcast_to(w > 0.0, r.shape)
+        partial = ~selected.all(axis=-1)
+        top = np.where(selected, r, -np.inf).max(axis=-1)
+        missed = partial & (top < 0.0) & (r.max(axis=-1) > 0.0)
+        # with `near`, slot 3's rows are x + 2, all > 0
+        assert np.count_nonzero(missed[:, [0, 2] if near else [0, 2, 3]], axis=0).min() > 50
+        assert partial[:, [0, 2, 3]].all() and not partial[:, 1].any()
+        if near:
+            assert np.count_nonzero((np.abs(top) < 1e-2 * p.eps) & ~missed) > 100
+        else:
+            # a selected maximum of +0.0 and of -0.0, unselected steps both sides
+            for j in (0, 2):
+                zeros = r[top[:, j] == 0.0, j, 4]
+                assert min(np.count_nonzero(np.signbit(zeros)), np.count_nonzero(~np.signbit(zeros))) > 20
+        for n in (1, CHUNK + 1, 3 * CHUNK + 1):
+            out = network_outputs(X[:n], params, shape, p)
+            assert out.tobytes() == network_pass(X[:n], params, shape, p).out.tobytes(), (gates, n)
+
+
+def test_scoring_pool_names_the_pass_s_first_non_finite_sample():
+    rng = np.random.default_rng(51)
+    X, params, shape = pool_rule_case(rng, 3 * CHUNK + 1, False)
+    # step 0 lies outside three windows, step 4 inside all four
+    for n, first in ((1, 0), (CHUNK + 1, CHUNK), (3 * CHUNK + 1, 2 * CHUNK + 5)):
+        for step in (0, 4):
+            for value in (np.inf, -np.inf):
+                Y = X[:n].copy()
+                Y[first::7, step] = value
+                with np.errstate(invalid="ignore", over="ignore"):
+                    bad = ~np.isfinite(network_pass(Y, params, shape, P).out)
+                    assert bad.argmax() == first and bad[first::7].all()
+                    with pytest.raises(NonFiniteError, match=rf"^non-finite network output of sample {first}$"):
+                        network_outputs(Y, params, shape, P)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 61])

@@ -181,6 +181,33 @@ def test_sign_agreement_on_random_binary_windows():
         assert (sparse_softmin_value(r, w, p) > 0) == (sel.min() > 0)
 
 
+@pytest.mark.parametrize(
+    "delta",
+    [
+        1e-8,
+        pytest.param(
+            1e-10,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: a top far below eps leaves the softmax near uniform",
+            ),
+        ),
+    ],
+)
+def test_sign_agreement_holds_near_a_threshold(delta):
+    # the snapped one-slot model G[0,39](x0 > 2) on a signal at 2 + delta
+    # with one step at 2 - delta: the formula is false, and at delta 1e-10
+    # the network outputs about +9.2e-11, the mean of the row more than
+    # its minimum.  Item 1's mend turns this into a plain pass
+    shape = NetworkShape((SlotSpec(0, 1, TemporalOp.ALWAYS),), 1)
+    params = ModelParams([2.0], [0.0], [39.0], [[1.0]])
+    atom = TemporalAtom(TemporalOp.ALWAYS, 0, 39, Predicate(0, 1, 2.0))
+    X = np.full((1, 40, 1), 2.0 + delta)
+    X[0, 20, 0] = 2.0 - delta
+    assert robustness(Signal(X[0]), atom) < 0.0
+    assert network_outputs(X, params, shape, P)[0] < 0.0
+
+
 # ---------------------------------------------------------------------------
 # time indicator
 

@@ -1,10 +1,18 @@
 """tools/same_bits.py, the same-output check between two source trees:
 its comparison rules on run directories made here (no training runs),
-and the commands it runs."""
+the commands it runs and its raw-score step."""
 
+import hashlib
 import importlib.util
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+from stlinfer.datasets import gen_naval, load_csv, save_csv
+from stlinfer.evaluate import load_model
+from stlinfer.network import network_outputs
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("same_bits", ROOT / "tools" / "same_bits.py")
@@ -77,3 +85,25 @@ def test_commands_cover_every_config_and_the_held_out_data():
     assert names[-3:] == ["generate-heldout", "eval-naval-heldout", "eval-fixture-heldout"]
     fixture = dict(same_bits.commands())["eval-fixture-heldout"]
     assert fixture[fixture.index("--model") + 1] == str(ROOT / "perfbench" / "fixture" / "report.json")
+
+
+def test_raw_scores_digest_the_outputs_of_the_naval_model_and_the_fixture(tmp_path):
+    # the step runs in a run directory after `generate-heldout` and
+    # `train-naval`; here the naval model is a copy of the fixture's
+    args = same_bits.raw_scores()
+    naval, fixture = args[2:]
+    assert args[:2] == ["-c", same_bits.RAW_SCORES] and naval == "runs/naval/report.json"
+    assert fixture == str(ROOT / "perfbench" / "fixture" / "report.json")
+    save_csv(gen_naval(10, seed=101), tmp_path / "heldout.csv")
+    (tmp_path / "runs" / "naval").mkdir(parents=True)
+    shutil.copy(fixture, tmp_path / naval)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, check=True, text=True
+    )
+    X = load_csv(tmp_path / "heldout.csv").X
+    digests = [
+        hashlib.sha256(network_outputs(X, *load_model(tmp_path / report)).tobytes()).hexdigest()
+        for report in (naval, fixture)
+    ]
+    assert done.stdout == f"{digests[0]} {naval}\n{digests[1]} {fixture}\n"

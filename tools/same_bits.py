@@ -12,7 +12,11 @@ its own, with every path relative to it, the same commands run:
   of the trained model on its training set;
 - `generate` of naval held-out data (`--count 750 --seed 101`), and
   `eval --model --formula` on it of the naval model and of the model in
-  `perfbench/fixture/` (read there, never written).
+  `perfbench/fixture/` (read there, never written);
+- one `python -c` step (`RAW_SCORES`) that prints the sha256 of the raw
+  `network_outputs(...).tobytes()` of those two models on the held-out
+  set, so that a scoring change that moves an output without flipping
+  its sign shows too.
 
 Every file the commands leave is compared byte for byte, except that
 `curves.csv` is compared by its epoch, loss and mcr columns (its seconds
@@ -34,6 +38,17 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 FIXTURE = ROOT / "perfbench" / "fixture"
 HELDOUT = ["generate", "--scenario", "naval", "--count", "750", "--seed", "101", "--out", "heldout.csv"]
+# the sha256 of each named model's raw network outputs on the held-out set
+RAW_SCORES = """
+import hashlib, sys
+from stlinfer.datasets import load_csv
+from stlinfer.evaluate import load_model
+from stlinfer.network import network_outputs
+X = load_csv("heldout.csv").X
+for report in sys.argv[1:]:
+    out = network_outputs(X, *load_model(report))
+    print(hashlib.sha256(out.tobytes()).hexdigest(), report)
+"""
 
 
 def _flag(args: list, name: str) -> str:
@@ -47,6 +62,11 @@ def _documented(cfg: Path, verb: str) -> list:
         if text.startswith(f"stlinfer {verb} "):
             return shlex.split(text)[1:]
     raise ValueError(f"{cfg}: no 'stlinfer {verb}' command in its header")
+
+
+def _naval_model() -> str:
+    """The run directory of the naval config's model."""
+    return _flag(_documented(ROOT / "configs" / "naval.cfg", "train"), "--out")
 
 
 def commands() -> list:
@@ -63,7 +83,7 @@ def commands() -> list:
             (f"train-{cfg.stem}", train),
             (f"eval-{cfg.stem}", evaluate(_flag(train, "--data"), _flag(train, "--out"))),
         ]
-    naval = _flag(_documented(ROOT / "configs" / "naval.cfg", "train"), "--out")
+    naval = _naval_model()
     runs += [
         ("generate-heldout", HELDOUT),
         ("eval-naval-heldout", evaluate("heldout.csv", naval)),
@@ -72,19 +92,24 @@ def commands() -> list:
     return runs
 
 
+def raw_scores() -> list:
+    """The Python arguments of the raw-score step: RAW_SCORES on the naval
+    model and the fixture."""
+    return ["-c", RAW_SCORES, f"{_naval_model()}/report.json", str(FIXTURE / "report.json")]
+
+
 def run_tree(src: Path, run_dir: Path) -> None:
-    """Run every command with `src` as the package source, in run_dir
-    beside a copy of the configs, and leave each one's stdout, stderr and
-    exit code in run_dir/cli."""
+    """Run every command, then the raw-score step, with `src` as the
+    package source, in run_dir beside a copy of the configs, and leave
+    each one's stdout, stderr and exit code in run_dir/cli."""
     (run_dir / "configs").mkdir(parents=True)
     (run_dir / "cli").mkdir()
     for cfg in CONFIGS:
         (run_dir / "configs" / cfg.name).write_bytes(cfg.read_bytes())
     env = dict(os.environ, PYTHONPATH=str(src))
-    for n, (name, args) in enumerate(commands()):
-        done = subprocess.run(
-            [sys.executable, "-m", "stlinfer", *args], cwd=run_dir, env=env, capture_output=True
-        )
+    steps = [(name, ["-m", "stlinfer", *args]) for name, args in commands()]
+    for n, (name, args) in enumerate(steps + [("raw-scores", raw_scores())]):
+        done = subprocess.run([sys.executable, *args], cwd=run_dir, env=env, capture_output=True)
         stem = run_dir / "cli" / f"{n:02d}-{name}"
         stem.with_suffix(".stdout").write_bytes(done.stdout)
         stem.with_suffix(".stderr").write_bytes(done.stderr)
