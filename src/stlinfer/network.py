@@ -29,16 +29,10 @@ prepares once, runs the temporal layer over CHUNK signals at a time, and
 the head once over all of them.  Its temporal layer pools only the slots
 that some live gate row opens: an unread slot reaches the conjunction
 only through closed gates, as r * 0, so its pooled value is left at 0.0.
-It runs `_pool`, a forward-only temporal layer whose per-call operands
-are made once at chunk shape: it puts the unselected lanes at -inf and
-takes one argmax per row, where `_softmax_rows` takes two and clamps.
-Both keep the output bits (`network_outputs` gives the arguments, and the
-one overflow edge where they differ).  Training keeps `_softmax_rows`,
-whose backward reads the first maximum over all lanes and the clamped
-exponents at closed gates.  The pool's (n, k, length) operands and
-arrays stay at CHUNK signals; the head's (n, m, k) arrays grow with the
-dataset, to about 0.7 times the size of X on the naval data, within the
-2 times X that parsing a CSV file peaks at.
+The temporal layer's (n, k, length) arrays there stay at CHUNK signals;
+the head's (n, m, k) arrays grow with the dataset, to about 0.7 times
+the size of X on the naval data, within the 2 times X that parsing a
+CSV file peaks at.
 
 A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
 a dict of float64 arrays keyed by layer, name and the shape past the
@@ -51,7 +45,7 @@ its gradients are a fresh `ModelParams`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -308,9 +302,10 @@ def _buffer(ws: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
 
 
 def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams, ws: dict, layer: str):
-    """Sparse softmax along the last axis of r * w.  `w` broadcasts
-    against r, r * w has r's leading axes and w's trailing ones, and every
-    row of w selects an entry.
+    """Sparse softmax along the last axis of r * w, as the conjunction and
+    the disjunction pool (the temporal layer runs `_temporal`).  `w`
+    broadcasts against r, r * w has r's leading axes and w's trailing
+    ones, and every row of w selects an entry.
 
     Returns the values and the intermediates `_softmax_vjp` reads; the
     ones shaped like r * w live in workspace `ws` under `layer`.  Each
@@ -323,7 +318,10 @@ def _softmax_rows(r: np.ndarray, w: np.ndarray, p: ActivationParams, ws: dict, l
     with the unselected lanes at -inf, or at `first` when every lane is
     selected (the exponents grow with r').  Either read can differ from
     the selected maximum only in the sign of a zero, which leaves every
-    exp(min(zs - shift, 0)) as it is.
+    exp(min(zs - shift, 0)) as it is.  The masked read serves only the
+    conjunction, whose closed gates are the unselected lanes; it keeps the
+    clamp, not exp(-inf) = 0, because the straight-through gate gradient
+    g_w = g_u * ez + ... reads the clamped exponents at closed gates.
     """
     shape = r.shape[: r.ndim - w.ndim] + w.shape
     rp = np.multiply(r, w, out=_buffer(ws, layer, "rp", shape))
@@ -371,7 +369,8 @@ def _softmax_vjp(g: np.ndarray, saved, p: ActivationParams, ws: dict, layer: str
         g_w   = g_u * ez + g_r' * r
 
     The first maximum is the forward's saved flat index `first`, and `top`
-    its value.  The clamp min(zs, 0) passes no gradient: zs <= 0 on every
+    its value; `_temporal` saves its first selected maximum `at` there,
+    and its floored top.  The clamp min(zs, 0) passes no gradient: zs <= 0 on every
     lane with w > 0, and every other lane has u = 0 whatever zs is.  g_r
     and g_w are buffers of workspace `ws` under `layer`, valid until the
     next pass or backward on it.
@@ -467,7 +466,10 @@ class _Model:
     """What every pass of a model over signals of one length reads, checked
     and made once by `_prepare`: the slots' axes, flip * sign as a (k, 1)
     column and -flip, the signed offsets flip * b as a (k, 1) column, the
-    windows with their end masks, and the live gate rows with their gates."""
+    windows with their end masks, the lane mask (0 on selected steps, -inf
+    elsewhere), the floor of each slot's top (0 where the slot has an
+    unselected step, -inf where it has none), and the live gate rows with
+    their gates."""
 
     params: ModelParams
     p: ActivationParams
@@ -477,6 +479,8 @@ class _Model:
     offsets: np.ndarray
     windows: np.ndarray
     window_ends: np.ndarray
+    mask: np.ndarray
+    floor: np.ndarray
     live: np.ndarray
     gates: np.ndarray
 
@@ -499,27 +503,52 @@ def _prepare(
         j = int(np.argmax(axes >= X.shape[2]))
         raise ValueError(f"slot {j} reads axis {axes[j]}, but the data has dim {X.shape[2]}")
     windows, window_ends = _window_rows(params.t1, params.t2, p.slope, X.shape[1])
-    # the window layer's selection: the windows are >= 0, so each row
-    # selects a step when its largest entry is not zero
-    if np.count_nonzero(np.maximum.reduce(windows, axis=-1)) < shape.k:
+    # the window layer's selection: the windows are >= 0
+    selected = windows > 0.0
+    if not selected.any(axis=1).all():
         raise EmptySelectionError("selection weights are all zero (empty time window)")
     gates = params.gates()
     live = np.logical_or.reduce(gates > 0.0, axis=1).nonzero()[0]
     if not live.size:
         raise EmptyFormulaError("every conjunction row is gated off")
-    offsets = (flip * params.b)[:, None]
     return _Model(
-        params, p, axes, flip_sign, neg_flip, offsets, windows, window_ends, live, gates[live]
+        params,
+        p,
+        axes,
+        flip_sign,
+        neg_flip,
+        (flip * params.b)[:, None],
+        windows,
+        window_ends,
+        np.where(selected, 0.0, -np.inf),
+        np.where(selected.all(axis=1), -np.inf, 0.0),
+        live,
+        gates[live],
     )
 
 
 def _temporal(X: np.ndarray, model: _Model, ws: dict):
-    """The predicate rows flip * (sign * x[:, axis] - b) of signals X,
-    each pooled over its slot's window by a sparse softmax: the (n, k)
+    """The predicate rows r = flip * (sign * x[:, axis] - b) of signals X,
+    each pooled over its slot's window w by a sparse softmax: the (n, k)
     pooled values g (the slot outputs are flip * g) and what
-    `_softmax_vjp` reads, whose arrays live in workspace `ws`."""
+    `_softmax_vjp` reads, whose arrays live in workspace `ws`.
+
+    The exponents zs start as r * w plus the lane mask, so an unselected
+    lane is -inf, and one argmax `at` per row finds the selected maximum.
+    The row's top is that maximum, floored at 0 where the slot has an
+    unselected step: the largest r * w over all lanes, where an
+    unselected lane is a zero.  Scaling by h and beta and dividing by the
+    positive |top| + eps are monotone, so the shift zs[at] is the largest
+    scaled exponent, an unselected lane's exp(-inf) is 0 and no clamp is
+    needed.  Where the top is a zero floor, `at` is a selected lane, not
+    the first maximum over all lanes; sign(top) is 0 there, so the
+    backward's |top| term is a signed zero wherever it lands.
+    """
+    p, w = model.p, model.windows
+    k, length = w.shape
+    shape = (X.shape[0], k, length)
     # contiguous (n, k, length), so that sums over time run along memory
-    rows = _buffer(ws, "temporal", "r", (X.shape[0], len(model.axes), X.shape[1]))
+    rows = _buffer(ws, "temporal", "r", shape)
     # _prepare checked the axes; mode="clip" lets take write rows directly
     X.transpose(0, 2, 1).take(model.axes, axis=1, out=rows, mode="clip")
     # flip * (sign * x - b) in two passes: multiplying by +-1 is exact, up
@@ -527,7 +556,25 @@ def _temporal(X: np.ndarray, model: _Model, ws: dict):
     # see (each ends in a sum, and numpy sums zeros to +0.0)
     np.multiply(model.flip_sign, rows, out=rows)
     np.subtract(rows, model.offsets, out=rows)
-    return _softmax_rows(rows, model.windows, model.p, ws, "temporal")
+    rp = np.multiply(rows, w, out=_buffer(ws, "temporal", "rp", shape))
+    zs = np.add(rp, model.mask, out=_buffer(ws, "temporal", "ez", shape))
+    at = zs.argmax(axis=-1)
+    at += np.arange(0, math.prod(shape), length).reshape(shape[:2])
+    top = np.maximum(zs.take(at), model.floor)
+    den = (np.abs(top) + p.eps)[..., None]
+    # x * 1.0 is x, so the default h = 1 saves a pass and a buffer
+    rph = rp
+    if p.h != 1.0:
+        rph = np.multiply(rp, p.h, out=_buffer(ws, "temporal", "rph", shape))
+        np.multiply(zs, p.h, out=zs)
+    np.divide(zs, den, out=zs)
+    np.multiply(zs, p.beta, out=zs)
+    np.subtract(zs, zs.take(at)[..., None], out=zs)
+    ez = np.exp(zs, out=zs)
+    u = np.multiply(w, ez, out=_buffer(ws, "temporal", "u", shape))
+    num = np.add.reduce(np.multiply(rows, u, out=_buffer(ws, "temporal", "tmp", shape)), axis=-1)
+    den2 = np.add.reduce(u, axis=-1)
+    return num / den2, (rows, w, rp, den, ez, u, num, den2, at, top, rph)
 
 
 def _head(g: np.ndarray, model: _Model, ws: dict):
@@ -612,72 +659,6 @@ def network_pass(
     return NetworkPass(out, model, temporal, conjunction, disjunction, ws)
 
 
-@dataclass(frozen=True)
-class _Pool:
-    """The operands of `_pool` for the slots `network_outputs` reads, made
-    once per call at chunk shape (c, s, length), c = min(CHUNK, n): the
-    slots' axes (s,), flip * sign, the signed offsets flip * b, the
-    windows W and the lane mask (0 on selected steps, -inf elsewhere);
-    then, shaped (c, s), each row's flat start and the floor of its top
-    (0 where the slot has an unselected step, -inf where it has none)."""
-
-    axes: np.ndarray
-    flip_sign: np.ndarray
-    offsets: np.ndarray
-    windows: np.ndarray
-    mask: np.ndarray
-    starts: np.ndarray
-    floor: np.ndarray
-    p: ActivationParams
-
-
-def _make_pool(model: _Model, read: np.ndarray, c: int) -> _Pool:
-    """The `_Pool` of the slots `read` of a prepared model, for chunks of
-    at most c signals."""
-    windows = model.windows[read]
-    s, length = windows.shape
-    selected = windows > 0.0
-    lanes = (model.flip_sign[read], model.offsets[read], windows, np.where(selected, 0.0, -np.inf))
-    floor = np.where(selected.all(axis=1), -np.inf, 0.0)
-    return _Pool(
-        model.axes[read],
-        *(np.broadcast_to(a, (c, s, length)).copy() for a in lanes),
-        np.arange(0, c * s * length, length).reshape(c, s),
-        np.broadcast_to(floor, (c, s)).copy(),
-        model.p,
-    )
-
-
-def _pool(X: np.ndarray, pool: _Pool, ws: dict) -> np.ndarray:
-    """The temporal layer's (n, s) pooled values of signals X (n <= c),
-    value only, with the bits `_temporal` gives them (`network_outputs`
-    gives the argument); the (n, s, length) arrays live in workspace `ws`,
-    where zs = r * w + mask turns into the exponents and then u."""
-    n = X.shape[0]
-    flip_sign, offsets, windows, mask = (
-        a[:n] for a in (pool.flip_sign, pool.offsets, pool.windows, pool.mask)
-    )
-    p = pool.p
-    rows = _buffer(ws, "temporal", "r", windows.shape)
-    X.transpose(0, 2, 1).take(pool.axes, axis=1, out=rows, mode="clip")
-    np.multiply(flip_sign, rows, out=rows)
-    np.subtract(rows, offsets, out=rows)
-    zs = np.multiply(rows, windows, out=_buffer(ws, "temporal", "ez", windows.shape))
-    np.add(zs, mask, out=zs)
-    at = zs.argmax(axis=-1)
-    at += pool.starts[:n]
-    top = np.maximum(zs.take(at), pool.floor[:n])
-    den = (np.abs(top, out=top) + p.eps)[..., None]
-    if p.h != 1.0:
-        np.multiply(zs, p.h, out=zs)
-    np.divide(zs, den, out=zs)
-    np.multiply(zs, p.beta, out=zs)
-    np.subtract(zs, zs.take(at)[..., None], out=zs)
-    u = np.multiply(np.exp(zs, out=zs), windows, out=zs)
-    den2 = np.add.reduce(u, axis=-1)
-    return np.add.reduce(np.multiply(rows, u, out=rows), axis=-1) / den2
-
-
 def network_outputs(
     X: np.ndarray,
     params: ModelParams,
@@ -702,30 +683,6 @@ def network_outputs(
     - r * u at a closed lane is a zero, and no numpy sum shows its sign:
       add.reduce starts from +0.0, and x + (+-0.0) == x.
 
-    The temporal layer is `_pool`, a forward-only form of `_temporal`
-    whose operands `_make_pool` makes once per call at chunk shape, so no
-    per-call (k, 1) or (k, length) operand is broadcast per chunk.  It
-    forms zs = r * w + mask, with the unselected lanes at -inf, and takes
-    one argmax `at` per row.  That gives the same bits:
-
-    - |top| is unchanged.  The pass's top is the largest r * w over all
-      lanes, where an unselected lane is a zero.  So it is the selected
-      maximum zs[at] when that is > 0, and a zero otherwise in a slot
-      with an unselected step, which the floor of 0 gives here.
-    - The shift is unchanged.  The pass reads it at the first maximum of
-      the scaled, masked exponents; this reads it at `at`, the first
-      maximum before scaling.  Multiplying by h and beta and dividing by
-      the positive den are each monotone, so the scaled maximum is the
-      scaled zs[at], whichever of its ties each argmax picks; a selected
-      zs differs from the pass's r * w only in the sign of a zero, which
-      exp(zs - shift) does not see.
-    - An unselected lane gives exp(-inf) = 0 and u = W * 0, the same +0.0
-      as the pass's 0 * ez after its clamp, so this needs no clamp.
-
-    Training keeps `_softmax_rows`: its backward reads the first maximum
-    of r * w over all lanes and the clamped ez at closed gates, which the
-    pool does not make.
-
     One edge moves: when an unread slot's values overflow (axis values
     near +-1.7e308), `network_pass` gives NaN (inf * 0 at the closed
     lane), while this gives the finite output of the slots the formula
@@ -735,11 +692,12 @@ def network_outputs(
     X = np.asarray(X, dtype=np.float64)
     model = _prepare(X, params, shape, p)
     read = model.gates.any(axis=0).nonzero()[0]
-    pool = _make_pool(model, read, min(CHUNK, X.shape[0]))
+    per_slot = ("axes", "flip_sign", "offsets", "windows", "mask", "floor")
+    pooled = replace(model, **{name: getattr(model, name)[read] for name in per_slot})
     ws: dict = {}
     g = np.zeros((X.shape[0], shape.k))
     for lo in range(0, X.shape[0], CHUNK):
-        g[lo : lo + CHUNK, read] = _pool(X[lo : lo + CHUNK], pool, ws)
+        g[lo : lo + CHUNK, read] = _temporal(X[lo : lo + CHUNK], pooled, ws)[0]
     out = _head(g, model, ws)[0]
     finite = np.isfinite(out)
     if not finite.all():

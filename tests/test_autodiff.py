@@ -10,7 +10,8 @@ and values agree with central differences at smooth points.  Failure
 modes name the non-finite quantity.  Passes that reuse one workspace give
 the bytes of passes on fresh arrays, the forward's saved first maxima
 route the normalizer's gradient to the bytes a fresh argmax gave, and a
-pass with its backward gives the bytes of the arithmetic it replaced.
+pass with its backward gives the bytes of the arithmetic it replaced,
+the masked temporal kernel those of the clamped softmax included.
 """
 
 from pathlib import Path
@@ -42,6 +43,7 @@ from util import (
     network_pass_oracle,
     softmax_rows_oracle,
     softmax_vjp_oracle,
+    temporal_oracle,
     time_indicator_values,
     window_rows_oracle,
     window_vjp_oracle,
@@ -663,14 +665,14 @@ def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypa
         buffers.append((name, real_buffer(ws, layer, name, shape)))
         return buffers[-1][1]
 
-    def record(X, pool, ws):
-        # the arrays the chunk's pool writes, by name
+    def record(X, model, ws):
+        # the arrays the chunk's temporal layer writes, by name
         buffers.clear()
-        chunks.append((real(X, pool, ws), ws, dict(buffers)))
+        chunks.append((real(X, model, ws), ws, dict(buffers)))
         return chunks[-1][0]
 
-    real, real_buffer = network._pool, network._buffer
-    monkeypatch.setattr(network, "_pool", record)
+    real, real_buffer = network._temporal, network._buffer
+    monkeypatch.setattr(network, "_temporal", record)
     monkeypatch.setattr(network, "_buffer", buffer)
     n = 3 * CHUNK + 1
     X, params, shape = random_network_case(np.random.default_rng(45), n, 10, 1, 2, False)
@@ -684,29 +686,25 @@ def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypa
     # chunk's size, the conjunction's and disjunction's of every signal's
     assert len({key[:2] for key in ws}) == len(ws)
     assert all(len(array) == (CHUNK if key[0] == "temporal" else n) for key, array in ws.items())
-    (_, _, first), (g, _, last) = chunks[0], chunks[-1]
+    (_, _, first), ((g, _), _, last) = chunks[0], chunks[-1]
     assert len(g) == 1
-    # r (the predicate rows) and ez, which holds r * w, the exponents
-    # and u in turn
-    assert first.keys() == last.keys() == {"r", "ez"}
+    # r (the predicate rows), rp, ez, u and tmp, which holds r * u
+    assert first.keys() == last.keys() == {"r", "rp", "ez", "u", "tmp"}
     for name in first:
         assert np.shares_memory(first[name], last[name]), name
 
 
 def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
     # train and network_outputs each pass one workspace to all their
-    # temporal layers: train's `_temporal`, the score's `_pool`
+    # temporal layers
     seen = []
 
-    def spy(real):
-        def record(X, operands, ws):
-            seen.append(ws)
-            return real(X, operands, ws)
+    def record(X, model, ws):
+        seen.append(ws)
+        return real(X, model, ws)
 
-        return record
-
-    monkeypatch.setattr(network, "_temporal", spy(network._temporal))
-    monkeypatch.setattr(network, "_pool", spy(network._pool))
+    real = network._temporal
+    monkeypatch.setattr(network, "_temporal", record)
     n = 2 * CHUNK + 1
     X, params, shape = random_network_case(np.random.default_rng(44), n, 10, 1, 2, False)
     network_outputs(X, params, shape, P)
@@ -780,13 +778,13 @@ def test_network_outputs_skipping_unread_slots_keeps_the_bits():
 def test_network_outputs_pools_only_the_read_slots(monkeypatch):
     rows = []
 
-    def record(X, pool, ws):
-        g = real(X, pool, ws)
-        rows.append((g.shape[1], pool.axes.tolist()))
-        return g
+    def record(X, model, ws):
+        g, temporal = real(X, model, ws)
+        rows.append((g.shape[1], model.axes.tolist()))
+        return g, temporal
 
-    real = network._pool
-    monkeypatch.setattr(network, "_pool", record)
+    real = network._temporal
+    monkeypatch.setattr(network, "_temporal", record)
     X, params, shape = one_slot_gates_case(np.random.default_rng(48), n=CHUNK + 1)
     axes = shape.constants[0]
     for gates, read in (
@@ -825,10 +823,10 @@ def test_an_unread_slot_that_overflows_is_not_scored():
 
 
 # ---------------------------------------------------------------------------
-# scoring's forward-only pool
+# one temporal kernel: the masked argmax, the floored top and no clamp
 
 
-def pool_rule_case(rng, n, near, gates=(1.0, 1.0, 1.0, 1.0)):
+def masked_rule_case(rng, n, near, gates=(1.0, 1.0, 1.0, 1.0)):
     """Signals of length 9 for `NetworkShape.cycled(1, m=1)`, whose four
     slots pool the rows -x, -x, x and x (before their offsets b), and
     whose windows are [2, 5] (unselected steps on both sides), [0, 8]
@@ -852,15 +850,17 @@ def pool_rule_case(rng, n, near, gates=(1.0, 1.0, 1.0, 1.0)):
 
 @pytest.mark.parametrize("near", [False, True])
 @pytest.mark.parametrize("h", [1.0, 2.0])
-def test_scoring_pool_keeps_the_bits_of_the_pass(h, near):
-    # the pool floors a slot's top at 0 where it has an unselected step,
-    # as the pass's max over r * w does, shifts by its one argmax and
-    # puts the unselected lanes at -inf: each case of that rule occurs.
+def test_scoring_keeps_the_bits_of_the_pass(h, near):
+    # the temporal layer floors a slot's top at 0 where it has an
+    # unselected step, as a max over r * w does, shifts by its one argmax
+    # and puts the unselected lanes at -inf: each case of that rule occurs,
+    # and scoring, which pools the read slots CHUNK signals at a time,
+    # keeps the pass's bits.
     # A gate row of one slot outputs that slot's pooled value as it is,
     # so its bits show; the head would hide a slot's smaller terms
     p = ActivationParams(h=h)
     for gates in (*np.eye(4), np.ones(4)):
-        X, params, shape = pool_rule_case(np.random.default_rng(50), 3 * CHUNK + 1, near, gates)
+        X, params, shape = masked_rule_case(np.random.default_rng(50), 3 * CHUNK + 1, near, gates)
         r, w = network_pass(X, params, shape, p).temporal[:2]
         selected = np.broadcast_to(w > 0.0, r.shape)
         partial = ~selected.all(axis=-1)
@@ -881,9 +881,9 @@ def test_scoring_pool_keeps_the_bits_of_the_pass(h, near):
             assert out.tobytes() == network_pass(X[:n], params, shape, p).out.tobytes(), (gates, n)
 
 
-def test_scoring_pool_names_the_pass_s_first_non_finite_sample():
+def test_scoring_names_the_pass_s_first_non_finite_sample():
     rng = np.random.default_rng(51)
-    X, params, shape = pool_rule_case(rng, 3 * CHUNK + 1, False)
+    X, params, shape = masked_rule_case(rng, 3 * CHUNK + 1, False)
     # step 0 lies outside three windows, step 4 inside all four
     for n, first in ((1, 0), (CHUNK + 1, CHUNK), (3 * CHUNK + 1, 2 * CHUNK + 5)):
         for step in (0, 4):
@@ -895,6 +895,80 @@ def test_scoring_pool_names_the_pass_s_first_non_finite_sample():
                     assert bad.argmax() == first and bad[first::7].all()
                     with pytest.raises(NonFiniteError, match=rf"^non-finite network output of sample {first}$"):
                         network_outputs(Y, params, shape, P)
+
+
+def temporal_fuzz_case(rng):
+    """One model of the temporal kernel's fuzz: dim 1-2, length 1-11, n
+    1-39 signals and m 1-3 gate rows; signals and offsets on a grid of
+    signed zeros and small integers, or normal, at a scale from 1e-12 to
+    1e3; integral or fractional windows, in a fifth of the models all
+    ending at the last step; h in {0.5, 1, 2}, slope in {0.5, 1, 1.5, 3};
+    output gradients with signed zeros."""
+    dim, length, n, m = (int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (1, 12), (1, 40), (1, 4)))
+    shape = NetworkShape.cycled(dim, m=m)
+    k = shape.k
+    scale = 10.0 ** float(rng.integers(-12, 4))
+    if rng.random() < 0.5:
+        X = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (n, length, dim)) * scale
+        b = rng.choice([-1.0, -0.0, 0.0, 1.0], k) * scale
+    else:
+        X, b = rng.normal(size=(n, length, dim)) * scale, rng.normal(size=k) * scale
+    t1 = rng.uniform(0.0, length - 1.0, k)
+    t2 = np.minimum(t1 + rng.uniform(0.0, length, k), length - 1.0)
+    if rng.random() < 0.5:
+        t1, t2 = np.floor(t1), np.ceil(t2)
+    if rng.random() < 0.2:
+        t2[:] = length - 1.0
+    M = rng.uniform(size=(m, k))
+    M[rng.integers(m), rng.integers(k)] = 0.9
+    p = ActivationParams(
+        beta=float(rng.uniform(0.5, 30.0)),
+        h=float(rng.choice([0.5, 1.0, 2.0])),
+        slope=float(rng.choice([0.5, 1.0, 1.5, 3.0])),
+    )
+    dout = rng.normal(size=n)
+    zero = rng.random(n) < 0.3
+    dout[zero] = np.copysign(0.0, rng.normal(size=np.count_nonzero(zero)))
+    return X, ModelParams(b, t1, t2, M), shape, p, dout
+
+
+def test_temporal_kernel_keeps_the_bits_of_the_clamped_softmax(monkeypatch):
+    # the masked kernel gives the pooled values, the outputs and the
+    # gradients of the layer it replaced, `_softmax_rows` with its first
+    # maximum over all lanes and its clamp, on the fuzz's models and on
+    # the masked rule's cases
+    rng = np.random.default_rng(52)
+    cases = [temporal_fuzz_case(rng) for _ in range(1000)]
+    for gates in (*np.eye(4), np.ones(4)):
+        for near in (False, True):
+            X, params, shape = masked_rule_case(rng, 40, near, gates)
+            p = ActivationParams(h=float(rng.choice([1.0, 2.0])))
+            cases.append((X, params, shape, p, rng.normal(size=len(X))))
+    seen = set()
+    for X, params, shape, p, dout in cases:
+        model = network._prepare(X, params, shape, p)
+        got = network._temporal(X, model, {})[0]
+        assert got.tobytes() == temporal_oracle(X, model, {})[0].tobytes()
+        fwd = network_pass(X, params, shape, p)
+        grads = fwd.vjp(dout).flat
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_temporal", temporal_oracle)
+            want = network_pass(X, params, shape, p)
+            assert fwd.out.tobytes() == want.out.tobytes()
+            assert grads.tobytes() == want.vjp(dout).flat.tobytes()
+        r, w = fwd.temporal[:2]
+        selected = np.broadcast_to(w > 0.0, r.shape)
+        best = np.where(selected, r, -np.inf).max(axis=-1)
+        partial = ~selected.all(axis=-1)
+        seen.add(("maximum outside a window", bool(((best < 0.0) & partial & (r.max(axis=-1) > 0.0)).any())))
+        seen.add(("zero top", bool((best == 0.0).any())))
+        seen.add(("top below eps", bool(((np.abs(best) < p.eps) & (best != 0.0)).any())))
+        seen.add(("ends at the last step", bool((params.t2 == X.shape[1] - 1.0).all())))
+        seen.add(("h != 1", p.h != 1.0))
+        seen.add(("slope > 1", p.slope > 1.0))
+    assert {case for case, hit in seen if hit} == {
+        "maximum outside a window", "zero top", "top below eps", "ends at the last step", "h != 1", "slope > 1",
+    }
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 61])

@@ -6,7 +6,8 @@ and bounds properties the extraction step relies on.  Layer behaviour is
 checked through the batched forward against exact robustness from the
 stl module, and the forward as a whole against a naive per-signal
 network built from the oracles.  The closed-form backward is checked
-against central differences.
+against central differences.  The guarantee itself is a hypothesis
+property over whole snapped models with data at their thresholds.
 """
 
 import math
@@ -14,7 +15,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
+from stlinfer.datasets import LabeledDataset
+from stlinfer.evaluate import sign_agreement
 from stlinfer.network import (
     CHUNK,
     ActivationParams,
@@ -24,12 +29,14 @@ from stlinfer.network import (
     NetworkShape,
     NonFiniteError,
     SlotSpec,
+    guarantee_failure,
     network_outputs,
     network_pass,
     soundness_bound_check,
     soundness_bound_text,
 )
 from stlinfer.stl import Predicate, Signal, TemporalAtom, TemporalOp, robustness
+from stlinfer.trainer import formula_from_gates
 from util import (
     GatedParams,
     naive_network_output,
@@ -206,6 +213,95 @@ def test_sign_agreement_holds_near_a_threshold(delta):
     X[0, 20, 0] = 2.0 - delta
     assert robustness(Signal(X[0]), atom) < 0.0
     assert network_outputs(X, params, shape, P)[0] < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the guarantee as a property of whole snapped models
+
+
+@st.composite
+def snapped_model_and_data(draw, offsets, min_beta_h=0.0):
+    """A snapped model of `NetworkShape.cycled(dim, m)` (dims 1-3, m 1-3)
+    on signals of length 1-61, an activation that passes the soundness
+    bound at h 0.5, 1 or 2, and 1-30 signals whose every value lies at
+    the threshold of a slot reading its axis, moved by -offset, 0 (an
+    exact tie, signed zeros kept) or +offset, each offset drawn from
+    `offsets`.  Windows are drawn fractional and snapped, and the binary
+    gates have one gate forced open."""
+    dim, length, m = draw(st.integers(1, 3)), draw(st.integers(1, 61)), draw(st.integers(1, 3))
+    shape = NetworkShape.cycled(dim, m=m)
+    k = shape.k
+    p = ActivationParams(
+        beta=draw(st.sampled_from([5.0, 12.5, 25.0, 50.0])),
+        h=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        slope=draw(st.sampled_from([0.5, 1.0])),
+    )
+    assume(guarantee_failure(p, shape, length) is None and p.beta * p.h >= min_beta_h)
+    levels = st.sampled_from([-2.0, -1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    b = np.array(draw(st.lists(levels, min_size=k, max_size=k)))
+    ends = st.floats(0.0, length - 1.0)
+    t1, t2 = np.sort(np.array([[draw(ends), draw(ends)] for _ in range(k)]), axis=1).T
+    gates = np.array(draw(st.lists(st.booleans(), min_size=m * k, max_size=m * k))).reshape(m, k)
+    gates[draw(st.integers(0, m - 1)), draw(st.integers(0, k - 1))] = True
+    params = ModelParams(b, t1, t2, gates).snapped()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    # a slot crosses its threshold where sign * x = b, at x = sign * b
+    axes, crossing = shape.constants[0], b * [slot.sign for slot in shape.slots]
+    X = np.empty((n, length, dim))
+    for axis in range(dim):
+        at = rng.choice(crossing[axes == axis], (n, length))
+        moved = at + rng.choice([-1.0, 1.0], (n, length)) * rng.choice(offsets, (n, length))
+        X[:, :, axis] = np.where(rng.random((n, length)) < 0.3, at, moved)
+    return params, shape, p, LabeledDataset(X, np.ones(n, dtype=np.int64))
+
+
+def snapped_property(offsets, min_beta_h=0.0, phases=tuple(Phase)):
+    """The guarantee as a derandomized hypothesis test over
+    `snapped_model_and_data(offsets, min_beta_h)`, run in hypothesis's
+    `phases`: when `guarantee_failure` is None, `sign_agreement` of the
+    network with the formula its gates select is 1.0.  Plain tests call
+    it: a failing @given test makes hypothesis's pytest plugin import
+    libcst, whose DeprecationWarning the `error` warning filter turns
+    into an INTERNALERROR that would hide the strict xfail below."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None, phases=phases)
+    @given(case=snapped_model_and_data(offsets, min_beta_h))
+    def agrees(case):
+        params, shape, p, data = case
+        formula = formula_from_gates(params, shape, params.gates())
+        assert sign_agreement(params, shape, p, formula, data) == 1.0
+
+    return agrees
+
+
+def test_snapped_networks_classify_as_their_formulas():
+    """The guarantee over whole snapped models through the public path,
+    with values at the thresholds and at offsets of 1e-6 to 1e3 from
+    them, at beta * h >= 10.  That is where it holds today.  The strict
+    xfail below holds the rest, both ROADMAP item 1: offsets of 1e-9 and
+    1e-12, below eps, and 1e-6 at a smaller beta * h, where a row that
+    holds a tie at 0 keeps a 1e-6 lane at exp(-beta * h * 1e-6 / eps),
+    above exp's underflow, and pools to a tiny nonzero value where the
+    formula reads the tie as false."""
+    snapped_property([1e-6, 1e-3, 1.0, 1e3], min_beta_h=10.0)()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a value far below eps/(beta*h) leaves the softmax near uniform",
+)
+def test_snapped_networks_classify_as_their_formulas_near_eps():
+    """The property of the test above where it fails today (ROADMAP item
+    1), at every bound-passing activation: offsets of 1e-9 and 1e-12 from
+    the thresholds, below eps = 1e-8, where a row whose largest selected
+    value lies far below eps pools to about its mean, and 1e-6, where a
+    row that holds a tie at 0 pools to a tiny nonzero value when
+    beta * h * 1e-6 / eps is small.  Item 1's mend merges the two tests
+    into one plain test over every offset."""
+    # the counterexample is known, so it is not shrunk
+    snapped_property([1e-12, 1e-9, 1e-6], phases=[Phase.generate])()
 
 
 # ---------------------------------------------------------------------------

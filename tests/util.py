@@ -20,6 +20,10 @@ shift, predicate rows in three passes, and the window layer's ramps,
 relus and masks one at a time (`window_rows_oracle`,
 `window_vjp_oracle`); like the library, it sums the full selection-weight
 gradient over the batch before the window gradient reads it.
+`temporal_oracle` is the temporal layer as it was before training and
+scoring shared one masked kernel: the predicate rows through
+`_softmax_rows`, which takes each row's first maximum over all lanes
+and clamps the shifted exponents; `_temporal` must keep its bytes.
 The `*_value` helpers run the batched layers on one row.  The random
 builders produce formulas whose connectives alternate, so printing and
 reparsing reproduces the tree node for node.  `dataset_from_samples`
@@ -80,6 +84,7 @@ from stlinfer.network import (
     ActivationParams,
     ModelParams,
     NetworkShape,
+    _Model,
     _softmax_rows,
     _window_rows,
 )
@@ -204,6 +209,14 @@ def window_vjp_oracle(g, ends, slope: float):
     `window_rows_oracle` returns."""
     at_t1, at_t2 = ends
     return (g * at_t1).sum(axis=-1) * (-1.0 / slope), (g * at_t2).sum(axis=-1) * (1.0 / slope)
+
+
+def temporal_oracle(X, model: _Model, ws: dict):
+    """`_temporal` as it was, with its arguments and results: the rows
+    flip * (sign * x[:, axis] - b) pooled by `_softmax_rows`, whose saved
+    index is each row's first maximum of r * w over all lanes."""
+    rows = model.flip_sign * np.take(X.transpose(0, 2, 1), model.axes, axis=1) - model.offsets
+    return _softmax_rows(rows, model.windows, model.p, ws, "temporal")
 
 
 def network_pass_oracle(X, params: ModelParams, shape: NetworkShape, p: ActivationParams, dout):

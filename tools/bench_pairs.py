@@ -44,9 +44,10 @@ def _spec() -> dict:
     return json.loads(BENCHMARK.read_text(encoding="utf-8"))
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> list:
-    """The details and result lines of one untraced perfbench run in `tree`."""
-    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> list:
+    """The details and result lines of one perfbench run in `tree`,
+    untraced unless `trace` is 1."""
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", *args], cwd=tree, capture_output=True, text=True
     )
