@@ -484,6 +484,14 @@ class _Model:
     live: np.ndarray
     gates: np.ndarray
 
+    def on_slots(self, read: np.ndarray) -> _Model:
+        """This model's temporal layer on the slots `read` alone: each
+        per-slot field keeps their rows (window_ends along its axis 1).
+        The params and the gate head, which `_head` reads, stay whole."""
+        per_slot = ("axes", "flip_sign", "neg_flip", "offsets", "windows", "mask", "floor")
+        rows = {name: getattr(self, name)[read] for name in per_slot}
+        return replace(self, window_ends=self.window_ends[:, read], **rows)
+
 
 def _prepare(
     X: np.ndarray, params: ModelParams, shape: NetworkShape, p: ActivationParams
@@ -692,8 +700,7 @@ def network_outputs(
     X = np.asarray(X, dtype=np.float64)
     model = _prepare(X, params, shape, p)
     read = model.gates.any(axis=0).nonzero()[0]
-    per_slot = ("axes", "flip_sign", "offsets", "windows", "mask", "floor")
-    pooled = replace(model, **{name: getattr(model, name)[read] for name in per_slot})
+    pooled = model.on_slots(read)
     ws: dict = {}
     g = np.zeros((X.shape[0], shape.k))
     for lo in range(0, X.shape[0], CHUNK):

@@ -14,6 +14,7 @@ pass with its backward gives the bytes of the arithmetic it replaced,
 the masked temporal kernel those of the clamped softmax included.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -795,6 +796,25 @@ def test_network_outputs_pools_only_the_read_slots(monkeypatch):
         rows.clear()
         network_outputs(X, GatedParams(params, gates), shape, P)
         assert rows == [(len(read), axes[read].tolist())] * 2
+
+
+def test_a_model_on_some_slots_keeps_their_rows_of_every_per_slot_field():
+    # every field but the params and the gate head has one slot axis (k = 4
+    # here, and no other axis is 4 long): a field added later that
+    # `on_slots` does not restrict fails here
+    X, params, shape = one_slot_gates_case(np.random.default_rng(50))
+    model = network._prepare(X, params, shape, P)
+    read = np.array([1, 3])
+    part = model.on_slots(read)
+    for field in fields(network._Model):
+        got, full = getattr(part, field.name), getattr(model, field.name)
+        if field.name in ("params", "p", "live", "gates"):
+            assert got is full
+            continue
+        axis = full.shape.index(shape.k)
+        assert full.shape.count(shape.k) == 1, field.name
+        assert got.dtype == full.dtype, field.name
+        assert got.tobytes() == np.take(full, read, axis=axis).tobytes(), field.name
 
 
 def test_an_unread_slot_that_overflows_is_not_scored():

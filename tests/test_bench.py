@@ -29,8 +29,8 @@ def canned_runner(calls: list):
     def runner(tree, workload, seed, seconds, trace):
         calls.append((workload, seed, seconds, trace))
         details = {"provenance": {"workload": workload, "trace": trace, "seed": seed}}
-        names = [m["name"] for m in SPEC["per_layer" if trace else "end_to_end"]]
-        metrics = {name: {"value": seed + trace / 10, "unit": "u"} for name in names}
+        kind = SPEC["per_layer" if trace else "end_to_end"]
+        metrics = {m["name"]: {"value": seed + trace / 10, "unit": m["unit"]} for m in kind}
         if trace:
             details["absent"] = {"network.temporal_s": ["stlinfer.network.temporal_layer"]}
             metrics["network.temporal_s"]["value"] = 0.0
@@ -40,33 +40,40 @@ def canned_runner(calls: list):
     return runner
 
 
-def test_every_workload_runs_untraced_and_traced_at_each_seed():
+def test_every_workload_runs_untraced_and_traced_at_each_seed(tmp_path):
     calls = []
-    lines = bench.run_all(["score-naval", "train-naval"], 2, 5.0, runner=canned_runner(calls))
+    paths = bench.run_all(["score-naval", "train-naval"], 2, 5.0, tmp_path, runner=canned_runner(calls))
     assert calls == [
         (workload, seed, 5.0, trace)
         for workload in ("score-naval", "train-naval")
         for trace in (0, 1)
         for seed in (1, 2)
     ]
-    assert list(lines) == ["score-naval", "train-naval"]
-    assert [len(lines["score-naval"][trace]) for trace in (0, 1)] == [4, 4]
+    assert list(paths) == ["score-naval", "train-naval"]
+    lines = [paths["score-naval"][trace].read_text(encoding="utf-8").splitlines() for trace in (0, 1)]
+    assert [len(trace_lines) for trace_lines in lines] == [4, 4]
+    assert [json.loads(line)["provenance"]["trace"] for line in lines[1][0::2]] == [1, 1]
 
 
-def test_the_file_holds_medians_and_marks_absent_metrics_absent():
-    lines = bench.run_all(["score-naval"], 3, 5.0, runner=canned_runner([]))
+def test_the_file_holds_medians_and_marks_absent_metrics_absent(tmp_path):
+    paths = bench.run_all(["score-naval"], 3, 5.0, tmp_path, runner=canned_runner([]))
     host = {"numpy": "x", "simd_dispatched": ["X86_V4"]}
-    out = bench.record(lines, 5.0, SPEC, host)
+    out = bench.record(paths, 5.0, SPEC, host)
     assert out["machine"] == host and out["seconds"] == 5.0
     entry = out["workloads"]["score-naval"]
+
+    def stats(unit, values):
+        return {"unit": unit, "n": 3, "median": values[1], "q1": values[0], "q3": values[2],
+                "spread": (values[2] - values[0]) / values[1]}
+
     assert entry["end_to_end"] == {
-        "op_s": {"median": 2.0, "unit": "s", "values": [1.0, 2.0, 3.0]},
-        "peak_rss_mb": {"median": 2.0, "unit": "MB", "values": [1.0, 2.0, 3.0]},
+        "op_s": {**stats("s", [1.0, 2.0, 3.0]), "values": [1.0, 2.0, 3.0]},
+        "peak_rss_mb": {**stats("MB", [1.0, 2.0, 3.0]), "values": [1.0, 2.0, 3.0]},
     }
     assert entry["per_layer"] == {
-        "stl.mcr_s": {"median": 2.1, "unit": "s"},
+        "stl.mcr_s": stats("s", [1.1, 2.1, 3.1]),
         "network.temporal_s": {"absent": ["stlinfer.network.temporal_layer"]},
-        "trace_overhead_ratio": {"median": 2.1, "unit": "ratio"},
+        "trace_overhead_ratio": stats("ratio", [1.1, 2.1, 3.1]),
     }
     assert entry["operations"] == {
         "trace 0": {"runs": 3, "attempted": 12, "failed": 1},
