@@ -29,10 +29,11 @@ prepares once, runs the temporal layer over CHUNK signals at a time, and
 the head once over all of them.  Its temporal layer pools only the slots
 that some live gate row opens: an unread slot reaches the conjunction
 only through closed gates, as r * 0, so its pooled value is left at 0.0.
-The temporal layer's (n, k, length) arrays there stay at CHUNK signals;
-the head's (n, m, k) arrays grow with the dataset, to about 0.7 times
-the size of X on the naval data, within the 2 times X that parsing a
-CSV file peaks at.
+The temporal layer's (n, k, length) arrays there stay at CHUNK signals,
+and since no backward reads them, all but the predicate rows share one
+array; the head's (n, m, k) arrays grow with the dataset, to about 0.7
+times the size of X on the naval data, within the 2 times X that
+parsing a CSV file peaks at.
 
 A pass writes its (n, ...)-sized arrays into a workspace the caller owns:
 a dict of float64 arrays keyed by layer, name and the shape past the
@@ -551,6 +552,12 @@ def _temporal(X: np.ndarray, model: _Model, ws: dict):
     needed.  Where the top is a zero floor, `at` is a selected lane, not
     the first maximum over all lanes; sign(top) is 0 there, so the
     backward's |top| term is a signed zero wherever it lands.
+
+    Besides rph, which only the backward reads, the forward reads rp only
+    to make zs, ez only to make u, and u only for den2 and for
+    tmp = r * u, after den2.  So a caller that runs no backward may give
+    the names rp, ez, u and tmp one array of `ws`; the output keeps its
+    bits, and the saved tuple is then not valid.
     """
     p, w = model.p, model.windows
     k, length = w.shape
@@ -580,8 +587,8 @@ def _temporal(X: np.ndarray, model: _Model, ws: dict):
     np.subtract(zs, zs.take(at)[..., None], out=zs)
     ez = np.exp(zs, out=zs)
     u = np.multiply(w, ez, out=_buffer(ws, "temporal", "u", shape))
-    num = np.add.reduce(np.multiply(rows, u, out=_buffer(ws, "temporal", "tmp", shape)), axis=-1)
     den2 = np.add.reduce(u, axis=-1)
+    num = np.add.reduce(np.multiply(rows, u, out=_buffer(ws, "temporal", "tmp", shape)), axis=-1)
     return num / den2, (rows, w, rp, den, ez, u, num, den2, at, top, rph)
 
 
@@ -677,8 +684,10 @@ def network_outputs(
 
     Prepares the model once, runs the temporal layer on CHUNK signals at a
     time in one workspace, then the conjunction and disjunction once over
-    all n.  The temporal layer pools only the slots that some live gate
-    row opens; the other columns of the (n, k) pooled values g hold 0.0.
+    all n.  Nothing here runs a backward, so the temporal layer writes rp,
+    ez, u and tmp into one scratch array (see `_temporal`).  It pools only
+    the slots that some live gate row opens; the other columns of the
+    (n, k) pooled values g hold 0.0.
     Every argmax and sum runs along one signal's own rows, and an unread
     slot moves no bit of the head, so each output has the bits
     `network_pass` gives it in any batch:
@@ -695,17 +704,22 @@ def network_outputs(
     near +-1.7e308), `network_pass` gives NaN (inf * 0 at the closed
     lane), while this gives the finite output of the slots the formula
     reads.  Raises what `network_pass` raises, and NonFiniteError naming
-    the first sample whose output is not finite.
+    the first sample whose output is not finite, with no numpy warning
+    about the overflow that made it.
     """
     X = np.asarray(X, dtype=np.float64)
     model = _prepare(X, params, shape, p)
     read = model.gates.any(axis=0).nonzero()[0]
     pooled = model.on_slots(read)
-    ws: dict = {}
+    # no backward reads this pass: rp, ez, u and tmp share one array
+    scratch = np.empty((min(X.shape[0], CHUNK), len(read), X.shape[1]))
+    ws = {("temporal", name, scratch.shape[1:]): scratch for name in ("rp", "ez", "u", "tmp")}
     g = np.zeros((X.shape[0], shape.k))
-    for lo in range(0, X.shape[0], CHUNK):
-        g[lo : lo + CHUNK, read] = _temporal(X[lo : lo + CHUNK], pooled, ws)[0]
-    out = _head(g, model, ws)[0]
+    # an overflow shows as the non-finite output named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, X.shape[0], CHUNK):
+            g[lo : lo + CHUNK, read] = _temporal(X[lo : lo + CHUNK], pooled, ws)[0]
+        out = _head(g, model, ws)[0]
     finite = np.isfinite(out)
     if not finite.all():
         raise NonFiniteError(f"non-finite network output of sample {int(finite.argmin())}")

@@ -557,9 +557,9 @@ def test_non_finite_forward_names_the_node():
 def test_non_finite_array_detected():
     X, params, shape = one_slot_gates_case(np.random.default_rng(37))
     X[1] = 1e308  # a window's weighted sum overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match=r"^non-finite network output of sample 1$"):
-            network_outputs(X, params, shape, P)
+    # no numpy warning escapes: the `error` filter would raise it
+    with pytest.raises(NonFiniteError, match=r"^non-finite network output of sample 1$"):
+        network_outputs(X, params, shape, P)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +689,16 @@ def test_network_outputs_runs_its_last_chunk_in_the_first_chunks_arrays(monkeypa
     assert all(len(array) == (CHUNK if key[0] == "temporal" else n) for key, array in ws.items())
     (_, _, first), ((g, _), _, last) = chunks[0], chunks[-1]
     assert len(g) == 1
-    # r (the predicate rows), rp, ez, u and tmp, which holds r * u
+    # r (the predicate rows), and rp, ez, u and tmp, which run no backward
+    # and share one scratch array: the temporal layer holds two arrays
     assert first.keys() == last.keys() == {"r", "rp", "ez", "u", "tmp"}
     for name in first:
         assert np.shares_memory(first[name], last[name]), name
+    assert first["rp"] is first["ez"] is first["u"] is first["tmp"] is not first["r"]
+    assert len({id(array) for key, array in ws.items() if key[0] == "temporal"}) == 2
+    # a pass keeps five, which its backward reads
+    trained = network_pass(X[:CHUNK], params, shape, P).ws
+    assert len({id(array) for key, array in trained.items() if key[0] == "temporal"}) == 5
 
 
 def test_callers_keep_one_workspace(monkeypatch, tiny_driving_pair):
@@ -912,9 +918,9 @@ def test_scoring_names_the_pass_s_first_non_finite_sample():
                 Y[first::7, step] = value
                 with np.errstate(invalid="ignore", over="ignore"):
                     bad = ~np.isfinite(network_pass(Y, params, shape, P).out)
-                    assert bad.argmax() == first and bad[first::7].all()
-                    with pytest.raises(NonFiniteError, match=rf"^non-finite network output of sample {first}$"):
-                        network_outputs(Y, params, shape, P)
+                assert bad.argmax() == first and bad[first::7].all()
+                with pytest.raises(NonFiniteError, match=rf"^non-finite network output of sample {first}$"):
+                    network_outputs(Y, params, shape, P)
 
 
 def temporal_fuzz_case(rng):

@@ -12,7 +12,7 @@ import pytest
 
 import stlinfer
 from stlinfer.cli import main
-from stlinfer.datasets import LabeledDataset, load_csv, save_csv
+from stlinfer.datasets import LabeledDataset, gen_naval, load_csv, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +381,22 @@ def test_eval_refuses_a_window_past_the_data_before_printing(tmp_path, capsys):
     assert captured.err == (
         "error: slot 1: window end ceil(t2) = 6 lies past the last step 3 of data of length 4\n"
     )
+
+
+def test_eval_of_overflowing_data_prints_only_the_error(tmp_path):
+    # naval tracks times 1e300 overflow the benchmark fixture's network;
+    # in a process of its own, where numpy warnings print, the one line on
+    # stderr is the error naming the sample
+    data = gen_naval(20, seed=3)
+    csv = tmp_path / "huge.csv"
+    save_csv(LabeledDataset(data.X * 1e300, data.y), csv)
+    model = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(stlinfer.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "stlinfer", "eval", "--data", str(csv), "--model", str(model)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (1, "error: non-finite network output of sample 0\n")
 
 
 def test_eval_needs_formula_or_model(cli_env, capsys):

@@ -12,6 +12,9 @@ property over whole snapped models with data at their thresholds.
 
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,9 +264,7 @@ def snapped_property(offsets, min_beta_h=0.0, phases=tuple(Phase)):
     `snapped_model_and_data(offsets, min_beta_h)`, run in hypothesis's
     `phases`: when `guarantee_failure` is None, `sign_agreement` of the
     network with the formula its gates select is 1.0.  Plain tests call
-    it: a failing @given test makes hypothesis's pytest plugin import
-    libcst, whose DeprecationWarning the `error` warning filter turns
-    into an INTERNALERROR that would hide the strict xfail below."""
+    it, each with its own offsets."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None, phases=phases)
     @given(case=snapped_model_and_data(offsets, min_beta_h))
@@ -302,6 +303,27 @@ def test_snapped_networks_classify_as_their_formulas_near_eps():
     into one plain test over every offset."""
     # the counterexample is known, so it is not shrunk
     snapped_property([1e-12, 1e-9, 1e-6], phases=[Phase.generate])()
+
+
+def test_a_failing_given_test_reports_its_counterexample(tmp_path):
+    # under this repository's pytest config: hypothesis imports libcst to
+    # report a failure, and the `error` warning filter must let it
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n",
+        encoding="utf-8",
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "Falsifying example" in done.stdout, done.stdout + done.stderr
+    assert "1 failed" in done.stdout and "INTERNALERROR" not in done.stdout + done.stderr
 
 
 # ---------------------------------------------------------------------------
